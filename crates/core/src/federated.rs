@@ -308,9 +308,22 @@ impl FederatedSimulation {
             }
             _ => None,
         };
-        let (cfg, seed, setups, chaos) = (self.cfg, self.seed, self.setups, self.chaos);
-        let reconciler_target = self.reconciler_target;
-        let hedge = self.hedge;
+        let (cfg, seed, setups) = (self.cfg, self.seed, self.setups);
+        let launch = Launch {
+            seed,
+            chaos: self.chaos,
+            router_cfg,
+            telemetry,
+            reconciler_target: self.reconciler_target,
+            hedge: self.hedge,
+            multidim,
+            metas,
+            router,
+            fed_functions,
+            duration,
+            entries,
+            parallel,
+        };
 
         // The engine RNG prefix matches the corresponding single-cluster
         // simulation so the degenerate one-site topology replays it
@@ -336,78 +349,27 @@ impl FederatedSimulation {
                     };
                     LassPolicy::new(cfg.clone(), clusters[i].clone(), seed, &setups, &label)
                 };
-                launch(
-                    seed,
-                    chaos,
-                    router_cfg,
-                    telemetry,
-                    reconciler_target,
-                    hedge,
-                    multidim,
-                    metas,
-                    build,
-                    router,
-                    &fed_functions,
-                    "",
-                    duration,
-                    entries,
-                    parallel,
-                )
+                launch.run(build, "")
             }
-            SitePolicyKind::StaticRr => {
-                let build = move |i: usize, _restart: u32| {
+            SitePolicyKind::StaticRr => launch.run(
+                move |i: usize, _restart: u32| {
                     StaticRrPolicy::new(clusters[i].clone(), setups.clone())
-                };
-                launch(
-                    seed,
-                    chaos,
-                    router_cfg,
-                    telemetry,
-                    reconciler_target,
-                    hedge,
-                    multidim,
-                    metas,
-                    build,
-                    router,
-                    &fed_functions,
-                    "static-",
-                    duration,
-                    entries,
-                    parallel,
-                )
-            }
-            SitePolicyKind::Knative => {
-                let build = move |i: usize, _restart: u32| {
+                },
+                "static-",
+            ),
+            SitePolicyKind::Knative => launch.run(
+                move |i: usize, _restart: u32| {
                     KnativePolicy::new(cfg.clone(), clusters[i].clone(), setups.clone())
-                };
-                launch(
-                    seed,
-                    chaos,
-                    router_cfg,
-                    telemetry,
-                    reconciler_target,
-                    hedge,
-                    multidim,
-                    metas,
-                    build,
-                    router,
-                    &fed_functions,
-                    "knative-",
-                    duration,
-                    entries,
-                    parallel,
-                )
-            }
+                },
+                "knative-",
+            ),
         };
         Ok(report)
     }
 }
 
-/// Assemble the federation (initial policies from `build(i, 0)`, the
-/// same closure installed as the crash-recovery rebuild factory), arm
-/// the chaos wrapper, and pump the engine.
-#[allow(clippy::too_many_arguments)]
-fn launch<P, F>(
+/// Everything a federated run needs besides the per-site policies.
+struct Launch {
     seed: u64,
     chaos: ChaosConfig,
     router_cfg: RouterConfig,
@@ -416,50 +378,60 @@ fn launch<P, F>(
     hedge: Option<HedgeConfig>,
     multidim: bool,
     metas: Vec<SiteMeta>,
-    mut build: F,
     router: Box<dyn lass_simcore::RouterPolicy + Send>,
-    fed_functions: &[FedFunction],
-    prefix: &str,
+    fed_functions: Vec<FedFunction>,
     duration: f64,
     entries: Vec<FunctionEntry>,
     parallel: Option<usize>,
-) -> FederatedSimReport
-where
-    P: ContainerChaos<Report = SimReport> + Send,
-    P::Event: Send,
-    F: FnMut(usize, u32) -> P + Send + 'static,
-{
-    let sites = metas
-        .into_iter()
-        .enumerate()
-        .map(|(i, meta)| (meta, build(i, 0)))
-        .collect();
-    let mut fed = Federation::new(sites, router, fed_functions).with_rebuild(Box::new(build));
-    fed.set_migration_penalty(SimDuration::from_secs_f64(chaos.migration_penalty_secs));
-    fed.set_router_config(&router_cfg);
-    // A disabled (zero-interval) runtime is inert: the federation keeps
-    // routing on oracle-fresh state and emits no telemetry events.
-    fed.set_telemetry(telemetry, seed);
-    if let Some(rho) = reconciler_target {
-        fed.set_reconciler(Box::new(lass_simcore::UtilizationReconciler::new(rho)));
-    }
-    if let Some(h) = hedge {
-        fed.set_hedge(h);
-    }
-    fed.set_multidim(multidim);
-    let cfg = EngineConfig {
-        seed,
-        rng_label_prefix: prefix.into(),
-        duration_secs: duration,
-        drain_secs: 120.0,
-        stream_stats: false,
-        parallel_sites: parallel,
-    };
-    match parallel {
-        // The parallel executor barriers the fault schedule itself, so
-        // the federation goes in bare rather than chaos-wrapped.
-        Some(_) => run_federation_parallel(cfg, entries, fed, chaos, seed),
-        None => run_simulation(cfg, entries, ChaosPolicy::new(fed, chaos, seed)),
+}
+
+impl Launch {
+    /// Assemble the federation (initial policies from `build(i, 0)`, the
+    /// same closure installed as the crash-recovery rebuild factory), arm
+    /// the chaos wrapper, and pump the engine with RNG streams labelled
+    /// under `prefix`.
+    fn run<P, F>(self, mut build: F, prefix: &str) -> FederatedSimReport
+    where
+        P: ContainerChaos<Report = SimReport> + Send,
+        P::Event: Send,
+        F: FnMut(usize, u32) -> P + Send + 'static,
+    {
+        let sites = self
+            .metas
+            .into_iter()
+            .enumerate()
+            .map(|(i, meta)| (meta, build(i, 0)))
+            .collect();
+        let mut fed =
+            Federation::new(sites, self.router, &self.fed_functions).with_rebuild(Box::new(build));
+        let chaos = self.chaos;
+        fed.set_migration_penalty(SimDuration::from_secs_f64(chaos.migration_penalty_secs));
+        fed.set_router_config(&self.router_cfg);
+        // A disabled (zero-interval) runtime is inert: the federation
+        // keeps routing on oracle-fresh state and emits no telemetry
+        // events.
+        fed.set_telemetry(self.telemetry, self.seed);
+        if let Some(rho) = self.reconciler_target {
+            fed.set_reconciler(Box::new(lass_simcore::UtilizationReconciler::new(rho)));
+        }
+        if let Some(h) = self.hedge {
+            fed.set_hedge(h);
+        }
+        fed.set_multidim(self.multidim);
+        let cfg = EngineConfig {
+            seed: self.seed,
+            rng_label_prefix: prefix.into(),
+            duration_secs: self.duration,
+            drain_secs: 120.0,
+            stream_stats: false,
+            parallel_sites: self.parallel,
+        };
+        match self.parallel {
+            // The parallel executor barriers the fault schedule itself,
+            // so the federation goes in bare rather than chaos-wrapped.
+            Some(_) => run_federation_parallel(cfg, self.entries, fed, chaos, self.seed),
+            None => run_simulation(cfg, self.entries, ChaosPolicy::new(fed, chaos, self.seed)),
+        }
     }
 }
 

@@ -130,6 +130,28 @@ pub struct FnStats {
     pub service: SampleStats,
 }
 
+impl FnStats {
+    /// Empty statistics for one function, recording samples into stores
+    /// made by `stats`.
+    pub(crate) fn empty(name: String, slo_deadline: f64, stats: fn() -> SampleStats) -> Self {
+        Self {
+            name,
+            slo_deadline,
+            arrivals: 0,
+            completed: 0,
+            reruns: 0,
+            timeouts: 0,
+            lost: 0,
+            slo_violations: 0,
+            hedged: 0,
+            cancelled: 0,
+            wait: stats(),
+            response: stats(),
+            service: stats(),
+        }
+    }
+}
+
 impl Serialize for FnStats {
     fn serialize(&self) -> serde::Value {
         let mut m = serde::Map::new();

@@ -2,10 +2,10 @@
 //!
 //! [`Federation`] is itself a [`SchedulerPolicy`] — it plugs into the
 //! ordinary [`run_simulation`](crate::run_simulation) pump — but instead
-//! of scheduling requests onto containers it owns a [`RouterPolicy`] and
-//! one *inner* scheduler instance per site. Arrivals are routed to a
-//! site, delayed by the site's network latency, and then delivered to
-//! that site's scheduler through a scoped [`PolicyCtx`] that:
+//! of scheduling requests onto containers it owns a router and one
+//! *inner* scheduler instance per site. Arrivals are routed to a site,
+//! delayed by the site's network latency, and then delivered to that
+//! site's scheduler through a scoped [`PolicyCtx`] that:
 //!
 //! * tags the site's scheduled events so they come back to the right
 //!   instance ([`FedEv::Site`]), stamped with the site's *incarnation*
@@ -25,26 +25,25 @@
 //! Routing latency is modeled on the inbound hop: a request routed at
 //! `t` reaches its site at `t + latency`, and since waiting time is
 //! measured from the front-end arrival instant, the hop is part of the
-//! request's waiting — and therefore response — time, exactly like the
-//! paper's edge clients would observe when offloaded to a remote pool.
+//! request's waiting — and therefore response — time.
 //!
-//! # Router telemetry
+//! # The shared front end
 //!
-//! For every run — whatever the router — the federation maintains
-//! per-site model telemetry and refreshes it into the [`SiteState`]
-//! snapshot at each routing decision: a
-//! [`WaitPredictor`](lass_queueing::WaitPredictor) fed each routed
-//! arrival and each completed request's service time (its forecast,
-//! memoized per `(λ̂ epoch, μ̂ epoch, servers)` by a
-//! [`ForecastCache`](lass_queueing::ForecastCache), drives the
-//! SLO-aware and affinity routers), a
-//! [`HealthEwma`](lass_queueing::HealthEwma) fed the site's up/down
-//! transitions by the chaos path (the failure-aware router's
-//! `flakiness` score), and a warm-container census for the routed
-//! function pulled through the [`ContainerChaos`] introspection seam.
-//! The plumbing is observe-only — no randomness, no events — so
-//! routers that ignore it replay their pre-telemetry decisions
-//! byte-for-byte (pinned by the goldens).
+//! Everything router-facing — per-site commitment counters and fault
+//! flags, the λ̂/μ̂ predictors and health EWMAs, the routing refresh and
+//! pick (oracle routing is the zero-age view of the delayed-telemetry
+//! one), the telemetry publish / arrive / directive steps, the hedge
+//! trigger, runner-up ranking and waste budget, the front half of fault
+//! handling and migration, and the router's half of each
+//! [`SiteReport`] — lives in the crate-private `front` module and is
+//! shared with the windowed parallel driver
+//! ([`run_federation_parallel`](crate::parallel::run_federation_parallel)).
+//!
+//! This driver owns its transport: the engine calendar with [`FedEv`],
+//! the scoped site context, the site-side tallies (in-flight and live
+//! requests, per-site statistics, stalled responses, incarnations), and
+//! the hedge groups, whose races it resolves inside the callback that
+//! retired the request.
 //!
 //! # Failure semantics
 //!
@@ -66,10 +65,9 @@
 //!   cut. Arrivals route around the site and in-transit requests bounce
 //!   exactly as for a crash, but the site keeps serving what it already
 //!   holds; completions are **stalled** — buffered and recorded when
-//!   the partition heals, so the stall shows up in response time. (A
-//!   stalled request's recorded *service* time also absorbs the stall:
-//!   the front-end cannot observe where inside the dark interval the
-//!   container actually finished.)
+//!   the partition heals, so the stall shows up in response time (and
+//!   in the recorded service time: the front end cannot observe where
+//!   inside the dark interval the container actually finished).
 //! * **Container bursts** ([`Fault::ContainerBurst`]) are forwarded to
 //!   the site's scheduler through the [`ContainerChaos`] seam.
 //!
@@ -79,12 +77,12 @@
 
 use crate::chaos::{ChaosTarget, ContainerChaos, Fault};
 use crate::engine::{Completion, EngineOutcome, FnStats, PolicyCtx, ReqId, SchedulerPolicy};
-use crate::metrics::{DowntimeClock, SampleStats};
+use crate::front::{Census, Front, HedgeStep, SiteWork};
+use crate::metrics::SampleStats;
 use crate::rng::SimRng;
-use crate::router::{predicted_score, ResourceSnapshot, RouterConfig, RouterPolicy, SiteState};
-use crate::telemetry::{ReconcilerSeam, TelemetryConfig, TelemetryRuntime, TelemetrySnapshot};
+use crate::router::{RouterConfig, RouterPolicy};
+use crate::telemetry::{ReconcilerSeam, TelemetryConfig, TelemetrySnapshot};
 use crate::time::{SimDuration, SimTime};
-use lass_queueing::{EvaluatedForecast, ForecastCache, HealthEwma, WaitPredictor};
 use serde::{Deserialize, Error, Map, Serialize, Value};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -351,20 +349,11 @@ pub enum FedEv<E> {
     },
 }
 
-/// Per-site bookkeeping maintained by the scoped context.
+/// The site-side bookkeeping of one site (its router-facing half lives
+/// in the shared front end).
 pub(crate) struct SiteTally {
     /// Requests delivered to the site and not yet finished.
     pub(crate) in_flight: usize,
-    /// Requests the router sent to this site (delivered or in transit).
-    pub(crate) routed: usize,
-    /// Requests that finished at this site (completed, abandoned, lost,
-    /// or migrated away). `routed - finished` is the router's view of
-    /// the site's commitment: it includes requests still in transit,
-    /// which the front-end knows it dispatched even though the site
-    /// hasn't seen them yet — otherwise a burst shorter than the network
-    /// hop would herd entirely onto a high-latency site before any
-    /// delivery moves its visible load.
-    pub(crate) finished: usize,
     /// Per-function arrival counts since the site's last window take.
     pub(crate) window: Vec<u64>,
     /// Per-function statistics of requests finished at this site.
@@ -374,117 +363,37 @@ pub(crate) struct SiteTally {
     pub(crate) live: BTreeMap<u64, u32>,
     /// Completions held back by an ongoing partition: `(rid, started)`.
     pub(crate) stalled: Vec<(u64, SimTime)>,
-    /// Whether the site is alive (not crashed).
-    pub(crate) up: bool,
-    /// Whether the router↔site link is currently cut.
-    pub(crate) partitioned: bool,
-    /// Whether a [`Fault::SiteSlowdown`] brown-out is active: the site
-    /// keeps serving (and stays routable), but the health EWMA sees it
-    /// as degraded so the failure-aware router browns it out.
-    pub(crate) slowed: bool,
     /// Site incarnation; bumped on crash to invalidate stale events.
     pub(crate) epoch: u32,
-    /// Completed crash/rebuild cycles (labels the replacement policy).
-    pub(crate) restarts: u32,
-    /// The site crashed and its scheduler must be rebuilt on recovery.
-    pub(crate) needs_rebuild: bool,
-    /// Requests migrated away from this site (orphans of a crash plus
-    /// in-transit bounces off a dead or partitioned site).
-    pub(crate) migrated_out: usize,
-    /// Migrated requests this site accepted from a failing site.
-    pub(crate) migrated_in: usize,
-    /// Requests committed to this site that could not be migrated
-    /// anywhere (engine-level lost).
-    pub(crate) failed: usize,
     /// Containers crashed here by chaos bursts.
     pub(crate) chaos_crashes: u32,
-    /// Total time the site was unroutable (crashed or partitioned).
-    pub(crate) downtime: DowntimeClock,
-    /// Online λ̂/μ̂ telemetry feeding the model-driven routers'
-    /// forecasts. Observe-only: maintained for every run, read only by
-    /// routers that care.
-    pub(crate) predictor: WaitPredictor,
-    /// Memoized M/M/c evaluation of the predictor's forecast, keyed by
-    /// `(λ̂ epoch, μ̂ epoch, server count)`: the refresh before each
-    /// routing decision re-evaluates the model only when the predictor
-    /// actually advanced a tick (or absorbed a completion) or the
-    /// site's warm fleet changed — otherwise it is a key compare and a
-    /// copy, allocation-free.
-    pub(crate) fcache: ForecastCache,
-    /// Downtime EWMA behind the failure-aware router's flakiness score.
-    pub(crate) health: HealthEwma,
     /// Hedge clones that lost the race at this site and may still be in
     /// service — their eventual (suppressed) completion is wasted work.
     /// Inserted when the sibling wins, consumed by the suppressed
     /// completion; a clone cancelled while still queued leaves its entry
     /// behind (it never completes), which is bookkeeping-only.
     pub(crate) hedge_lost: BTreeSet<u64>,
-    /// Suppressed completions of cancelled clones: containers that ran a
-    /// request to the end after its sibling had already answered.
-    pub(crate) wasted: usize,
-    /// Service seconds burned by those wasted completions.
-    pub(crate) wasted_secs: f64,
 }
 
 impl SiteTally {
-    pub(crate) fn new(functions: &[FedFunction], router_cfg: &RouterConfig) -> Self {
+    pub(crate) fn new(functions: &[FedFunction]) -> Self {
         Self {
             in_flight: 0,
-            routed: 0,
-            finished: 0,
             window: vec![0; functions.len()],
             per_fn: functions
                 .iter()
-                .map(|f| FnStats {
-                    name: f.name.clone(),
-                    slo_deadline: f.slo_deadline,
-                    arrivals: 0,
-                    completed: 0,
-                    reruns: 0,
-                    timeouts: 0,
-                    lost: 0,
-                    slo_violations: 0,
-                    hedged: 0,
-                    cancelled: 0,
-                    wait: SampleStats::new(),
-                    response: SampleStats::new(),
-                    service: SampleStats::new(),
-                })
+                .map(|f| FnStats::empty(f.name.clone(), f.slo_deadline, SampleStats::new))
                 .collect(),
             live: BTreeMap::new(),
             stalled: Vec::new(),
-            up: true,
-            partitioned: false,
-            slowed: false,
             epoch: 0,
-            restarts: 0,
-            needs_rebuild: false,
-            migrated_out: 0,
-            migrated_in: 0,
-            failed: 0,
             chaos_crashes: 0,
-            downtime: DowntimeClock::new(),
-            predictor: WaitPredictor::new(router_cfg.predictor()),
-            fcache: ForecastCache::new(),
-            health: HealthEwma::new(router_cfg.health_tick_secs, router_cfg.health_alpha),
             hedge_lost: BTreeSet::new(),
-            wasted: 0,
-            wasted_secs: 0.0,
         }
     }
 
-    /// Whether the router may send arrivals here right now.
-    pub(crate) fn routable(&self) -> bool {
-        self.up && !self.partitioned
-    }
-
     /// Fold one finished request into the site's statistics.
-    pub(crate) fn record_completion(&mut self, c: &Completion) {
-        // Telemetry: the observed service time feeds the site's μ̂
-        // estimate. (A partition-stalled completion's recorded service
-        // absorbs the stall — the predictor sees the same degraded rate
-        // the front-end observes.)
-        self.predictor.on_service(c.service);
+    fn record_completion(&mut self, c: &Completion) {
         let f = &mut self.per_fn[c.fn_idx as usize];
         f.completed += 1;
         f.wait.record(c.wait);
@@ -494,7 +403,30 @@ impl SiteTally {
             f.slo_violations += 1;
         }
         self.in_flight = self.in_flight.saturating_sub(1);
-        self.finished += 1;
+    }
+
+    /// A request left the site without completing (timed out, lost, or
+    /// cancelled): release its books.
+    fn release(&mut self, rid: u64) {
+        self.live.remove(&rid);
+        self.in_flight = self.in_flight.saturating_sub(1);
+    }
+}
+
+/// The live census of one site's scheduler for routing `fn_idx`.
+fn census<'a, P: ContainerChaos>(
+    sites: &'a [P],
+    tallies: &'a [SiteTally],
+    fn_idx: u32,
+) -> impl FnMut(usize) -> Census + 'a {
+    move |i| {
+        let site = &sites[i];
+        let n_fns = tallies[i].per_fn.len() as u32;
+        Census {
+            warm: site.warm_containers(fn_idx),
+            fleet: (0..n_fns).map(|f| site.warm_containers(f)).sum(),
+            resources: site.resource_snapshot(),
+        }
     }
 }
 
@@ -504,6 +436,11 @@ struct SiteCtx<'a, C> {
     inner: &'a mut C,
     site: u32,
     tally: &'a mut SiteTally,
+    front: &'a mut Front,
+    /// Shift applied to scheduled times — non-zero only while replaying
+    /// a rebuilt policy's `on_start` (written against `t = 0`) after a
+    /// crash recovery.
+    offset: SimDuration,
     /// Logical-request retirements (complete / abandon / lose) recorded
     /// during this callback, as `(rid, site)` — the federation drains
     /// them afterwards to resolve hedge groups (first response wins,
@@ -512,10 +449,19 @@ struct SiteCtx<'a, C> {
     resolved: &'a mut Vec<(u64, u32)>,
 }
 
+impl<C> SiteCtx<'_, C> {
+    /// The logical request `rid` left this site without completing.
+    fn retire(&mut self, rid: ReqId) {
+        self.tally.release(rid.0);
+        self.front.sites[self.site as usize].finished += 1;
+        self.resolved.push((rid.0, self.site));
+    }
+}
+
 impl<E, C: PolicyCtx<FedEv<E>>> PolicyCtx<E> for SiteCtx<'_, C> {
     fn schedule(&mut self, at: SimTime, ev: E) {
         self.inner.schedule(
-            at,
+            at + self.offset,
             FedEv::Site {
                 site: self.site,
                 epoch: self.tally.epoch,
@@ -541,7 +487,7 @@ impl<E, C: PolicyCtx<FedEv<E>>> PolicyCtx<E> for SiteCtx<'_, C> {
     }
 
     fn complete(&mut self, rid: ReqId, started: SimTime, now: SimTime) -> Option<Completion> {
-        if self.tally.partitioned {
+        if self.front.sites[self.site as usize].partitioned {
             // The response cannot cross the cut link: hold it until the
             // partition heals (the stall lands in response time). The
             // policy sees `None` and skips its own completion
@@ -551,32 +497,21 @@ impl<E, C: PolicyCtx<FedEv<E>>> PolicyCtx<E> for SiteCtx<'_, C> {
             }
             return None;
         }
-        // A copy this federation already abandoned (speculative retry)
-        // must not be allowed to win even if the logical request is
-        // still live in the engine: its response is wasted work.
+        // A copy this federation already abandoned (a retried original,
+        // or a hedge clone whose sibling already answered) never wins,
+        // even while the logical request is still live engine-side: the
+        // container ran it to the end for nothing — wasted work.
         if self.tally.hedge_lost.remove(&rid.0) {
-            self.tally.wasted += 1;
-            self.tally.wasted_secs += now.saturating_since(started).as_secs_f64();
+            let secs = now.saturating_since(started).as_secs_f64();
+            self.front.sites[self.site as usize].waste(secs);
             return None;
         }
-        match self.inner.complete(rid, started, now) {
-            Some(c) => {
-                self.tally.live.remove(&rid.0);
-                self.tally.record_completion(&c);
-                self.resolved.push((rid.0, self.site));
-                Some(c)
-            }
-            None => {
-                // A suppressed completion of a hedge clone whose sibling
-                // already won: the container ran the request to the end
-                // for nothing — wasted work, not an error.
-                if self.tally.hedge_lost.remove(&rid.0) {
-                    self.tally.wasted += 1;
-                    self.tally.wasted_secs += now.saturating_since(started).as_secs_f64();
-                }
-                None
-            }
-        }
+        let c = self.inner.complete(rid, started, now)?;
+        self.tally.live.remove(&rid.0);
+        self.tally.record_completion(&c);
+        self.front.record_completion(self.site as usize, c.service);
+        self.resolved.push((rid.0, self.site));
+        Some(c)
     }
 
     fn abandon(&mut self, rid: ReqId) -> Option<u32> {
@@ -584,20 +519,14 @@ impl<E, C: PolicyCtx<FedEv<E>>> PolicyCtx<E> for SiteCtx<'_, C> {
         let f = &mut self.tally.per_fn[fn_idx as usize];
         f.timeouts += 1;
         f.slo_violations += 1;
-        self.tally.live.remove(&rid.0);
-        self.tally.in_flight = self.tally.in_flight.saturating_sub(1);
-        self.tally.finished += 1;
-        self.resolved.push((rid.0, self.site));
+        self.retire(rid);
         Some(fn_idx)
     }
 
     fn lose(&mut self, rid: ReqId) -> Option<u32> {
         let fn_idx = self.inner.lose(rid)?;
         self.tally.per_fn[fn_idx as usize].lost += 1;
-        self.tally.live.remove(&rid.0);
-        self.tally.in_flight = self.tally.in_flight.saturating_sub(1);
-        self.tally.finished += 1;
-        self.resolved.push((rid.0, self.site));
+        self.retire(rid);
         Some(fn_idx)
     }
 
@@ -613,50 +542,6 @@ impl<E, C: PolicyCtx<FedEv<E>>> PolicyCtx<E> for SiteCtx<'_, C> {
 
     fn outstanding(&self) -> usize {
         self.tally.in_flight
-    }
-}
-
-/// A context whose scheduled times are shifted by a fixed offset — used
-/// to replay a policy's `on_start` (written against `t = 0`) when its
-/// site restarts mid-run.
-struct OffsetCtx<'a, C> {
-    inner: &'a mut C,
-    offset: SimDuration,
-}
-
-impl<E, C: PolicyCtx<E>> PolicyCtx<E> for OffsetCtx<'_, C> {
-    fn schedule(&mut self, at: SimTime, ev: E) {
-        self.inner.schedule(at + self.offset, ev);
-    }
-    fn end_time(&self) -> SimTime {
-        self.inner.end_time()
-    }
-    fn fn_count(&self) -> usize {
-        self.inner.fn_count()
-    }
-    fn service_rng(&mut self, fn_idx: u32) -> &mut SimRng {
-        self.inner.service_rng(fn_idx)
-    }
-    fn request_info(&self, rid: ReqId) -> Option<(u32, SimTime)> {
-        self.inner.request_info(rid)
-    }
-    fn complete(&mut self, rid: ReqId, started: SimTime, now: SimTime) -> Option<Completion> {
-        self.inner.complete(rid, started, now)
-    }
-    fn abandon(&mut self, rid: ReqId) -> Option<u32> {
-        self.inner.abandon(rid)
-    }
-    fn lose(&mut self, rid: ReqId) -> Option<u32> {
-        self.inner.lose(rid)
-    }
-    fn rerun(&mut self, rid: ReqId) -> Option<u32> {
-        self.inner.rerun(rid)
-    }
-    fn take_window_counts(&mut self) -> Vec<u64> {
-        self.inner.take_window_counts()
-    }
-    fn outstanding(&self) -> usize {
-        self.inner.outstanding()
     }
 }
 
@@ -780,37 +665,11 @@ pub type SiteRebuild<P> = Box<dyn FnMut(usize, u32) -> P + Send>;
 /// instance per site. See the module docs for the full contract.
 pub struct Federation<P: SchedulerPolicy> {
     pub(crate) sites: Vec<P>,
-    pub(crate) metas: Vec<SiteMeta>,
     pub(crate) tallies: Vec<SiteTally>,
-    pub(crate) router: Box<dyn RouterPolicy + Send>,
-    /// Scratch router view, refreshed from the tallies per decision.
-    pub(crate) states: Vec<SiteState>,
-    /// The router/telemetry knobs in force (rebuilds a crashed site's
-    /// predictor with the same smoothing constants).
-    pub(crate) router_cfg: RouterConfig,
-    /// Delayed-telemetry propagation state; disabled (zero interval)
-    /// unless [`Federation::set_telemetry`] installs a config.
-    pub(crate) telemetry: TelemetryRuntime,
-    /// Optional scaling reconciler fed each snapshot as it arrives.
-    pub(crate) reconciler: Option<Box<dyn ReconcilerSeam>>,
-    /// Extra latency added to a migrated request's re-delivery, on top
-    /// of the destination's inbound hop.
-    pub(crate) migration_penalty: SimDuration,
+    /// The router-facing half, shared with the parallel driver.
+    pub(crate) front: Front,
     /// Factory that rebuilds a crashed site's scheduler on recovery.
     pub(crate) rebuild: Option<SiteRebuild<P>>,
-    /// Arrivals dropped because no site was routable.
-    pub(crate) unroutable: usize,
-    /// Per-function demand vectors in registration order (the planner
-    /// router's fit denominators), from [`FedFunction::demand`].
-    pub(crate) fn_demands: Vec<[f64; 3]>,
-    /// Whether the run opted into multi-dimensional accounting (any
-    /// non-default demand vector or an explicit site resources block):
-    /// gates the per-dimension `utilization` report key so legacy
-    /// reports stay byte-identical.
-    pub(crate) multidim: bool,
-    /// Hedged-request configuration; `None` disables hedging entirely
-    /// (no new events, no new counters — byte-identical reports).
-    pub(crate) hedge: Option<HedgeConfig>,
     /// Live hedge groups keyed by request id.
     hedges: BTreeMap<u64, HedgeGroup>,
     /// Retirements recorded by the scoped contexts during the current
@@ -830,41 +689,11 @@ impl<P: ContainerChaos> Federation<P> {
     ) -> Self {
         assert!(!sites.is_empty(), "federation needs at least one site");
         let (metas, sites): (Vec<SiteMeta>, Vec<P>) = sites.into_iter().unzip();
-        let router_cfg = RouterConfig::default();
-        let tallies = metas
-            .iter()
-            .map(|_| SiteTally::new(functions, &router_cfg))
-            .collect();
-        let states = metas
-            .iter()
-            .map(|m| SiteState {
-                name: m.name.clone(),
-                latency: m.latency,
-                capacity_hint: m.capacity_hint,
-                in_flight: 0,
-                up: true,
-                forecast: EvaluatedForecast::default(),
-                flakiness: 0.0,
-                warm: 0,
-                resources: ResourceSnapshot::default(),
-                fits: f64::INFINITY,
-            })
-            .collect();
         Self {
+            tallies: sites.iter().map(|_| SiteTally::new(functions)).collect(),
             sites,
-            metas,
-            tallies,
-            router,
-            states,
-            router_cfg,
-            telemetry: TelemetryRuntime::disabled(),
-            reconciler: None,
-            migration_penalty: SimDuration::ZERO,
+            front: Front::new(metas, router, functions),
             rebuild: None,
-            unroutable: 0,
-            fn_demands: functions.iter().map(|f| f.demand).collect(),
-            multidim: false,
-            hedge: None,
             hedges: BTreeMap::new(),
             hedge_resolved: Vec::new(),
         }
@@ -874,7 +703,7 @@ impl<P: ContainerChaos> Federation<P> {
     /// per-dimension `utilization` appears in the report. Off by
     /// default so legacy (cpu-only) reports stay byte-identical.
     pub fn set_multidim(&mut self, on: bool) -> &mut Self {
-        self.multidim = on;
+        self.front.multidim = on;
         self
     }
 
@@ -903,33 +732,18 @@ impl<P: ContainerChaos> Federation<P> {
 
     /// Extra latency added to every migrated request's re-delivery.
     pub fn set_migration_penalty(&mut self, penalty: SimDuration) -> &mut Self {
-        self.migration_penalty = penalty;
+        self.front.migration_penalty = penalty;
         self
     }
 
     /// Re-seed the per-site telemetry (λ̂/μ̂ smoothing, flakiness EWMA)
     /// from a scenario's `router_config` block. Call before the run
     /// starts — the trackers are rebuilt empty, and every telemetry
-    /// value already folded into the router's scratch [`SiteState`]s
-    /// (forecast, flakiness, warm census) is cleared with them, so the
-    /// first post-swap decision can never route on mixed-config scores.
+    /// value already folded into the router's scratch view (forecast,
+    /// flakiness, warm census) is cleared with them, so the first
+    /// post-swap decision can never route on mixed-config scores.
     pub fn set_router_config(&mut self, cfg: &RouterConfig) -> &mut Self {
-        self.router_cfg = *cfg;
-        for tally in &mut self.tallies {
-            tally.predictor = WaitPredictor::new(cfg.predictor());
-            tally.fcache = ForecastCache::new();
-            tally.health = HealthEwma::new(cfg.health_tick_secs, cfg.health_alpha);
-        }
-        for state in &mut self.states {
-            state.in_flight = 0;
-            state.up = true;
-            state.forecast = EvaluatedForecast::default();
-            state.flakiness = 0.0;
-            state.warm = 0;
-            state.resources = ResourceSnapshot::default();
-            state.fits = f64::INFINITY;
-        }
-        self.telemetry.reset_views();
+        self.front.set_router_config(cfg);
         self
     }
 
@@ -941,9 +755,7 @@ impl<P: ContainerChaos> Federation<P> {
     /// labelled off it, identically in the sequential and parallel
     /// drivers).
     pub fn set_telemetry(&mut self, cfg: TelemetryConfig, seed: u64) -> &mut Self {
-        let names: Vec<String> = self.metas.iter().map(|m| m.name.clone()).collect();
-        let n_fns = self.tallies.first().map_or(0, |t| t.per_fn.len());
-        self.telemetry = TelemetryRuntime::new(cfg, seed, &names, n_fns);
+        self.front.set_telemetry(cfg, seed);
         self
     }
 
@@ -953,7 +765,7 @@ impl<P: ContainerChaos> Federation<P> {
     /// losing site's network latency. Call before the run starts.
     pub fn set_hedge(&mut self, cfg: HedgeConfig) -> &mut Self {
         cfg.validate().expect("invalid HedgeConfig");
-        self.hedge = Some(cfg);
+        self.front.hedge = Some(cfg);
         self
     }
 
@@ -963,167 +775,65 @@ impl<P: ContainerChaos> Federation<P> {
     /// [`ContainerChaos::apply_desired_fleet`]. No-op while telemetry
     /// is disabled (there are no snapshots to reconcile against).
     pub fn set_reconciler(&mut self, reconciler: Box<dyn ReconcilerSeam>) -> &mut Self {
-        self.reconciler = Some(reconciler);
+        self.front.reconciler = Some(reconciler);
         self
     }
 
-    /// Refresh the router's scratch view from the tallies: the load
-    /// picture plus the model telemetry (λ̂/μ̂ forecast, flakiness, warm
-    /// census for the function being routed). Pure bookkeeping — no
-    /// randomness, no events — so routers that ignore the telemetry
-    /// replay their pre-telemetry decisions exactly.
-    ///
-    /// With delayed telemetry enabled the site-side columns come from
-    /// the last *arrived* snapshot instead ([`Self::refresh_states_stale`]).
-    fn refresh_states(&mut self, fn_idx: u32, now: SimTime) {
-        if self.telemetry.enabled() {
-            self.refresh_states_stale(fn_idx, now);
-            return;
-        }
-        let t = now.as_secs_f64();
-        for i in 0..self.states.len() {
-            let tally = &mut self.tallies[i];
-            let state = &mut self.states[i];
-            // The router sees everything it has committed to a site and
-            // that hasn't finished — delivered work plus requests still
-            // crossing the network hop.
-            state.in_flight = tally.routed.saturating_sub(tally.finished) as u64;
-            state.up = tally.routable();
-            // A browned-out (slowed) site counts as degraded for the
-            // health EWMA even though it stays routable.
-            tally.health.observe(t, tally.slowed || !tally.routable());
-            state.flakiness = tally.health.value();
-            state.warm = self.sites[i].warm_containers(fn_idx);
-            state.resources = self.sites[i].resource_snapshot();
-            state.fits = state.resources.fit_count(
-                self.fn_demands
-                    .get(fn_idx as usize)
-                    .copied()
-                    .unwrap_or_default(),
-            );
-            // Model server count: the predictor's λ̂/μ̂ are site-wide
-            // (all functions pooled), so the matching `c` is the
-            // site-wide warm fleet — not the routed function's census,
-            // which would understate capacity under multi-function
-            // traffic. Fall back to the static hint while nothing is
-            // warm (cold start, or a site policy without a census).
-            let fleet: u64 = (0..tally.per_fn.len())
-                .map(|f| self.sites[i].warm_containers(f as u32))
-                .sum();
-            let servers = if fleet > 0 {
-                fleet.min(u64::from(u32::MAX)) as u32
-            } else {
-                state.capacity_hint.round().max(1.0) as u32
-            };
-            // The cache re-evaluates the M/M/c model only when the
-            // predictor advanced a tick / absorbed a completion or
-            // `servers` changed — the steady-state refresh is a key
-            // compare plus a copy.
-            state.forecast = tally.fcache.refresh(&mut tally.predictor, t, servers);
-        }
+    /// The scoped context of site `i` over the engine context `ctx`.
+    fn site_ctx<'a, C>(&'a mut self, ctx: &'a mut C, i: usize) -> (&'a mut P, SiteCtx<'a, C>) {
+        (
+            &mut self.sites[i],
+            SiteCtx {
+                inner: ctx,
+                site: i as u32,
+                tally: &mut self.tallies[i],
+                front: &mut self.front,
+                offset: SimDuration::ZERO,
+                resolved: &mut self.hedge_resolved,
+            },
+        )
     }
 
-    /// The stale-telemetry refresh: site-side columns (reachability,
-    /// forecast, flakiness, warm census) come from the last snapshot
-    /// that *arrived*, however old. Only the commitment counter stays
-    /// live — the front-end counts what it dispatched itself, so
-    /// `routed − finished` is genuinely router-local knowledge.
-    fn refresh_states_stale(&mut self, fn_idx: u32, now: SimTime) {
-        for i in 0..self.states.len() {
-            let tally = &self.tallies[i];
-            let view = &self.telemetry.views[i];
-            let state = &mut self.states[i];
-            state.in_flight = tally.routed.saturating_sub(tally.finished) as u64;
-            state.up = self.telemetry.view_up(i, self.metas[i].latency, now);
-            state.forecast = view.forecast;
-            state.flakiness = view.flakiness;
-            state.warm = view.warm.get(fn_idx as usize).copied().unwrap_or(0);
-            state.resources = view.resources;
-            state.fits = state.resources.fit_count(
-                self.fn_demands
-                    .get(fn_idx as usize)
-                    .copied()
-                    .unwrap_or_default(),
-            );
-        }
-    }
-
-    /// Route an arrival (or migrated orphan) to a live site. Assumes the
-    /// caller checked at least one site is routable.
-    fn pick_site(&mut self, fn_idx: u32, now: SimTime) -> usize {
-        self.refresh_states(fn_idx, now);
-        if self.telemetry.enabled() {
-            return self.pick_site_stale(fn_idx, now);
-        }
-        let fallback = self
-            .tallies
-            .iter()
-            .position(SiteTally::routable)
-            .expect("caller checked a routable site exists");
-        let chosen = self.router.route(fn_idx, now, &self.states);
-        let ok = chosen < self.sites.len() && self.tallies[chosen].routable();
-        debug_assert!(ok, "router returned unroutable site {chosen}");
-        if ok {
-            chosen
+    /// Send `rid` to site `to` over a hop of `hop` (inline when zero, so
+    /// the degenerate single-site topology replays the plain run
+    /// event-for-event).
+    fn send(
+        &mut self,
+        ctx: &mut impl PolicyCtx<FedEv<P::Event>>,
+        to: usize,
+        hop: SimDuration,
+        rid: ReqId,
+        fn_idx: u32,
+        now: SimTime,
+    ) {
+        let site = to as u32;
+        if hop == SimDuration::ZERO {
+            self.deliver(ctx, site, rid, fn_idx, now);
         } else {
-            fallback
+            ctx.schedule(now + hop, FedEv::Deliver { site, rid, fn_idx });
         }
     }
 
-    /// The stale-view routing decision (states already refreshed). The
-    /// router's contract is judged against its own *view*: it must
-    /// never pick a site whose last-arrived snapshot marks it down, but
-    /// a view-up site may still be physically dead — that is the point
-    /// of stale telemetry — and the delivery will bounce and migrate.
-    /// When the view marks *every* site down (mass staleness) the front
-    /// end routes blind to the first physically routable site rather
-    /// than shedding traffic its own counters can't justify dropping.
-    fn pick_site_stale(&mut self, fn_idx: u32, now: SimTime) -> usize {
-        let Some(fallback) = self.states.iter().position(|s| s.up) else {
-            return self
-                .tallies
-                .iter()
-                .position(SiteTally::routable)
-                .expect("caller checked a routable site exists");
-        };
-        let chosen = self.router.route(fn_idx, now, &self.states);
-        let ok = chosen < self.sites.len() && self.states[chosen].up;
-        debug_assert!(ok, "router returned view-down site {chosen}");
-        if ok {
-            chosen
+    /// Send a loser-cancellation message to the copy of `rid` at `site`
+    /// (landing inline for a zero-latency site).
+    fn send_cancel(
+        &mut self,
+        ctx: &mut impl PolicyCtx<FedEv<P::Event>>,
+        site: u32,
+        rid: ReqId,
+        now: SimTime,
+    ) {
+        let latency = self.front.sites[site as usize].meta.latency;
+        if latency == SimDuration::ZERO {
+            self.cancel_clone_at(ctx, site, rid);
         } else {
-            fallback
+            ctx.schedule(now + latency, FedEv::CancelDeliver { site, rid });
         }
-    }
-
-    /// Whether the waste-admission budget permits issuing another clone
-    /// or retry. Measured waste is the fraction of wasted completions
-    /// among all finished work so far; with `waste_budget == 0`
-    /// (unlimited) this is always true, and existing runs stay
-    /// byte-identical.
-    fn hedge_within_budget(&self) -> bool {
-        let Some(cfg) = self.hedge else { return false };
-        if cfg.waste_budget <= 0.0 {
-            return true;
-        }
-        let wasted: usize = self.tallies.iter().map(|t| t.wasted).sum();
-        if wasted == 0 {
-            return true;
-        }
-        let completed: usize = self
-            .tallies
-            .iter()
-            .map(|t| t.per_fn.iter().map(|f| f.completed).sum::<usize>())
-            .sum();
-        (wasted as f64) < cfg.waste_budget * ((completed + wasted) as f64)
     }
 
     /// Dispatch up to `max_clones` hedge clones of `rid` to the
-    /// best-scored routable sites not already holding a copy. Assumes
-    /// the router's scratch [`SiteState`]s were refreshed for `fn_idx`.
-    /// Runner-up ranking reads the same predicted score the model-driven
-    /// routers use but never touches the router itself, so the primary
-    /// decision stream is unperturbed.
+    /// front end's runner-up sites. Assumes the router's view was
+    /// refreshed for `fn_idx`.
     fn dispatch_clones(
         &mut self,
         ctx: &mut impl PolicyCtx<FedEv<P::Event>>,
@@ -1132,49 +842,25 @@ impl<P: ContainerChaos> Federation<P> {
         primary: u32,
         now: SimTime,
     ) {
-        let cfg = self.hedge.expect("hedging enabled");
+        let cfg = self.front.hedge.expect("hedging enabled");
         self.hedges.entry(rid.0).or_insert_with(|| HedgeGroup {
             copies: vec![primary],
             fire_token: None,
         });
-        let pct = self.router_cfg.percentile;
-        let cold = self.router_cfg.cold_start_penalty_ms / 1e3;
         for _ in 0..cfg.max_clones {
-            let copies = &self.hedges[&rid.0].copies;
-            let mut best: Option<(f64, usize)> = None;
-            for (i, s) in self.states.iter().enumerate() {
-                if !s.up || copies.contains(&(i as u32)) {
-                    continue;
-                }
-                let score = predicted_score(s, pct, cold);
-                if best.is_none_or(|(b, _)| score < b) {
-                    best = Some((score, i));
-                }
-            }
-            let Some((_, c)) = best else { break };
+            let Some(c) = self.front.runner_up(&self.hedges[&rid.0].copies) else {
+                break;
+            };
             self.hedges
                 .get_mut(&rid.0)
                 .expect("group inserted above")
                 .copies
                 .push(c as u32);
-            let tally = &mut self.tallies[c];
-            tally.routed += 1;
-            tally.predictor.on_arrival(now.as_secs_f64());
-            tally.per_fn[fn_idx as usize].hedged += 1;
+            self.front.commit(c, now);
+            self.tallies[c].per_fn[fn_idx as usize].hedged += 1;
             ctx.note_hedged(fn_idx);
-            let latency = self.metas[c].latency;
-            if latency == SimDuration::ZERO {
-                self.deliver(ctx, c as u32, rid, fn_idx, now);
-            } else {
-                ctx.schedule(
-                    now + latency,
-                    FedEv::Deliver {
-                        site: c as u32,
-                        rid,
-                        fn_idx,
-                    },
-                );
-            }
+            let latency = self.front.sites[c].meta.latency;
+            self.send(ctx, c, latency, rid, fn_idx, now);
         }
         // A group that got no clone and has no pending deferred fire
         // dissolves (nothing to race, nothing to cancel).
@@ -1198,10 +884,10 @@ impl<P: ContainerChaos> Federation<P> {
         rid: ReqId,
     ) {
         let tally = &mut self.tallies[site as usize];
-        if let Some(fn_idx) = tally.live.remove(&rid.0) {
-            tally.in_flight = tally.in_flight.saturating_sub(1);
-            tally.finished += 1;
+        if let Some(fn_idx) = tally.live.get(&rid.0).copied() {
+            tally.release(rid.0);
             tally.per_fn[fn_idx as usize].cancelled += 1;
+            self.front.sites[site as usize].finished += 1;
             ctx.note_cancelled(fn_idx);
         }
     }
@@ -1237,18 +923,7 @@ impl<P: ContainerChaos> Federation<P> {
                 // already wasted work), but release the site's books
                 // only when the cancel lands.
                 self.tallies[site as usize].hedge_lost.insert(rid);
-                let latency = self.metas[site as usize].latency;
-                if latency == SimDuration::ZERO {
-                    self.cancel_clone_at(ctx, site, ReqId(rid));
-                } else {
-                    ctx.schedule(
-                        now + latency,
-                        FedEv::CancelDeliver {
-                            site,
-                            rid: ReqId(rid),
-                        },
-                    );
-                }
+                self.send_cancel(ctx, site, ReqId(rid), now);
             }
         }
         self.hedge_resolved = resolved;
@@ -1264,28 +939,21 @@ impl<P: ContainerChaos> Federation<P> {
         now: SimTime,
     ) {
         let i = site as usize;
-        if self.hedge.is_some() && ctx.request_info(rid).is_none() {
+        if self.front.hedge.is_some() && ctx.request_info(rid).is_none() {
             // A hedge clone arriving after its sibling already answered
             // (the race resolved while it crossed the network): consumed
             // at the door, never enters the scheduler.
-            let tally = &mut self.tallies[i];
-            tally.finished += 1;
-            tally.per_fn[fn_idx as usize].arrivals += 1;
-            tally.per_fn[fn_idx as usize].cancelled += 1;
+            let f = &mut self.tallies[i].per_fn[fn_idx as usize];
+            f.arrivals += 1;
+            f.cancelled += 1;
+            self.front.sites[i].finished += 1;
             ctx.note_cancelled(fn_idx);
             return;
         }
-        if !self.tallies[i].routable() {
+        if !self.front.sites[i].routable() {
             // The destination died (or was cut off) while the request
             // was in flight: it bounces off the dark site and migrates.
-            // Under delayed telemetry the bounce doubles as passive
-            // failure detection — the front-end marks the site down in
-            // its view long before the snapshots age out (and this
-            // bounds the inline zero-hop migrate recursion: each dark
-            // site is marked down at most once per outage).
-            if self.telemetry.enabled() {
-                self.telemetry.mark_down(i);
-            }
+            self.front.bounce(i);
             self.migrate(ctx, i, rid, fn_idx, now, false);
             return;
         }
@@ -1294,17 +962,8 @@ impl<P: ContainerChaos> Federation<P> {
         tally.window[fn_idx as usize] += 1;
         tally.per_fn[fn_idx as usize].arrivals += 1;
         tally.live.insert(rid.0, fn_idx);
-        self.sites[i].on_arrival(
-            &mut SiteCtx {
-                inner: ctx,
-                site,
-                tally,
-                resolved: &mut self.hedge_resolved,
-            },
-            rid,
-            fn_idx,
-            now,
-        );
+        let (policy, mut sctx) = self.site_ctx(ctx, i);
+        policy.on_arrival(&mut sctx, rid, fn_idx, now);
     }
 
     /// Move a request committed to site `from` onto a surviving site
@@ -1321,33 +980,25 @@ impl<P: ContainerChaos> Federation<P> {
         delivered: bool,
     ) {
         // Release the source site's commitment either way.
-        let tally = &mut self.tallies[from];
-        tally.finished += 1;
+        self.front.sites[from].finished += 1;
         if delivered {
-            tally.in_flight = tally.in_flight.saturating_sub(1);
-            tally.live.remove(&rid.0);
+            self.tallies[from].release(rid.0);
         }
-        if self.hedge.is_some() {
+        if self.front.hedge.is_some() {
             // A copy this federation already abandoned (a hedge loser
             // whose cancel is still in flight, or a retry-abandoned
             // original) dies with its site instead of migrating — it
-            // must never resurrect as a live copy.
-            if self.tallies[from].hedge_lost.remove(&rid.0) {
-                if delivered {
-                    self.tallies[from].per_fn[fn_idx as usize].cancelled += 1;
-                }
-                ctx.note_cancelled(fn_idx);
-                return;
-            }
+            // must never resurrect as a live copy. So does a hedge clone
+            // with a surviving sibling, or whose request already won: an
+            // orphaned clone must never resurrect an answered request,
+            // and a sibling copy is already racing elsewhere.
+            let abandoned = self.tallies[from].hedge_lost.remove(&rid.0);
             let sibling_alive = self.hedges.get(&rid.0).is_some_and(|g| g.copies.len() > 1);
-            if sibling_alive || ctx.request_info(rid).is_none() {
-                // A hedge clone with a surviving sibling — or whose
-                // request already won — dies quietly instead of
-                // migrating: an orphaned clone must never resurrect an
-                // answered request, and a sibling copy is already racing
-                // elsewhere.
-                if let Some(g) = self.hedges.get_mut(&rid.0) {
-                    g.copies.retain(|&s| s != from as u32);
+            if abandoned || sibling_alive || ctx.request_info(rid).is_none() {
+                if !abandoned {
+                    if let Some(g) = self.hedges.get_mut(&rid.0) {
+                        g.copies.retain(|&s| s != from as u32);
+                    }
                 }
                 if delivered {
                     self.tallies[from].per_fn[fn_idx as usize].cancelled += 1;
@@ -1356,73 +1007,33 @@ impl<P: ContainerChaos> Federation<P> {
                 return;
             }
         }
-        if !self.tallies.iter().any(SiteTally::routable) {
+        let census = census(&self.sites, &self.tallies, fn_idx);
+        let Some((dest, hop)) = self.front.migrate(from, fn_idx, now, census) else {
             // Nowhere to go: the request is failed.
-            self.tallies[from].failed += 1;
             if delivered {
                 self.tallies[from].per_fn[fn_idx as usize].lost += 1;
             }
             ctx.lose(rid);
-            if self.hedge.is_some() {
+            if self.front.hedge.is_some() {
                 // The last copy of a hedged request failing retires the
                 // logical request: resolve its (loser-free) group.
                 self.hedge_resolved.push((rid.0, from as u32));
             }
             return;
-        }
-        self.tallies[from].migrated_out += 1;
+        };
         if delivered {
             // The orphan lost its server; the aggregate rerun counter is
             // the cross-site view of that.
             ctx.rerun(rid);
         }
-        let dest = self.pick_site(fn_idx, now);
-        if self.hedge.is_some() {
-            // The surviving last copy moves: keep the group's site map
-            // honest so a later resolution cancels the right place.
-            if let Some(g) = self.hedges.get_mut(&rid.0) {
-                if let Some(p) = g.copies.iter_mut().find(|s| **s == from as u32) {
-                    *p = dest as u32;
-                }
+        // The surviving last copy moves: keep the group's site map honest
+        // so a later resolution cancels the right place.
+        if let Some(g) = self.hedges.get_mut(&rid.0) {
+            if let Some(p) = g.copies.iter_mut().find(|s| **s == from as u32) {
+                *p = dest as u32;
             }
         }
-        self.tallies[dest].routed += 1;
-        self.tallies[dest].predictor.on_arrival(now.as_secs_f64());
-        self.tallies[dest].migrated_in += 1;
-        let hop = self.metas[dest].latency + self.migration_penalty;
-        if hop == SimDuration::ZERO {
-            self.deliver(ctx, dest as u32, rid, fn_idx, now);
-        } else {
-            ctx.schedule(
-                now + hop,
-                FedEv::Deliver {
-                    site: dest as u32,
-                    rid,
-                    fn_idx,
-                },
-            );
-        }
-    }
-
-    /// Close the downtime clock transition for site `i` after its
-    /// routability may have changed. The instant is clamped to the
-    /// nominal end of the run: faults keep resolving through the drain
-    /// (recoveries scheduled past `end` still fire), but `downtime_secs`
-    /// only measures the nominal window, so a recovery at `end + k` must
-    /// close its interval at `end`, not spill `k` extra seconds into the
-    /// report.
-    fn clock_routability(&mut self, i: usize, now: SimTime, end: SimTime) {
-        let tally = &mut self.tallies[i];
-        // The flakiness EWMA sees the transition at its true instant.
-        tally
-            .health
-            .observe(now.as_secs_f64(), tally.slowed || !tally.routable());
-        let now = now.min(end);
-        if tally.routable() {
-            tally.downtime.mark_up(now);
-        } else {
-            tally.downtime.mark_down(now);
-        }
+        self.send(ctx, dest, hop, rid, fn_idx, now);
     }
 }
 
@@ -1432,16 +1043,12 @@ impl<P: ContainerChaos> SchedulerPolicy for Federation<P> {
 
     fn on_start(&mut self, ctx: &mut impl PolicyCtx<Self::Event>) {
         for i in 0..self.sites.len() {
-            self.sites[i].on_start(&mut SiteCtx {
-                inner: ctx,
-                site: i as u32,
-                tally: &mut self.tallies[i],
-                resolved: &mut self.hedge_resolved,
-            });
+            let (policy, mut sctx) = self.site_ctx(ctx, i);
+            policy.on_start(&mut sctx);
         }
-        if self.telemetry.enabled() {
+        if self.front.telemetry.enabled() {
             for i in 0..self.sites.len() {
-                let at = self.telemetry.next_publish(i);
+                let at = self.front.telemetry.next_publish(i);
                 ctx.schedule(at, FedEv::Publish { site: i as u32 });
             }
         }
@@ -1454,39 +1061,27 @@ impl<P: ContainerChaos> SchedulerPolicy for Federation<P> {
         fn_idx: u32,
         now: SimTime,
     ) {
-        if !self.tallies.iter().any(SiteTally::routable) {
+        if !self.front.any_routable() {
             // Every site is dark: the front door has nowhere to send
             // the request and sheds it.
-            self.unroutable += 1;
+            self.front.unroutable += 1;
             ctx.lose(rid);
             return;
         }
-        let chosen = self.pick_site(fn_idx, now);
-        self.tallies[chosen].routed += 1;
-        self.tallies[chosen].predictor.on_arrival(now.as_secs_f64());
-        let latency = self.metas[chosen].latency;
-        if latency == SimDuration::ZERO {
-            // Zero-latency hop: deliver inline so the degenerate
-            // single-site topology replays the plain run event-for-event.
-            self.deliver(ctx, chosen as u32, rid, fn_idx, now);
-        } else {
-            ctx.schedule(
-                now + latency,
-                FedEv::Deliver {
-                    site: chosen as u32,
-                    rid,
-                    fn_idx,
-                },
-            );
-        }
-        if let Some(hcfg) = self.hedge {
-            // A zero-latency primary may already have answered inline;
-            // don't hedge a request that is no longer live.
-            if ctx.request_info(rid).is_some() {
-                if hcfg.retry_after_ms > 0.0 {
-                    // Speculative retry: arm the deadline; the original
-                    // is abandoned only if it hasn't answered by then.
-                    let at = now + SimDuration::from_secs_f64(hcfg.retry_after_ms / 1e3);
+        let chosen = self
+            .front
+            .pick(fn_idx, now, census(&self.sites, &self.tallies, fn_idx));
+        self.front.commit(chosen, now);
+        let latency = self.front.sites[chosen].meta.latency;
+        self.send(ctx, chosen, latency, rid, fn_idx, now);
+        // A zero-latency primary may already have answered inline;
+        // don't hedge a request that is no longer live.
+        if self.front.hedge.is_some() && ctx.request_info(rid).is_some() {
+            match self.front.hedge_step(chosen, now) {
+                Some(HedgeStep::Clone) => {
+                    self.dispatch_clones(ctx, rid, fn_idx, chosen as u32, now)
+                }
+                Some(HedgeStep::Arm(at)) => {
                     let token = ctx.schedule_cancellable(at, FedEv::HedgeFire { rid, fn_idx });
                     self.hedges.insert(
                         rid.0,
@@ -1495,37 +1090,8 @@ impl<P: ContainerChaos> SchedulerPolicy for Federation<P> {
                             fire_token: token,
                         },
                     );
-                } else {
-                    match hcfg.trigger {
-                        HedgeTrigger::Immediate => {
-                            if self.hedge_within_budget() {
-                                self.dispatch_clones(ctx, rid, fn_idx, chosen as u32, now);
-                            }
-                        }
-                        HedgeTrigger::PredictedP95OverSlo => {
-                            let score = predicted_score(
-                                &self.states[chosen],
-                                self.router_cfg.percentile,
-                                self.router_cfg.cold_start_penalty_ms / 1e3,
-                            );
-                            if score > self.router_cfg.slo_ms / 1e3 && self.hedge_within_budget() {
-                                self.dispatch_clones(ctx, rid, fn_idx, chosen as u32, now);
-                            }
-                        }
-                        HedgeTrigger::DeferredMs(ms) => {
-                            let at = now + SimDuration::from_secs_f64(ms / 1e3);
-                            let token =
-                                ctx.schedule_cancellable(at, FedEv::HedgeFire { rid, fn_idx });
-                            self.hedges.insert(
-                                rid.0,
-                                HedgeGroup {
-                                    copies: vec![chosen as u32],
-                                    fire_token: token,
-                                },
-                            );
-                        }
-                    }
                 }
+                None => {}
             }
         }
         self.drain_hedge_resolutions(ctx, now);
@@ -1539,16 +1105,8 @@ impl<P: ContainerChaos> SchedulerPolicy for Federation<P> {
                 if epoch != self.tallies[i].epoch {
                     return; // stale event of a crashed incarnation
                 }
-                self.sites[i].on_event(
-                    &mut SiteCtx {
-                        inner: ctx,
-                        site,
-                        tally: &mut self.tallies[i],
-                        resolved: &mut self.hedge_resolved,
-                    },
-                    ev,
-                    now,
-                );
+                let (policy, mut sctx) = self.site_ctx(ctx, i);
+                policy.on_event(&mut sctx, ev, now);
             }
             FedEv::HedgeFire { rid, fn_idx } => {
                 // Fires only while the group is unresolved (a resolved
@@ -1556,134 +1114,60 @@ impl<P: ContainerChaos> SchedulerPolicy for Federation<P> {
                 // uncancellable calendar — removed the group, making
                 // this a no-op).
                 if self.hedges.contains_key(&rid.0) && ctx.request_info(rid).is_some() {
-                    self.hedges
-                        .get_mut(&rid.0)
-                        .expect("checked above")
-                        .fire_token = None;
-                    let primary = self.hedges[&rid.0].copies[0];
-                    let retry = self.hedge.is_some_and(|cfg| cfg.retry_after_ms > 0.0);
-                    if !self.hedge_within_budget() {
+                    let g = self.hedges.get_mut(&rid.0).expect("checked above");
+                    g.fire_token = None;
+                    let primary = g.copies[0];
+                    if !self.front.hedge_within_budget() {
                         // Over the waste budget: no clone, no retry. A
                         // clone-less group has nothing left to race.
                         self.hedges.remove(&rid.0);
                         return;
                     }
-                    self.refresh_states(fn_idx, now);
+                    let census = census(&self.sites, &self.tallies, fn_idx);
+                    self.front.refresh(fn_idx, now, census);
                     self.dispatch_clones(ctx, rid, fn_idx, primary, now);
-                    if retry {
-                        // Retry, not hedge: the original is abandoned
-                        // once its replacement exists — a late answer
-                        // from it is wasted work, not a win.
-                        let replaced = self
+                    let retry = self.front.hedge.is_some_and(|cfg| cfg.retry_after_ms > 0.0);
+                    // Retry, not hedge: the original is abandoned once its
+                    // replacement exists — a late answer from it is
+                    // wasted work, not a win.
+                    let replaced = retry
+                        && self
                             .hedges
                             .get_mut(&rid.0)
                             .filter(|g| g.copies.len() > 1 && g.copies[0] == primary)
-                            .map(|g| {
-                                g.copies.remove(0);
-                            })
+                            .map(|g| g.copies.remove(0))
                             .is_some();
-                        if replaced {
-                            self.tallies[primary as usize].hedge_lost.insert(rid.0);
-                            let latency = self.metas[primary as usize].latency;
-                            if latency == SimDuration::ZERO {
-                                self.cancel_clone_at(ctx, primary, rid);
-                            } else {
-                                ctx.schedule(
-                                    now + latency,
-                                    FedEv::CancelDeliver { site: primary, rid },
-                                );
-                            }
-                        }
+                    if replaced {
+                        self.tallies[primary as usize].hedge_lost.insert(rid.0);
+                        self.send_cancel(ctx, primary, rid, now);
                     }
                 }
             }
             FedEv::CancelDeliver { site, rid } => self.cancel_clone_at(ctx, site, rid),
             FedEv::Publish { site } => {
                 let i = site as usize;
-                // The agent's clock keeps ticking whatever the site's
-                // fate — re-arm first (one jitter draw per grid slot, so
-                // the schedule is identical across fault histories).
-                let next = self.telemetry.next_publish(i);
+                let policy = &self.sites[i];
+                let n_fns = self.tallies[i].per_fn.len() as u32;
+                let (next, snap) = self.front.publish(i, now, || {
+                    let warm = (0..n_fns).map(|f| policy.warm_containers(f)).collect();
+                    (warm, policy.resource_snapshot())
+                });
                 ctx.schedule(next, FedEv::Publish { site });
-                // Drawn before the fate checks so the stream position is
-                // the same whether or not the site is down this slot.
-                let lost_in_transit = self.telemetry.publish_lost(i);
-                if !self.tallies[i].up {
-                    return; // crashed site: the node agent is dead too
+                if let Some((at, snap)) = snap {
+                    ctx.schedule(at, FedEv::SnapshotArrive { site, snap });
                 }
-                if self.tallies[i].partitioned && self.telemetry.cfg.loss_under_partition {
-                    return; // snapshot lost on the cut link
-                }
-                if lost_in_transit {
-                    return; // background control-plane packet loss
-                }
-                let t = now.as_secs_f64();
-                let n_fns = self.tallies[i].per_fn.len();
-                let warm: Vec<u64> = (0..n_fns)
-                    .map(|f| self.sites[i].warm_containers(f as u32))
-                    .collect();
-                // Same server-count convention as the oracle refresh:
-                // the site-wide warm fleet, falling back to the static
-                // capacity hint while nothing is warm.
-                let fleet: u64 = warm.iter().sum();
-                let servers = if fleet > 0 {
-                    fleet.min(u64::from(u32::MAX)) as u32
-                } else {
-                    self.metas[i].capacity_hint.round().max(1.0) as u32
-                };
-                // Gated on multidim: legacy reconciler runs must keep
-                // seeing unknown (all-zero) resources, or the new
-                // dimension ceiling would perturb their directives.
-                let resources = if self.multidim {
-                    self.sites[i].resource_snapshot()
-                } else {
-                    ResourceSnapshot::default()
-                };
-                let tally = &mut self.tallies[i];
-                tally.health.observe(t, tally.slowed || !tally.routable());
-                let snap = TelemetrySnapshot {
-                    published_at: now,
-                    forecast: tally.predictor.forecast(t, servers),
-                    flakiness: tally.health.value(),
-                    warm,
-                    resources,
-                };
-                ctx.schedule(
-                    now + self.metas[i].latency,
-                    FedEv::SnapshotArrive { site, snap },
-                );
             }
             FedEv::SnapshotArrive { site, snap } => {
-                let i = site as usize;
-                if self.tallies[i].partitioned && self.telemetry.cfg.loss_under_partition {
-                    return; // the link was cut while the snapshot flew
+                if let Some((at, desired)) = self.front.snapshot_arrive(site as usize, snap, now) {
+                    ctx.schedule(at, FedEv::Directive { site, desired });
                 }
-                if let Some(rec) = self.reconciler.as_mut() {
-                    if let Some(desired) = rec.desired_fleet(i, &snap, now) {
-                        ctx.schedule(
-                            now + self.metas[i].latency,
-                            FedEv::Directive { site, desired },
-                        );
-                    }
-                }
-                self.telemetry.ingest(i, snap, now);
             }
             FedEv::Directive { site, desired } => {
                 let i = site as usize;
-                let tally = &mut self.tallies[i];
-                if !tally.up || (tally.partitioned && self.telemetry.cfg.loss_under_partition) {
-                    return; // directive lost with the site or the link
+                if self.front.directive_lands(i) {
+                    let (policy, mut sctx) = self.site_ctx(ctx, i);
+                    policy.apply_desired_fleet(&mut sctx, desired, now);
                 }
-                self.sites[i].apply_desired_fleet(
-                    &mut SiteCtx {
-                        inner: ctx,
-                        site,
-                        tally,
-                        resolved: &mut self.hedge_resolved,
-                    },
-                    desired,
-                    now,
-                );
             }
         }
         self.drain_hedge_resolutions(ctx, now);
@@ -1691,48 +1175,22 @@ impl<P: ContainerChaos> SchedulerPolicy for Federation<P> {
 
     fn finish(self, outcome: EngineOutcome) -> Self::Report {
         let duration = outcome.duration_secs;
-        let end = SimTime::from_secs_f64(duration);
-        let multidim = self.multidim;
-        let per_site = self
+        let multidim = self.front.multidim;
+        let parts = self
             .sites
             .into_iter()
-            .zip(self.metas)
             .zip(self.tallies)
-            .map(|((site, meta), tally)| {
+            .map(|(site, tally)| {
                 let utilization = multidim.then(|| site.resource_snapshot().utilization());
                 let site_outcome = EngineOutcome {
                     per_fn: tally.per_fn,
                     outstanding: tally.in_flight,
                     duration_secs: duration,
                 };
-                SiteReport {
-                    name: meta.name,
-                    latency_secs: meta.latency.as_secs_f64(),
-                    routed: tally.routed,
-                    migrated: tally.migrated_out,
-                    migrated_in: tally.migrated_in,
-                    failed: tally.failed,
-                    chaos_crashes: tally.chaos_crashes,
-                    downtime_secs: tally.downtime.total_until(end),
-                    flakiness: tally.health.value(),
-                    wasted_work: tally.wasted,
-                    wasted_secs: tally.wasted_secs,
-                    utilization,
-                    report: site.finish(site_outcome),
-                }
-            })
-            .collect::<Vec<_>>();
-        let wasted_work = per_site.iter().map(|s| s.wasted_work).sum();
-        FederatedReport {
-            router: self.router.name().to_owned(),
-            per_site,
-            aggregate_per_fn: outcome.per_fn,
-            unroutable: self.unroutable,
-            wasted_work,
-            outstanding: outcome.outstanding,
-            duration,
-            threads: 1,
-        }
+                (tally.chaos_crashes, utilization, site.finish(site_outcome))
+            });
+        self.front
+            .finish(parts, outcome.per_fn, outcome.outstanding, duration, 1)
     }
 }
 
@@ -1743,86 +1201,39 @@ impl<P: ContainerChaos> ChaosTarget for Federation<P> {
 
     fn inject(&mut self, ctx: &mut impl PolicyCtx<Self::Event>, fault: Fault, now: SimTime) {
         let i = fault.site() as usize;
-        if i >= self.sites.len() {
-            debug_assert!(false, "fault targets unknown site {i}");
+        let Some(work) = self.front.fault(fault, now, ctx.end_time()) else {
             return;
-        }
-        let end = ctx.end_time();
-        match fault {
-            Fault::SiteDown { .. } => {
-                if !self.tallies[i].up {
-                    return;
-                }
+        };
+        match work {
+            SiteWork::Evacuate => {
                 assert!(
                     self.rebuild.is_some(),
                     "site-crash faults require Federation::with_rebuild"
                 );
                 let tally = &mut self.tallies[i];
-                tally.up = false;
-                tally.needs_rebuild = true;
                 // Invalidate every event the dead incarnation scheduled.
                 tally.epoch += 1;
                 tally.stalled.clear();
                 let orphans: Vec<(u64, u32)> =
                     std::mem::take(&mut tally.live).into_iter().collect();
-                self.clock_routability(i, now, end);
                 for (rid, fn_idx) in orphans {
                     self.migrate(ctx, i, ReqId(rid), fn_idx, now, true);
                 }
             }
-            Fault::SiteUp { .. } => {
-                if self.tallies[i].up {
-                    return;
-                }
-                self.tallies[i].up = true;
-                self.clock_routability(i, now, end);
-                if self.tallies[i].needs_rebuild {
-                    let predictor_cfg = self.router_cfg.predictor();
-                    let tally = &mut self.tallies[i];
-                    tally.needs_rebuild = false;
-                    tally.restarts += 1;
-                    tally.in_flight = 0;
-                    for w in &mut tally.window {
-                        *w = 0;
-                    }
-                    // The rebuilt site starts cold with no history: its
-                    // λ̂/μ̂ telemetry must not carry the dead
-                    // incarnation's rates into the replacement's
-                    // forecasts. (The health EWMA stays — the *router*
-                    // remembers the site crashed even though the site
-                    // itself forgot.)
-                    tally.predictor = WaitPredictor::new(predictor_cfg);
-                    tally.fcache = ForecastCache::new();
-                    let restarts = tally.restarts;
-                    let rebuild = self.rebuild.as_mut().expect("checked at SiteDown");
-                    self.sites[i] = rebuild(i, restarts);
-                    // Replay the fresh policy's start-up (timer setup,
-                    // initial provisioning) shifted to the present.
-                    let mut shifted = OffsetCtx {
-                        inner: ctx,
-                        offset: now.saturating_since(SimTime::ZERO),
-                    };
-                    self.sites[i].on_start(&mut SiteCtx {
-                        inner: &mut shifted,
-                        site: i as u32,
-                        tally: &mut self.tallies[i],
-                        resolved: &mut self.hedge_resolved,
-                    });
-                }
+            SiteWork::Rebuild(restarts) => {
+                let tally = &mut self.tallies[i];
+                tally.in_flight = 0;
+                tally.window.iter_mut().for_each(|w| *w = 0);
+                let rebuild = self.rebuild.as_mut().expect("checked at SiteDown");
+                self.sites[i] = rebuild(i, restarts);
+                // Replay the fresh policy's start-up (timer setup,
+                // initial provisioning) shifted to the present.
+                let (policy, mut sctx) = self.site_ctx(ctx, i);
+                sctx.offset = now.saturating_since(SimTime::ZERO);
+                policy.on_start(&mut sctx);
             }
-            Fault::PartitionStart { .. } => {
-                if self.tallies[i].partitioned {
-                    return;
-                }
-                self.tallies[i].partitioned = true;
-                self.clock_routability(i, now, end);
-            }
-            Fault::PartitionEnd { .. } => {
-                if !self.tallies[i].partitioned {
-                    return;
-                }
-                self.tallies[i].partitioned = false;
-                self.clock_routability(i, now, end);
+            SiteWork::PartitionStart => {}
+            SiteWork::PartitionEnd => {
                 // Release the responses the cut link held back; their
                 // response time now includes the stall.
                 let stalled = std::mem::take(&mut self.tallies[i].stalled);
@@ -1831,53 +1242,27 @@ impl<P: ContainerChaos> ChaosTarget for Federation<P> {
                         let tally = &mut self.tallies[i];
                         tally.live.remove(&rid);
                         tally.record_completion(&c);
-                        if self.hedge.is_some() {
+                        self.front.record_completion(i, c.service);
+                        if self.front.hedge.is_some() {
                             self.hedge_resolved.push((rid, i as u32));
                         }
-                    } else if self.hedge.is_some() {
+                    } else if self.front.hedge.is_some() {
                         // A sibling copy won while this one was stalled
                         // behind the cut: the held response is wasted
                         // work, and the clone leaves the books as
                         // cancelled rather than completed.
-                        let tally = &mut self.tallies[i];
-                        if tally.hedge_lost.remove(&rid) {
-                            tally.wasted += 1;
-                            tally.wasted_secs += now.saturating_since(started).as_secs_f64();
+                        if self.tallies[i].hedge_lost.remove(&rid) {
+                            let secs = now.saturating_since(started).as_secs_f64();
+                            self.front.sites[i].waste(secs);
                         }
-                        if let Some(fn_idx) = tally.live.remove(&rid) {
-                            tally.in_flight = tally.in_flight.saturating_sub(1);
-                            tally.finished += 1;
-                            tally.per_fn[fn_idx as usize].cancelled += 1;
-                            ctx.note_cancelled(fn_idx);
-                        }
+                        self.cancel_clone_at(ctx, i as u32, ReqId(rid));
                     }
                 }
             }
-            Fault::SiteSlowdown { permille, .. } => {
-                // Brown-out: the site keeps serving (and stays
-                // routable) at `permille`/1000 of nominal speed. The
-                // health EWMA sees the degradation, so the
-                // failure-aware router backs off without the downtime
-                // clock ever starting.
-                let slowed = permille < 1000;
-                self.tallies[i].slowed = slowed;
-                self.sites[i].set_service_factor(permille as f64 / 1000.0);
-                self.clock_routability(i, now, end);
-            }
-            Fault::ContainerBurst { count, .. } => {
-                if !self.tallies[i].up {
-                    return; // a dead site has nothing left to crash
-                }
-                let crashed = self.sites[i].crash_containers(
-                    &mut SiteCtx {
-                        inner: ctx,
-                        site: i as u32,
-                        tally: &mut self.tallies[i],
-                        resolved: &mut self.hedge_resolved,
-                    },
-                    count,
-                    now,
-                );
+            SiteWork::Slow(factor) => self.sites[i].set_service_factor(factor),
+            SiteWork::Burst(count) => {
+                let (policy, mut sctx) = self.site_ctx(ctx, i);
+                let crashed = policy.crash_containers(&mut sctx, count, now);
                 self.tallies[i].chaos_crashes += crashed;
             }
         }
@@ -1891,6 +1276,7 @@ mod tests {
     use crate::arrivals::StaticPoisson;
     use crate::chaos::{ChaosConfig, ChaosPolicy};
     use crate::engine::{run_simulation, EngineConfig, FunctionEntry};
+    use crate::front::RouterSite;
     use crate::router::RouterKind;
 
     /// A fixed-service-time single-server policy (per site) that records
@@ -2339,11 +1725,11 @@ mod tests {
 
     /// Warm a tally's predictor well past the model threshold: steady
     /// 20 req/s arrivals with 50 ms services over `secs` seconds.
-    fn warm_predictor(tally: &mut SiteTally, secs: f64) {
+    fn warm_predictor(site: &mut RouterSite, secs: f64) {
         let mut t = 0.0;
         while t < secs {
-            tally.predictor.on_arrival(t);
-            tally.predictor.on_service(0.05);
+            site.predictor.on_arrival(t);
+            site.predictor.on_service(0.05);
             t += 0.05;
         }
     }
@@ -2355,9 +1741,9 @@ mod tests {
     #[test]
     fn rebuilt_site_starts_with_cold_rates() {
         let mut fed = make_fed(RouterKind::SloAware, &[0.003, 0.010], 0.05);
-        warm_predictor(&mut fed.tallies[0], 10.0);
+        warm_predictor(&mut fed.front.sites[0], 10.0);
         assert!(
-            fed.tallies[0].predictor.forecast(10.0, 1).has_model(),
+            fed.front.sites[0].predictor.forecast(10.0, 1).has_model(),
             "predictor should be warm before the crash"
         );
         let mut ctx = null_ctx();
@@ -2367,18 +1753,18 @@ mod tests {
             SimTime::from_secs(12),
         );
         fed.inject(&mut ctx, Fault::SiteUp { site: 0 }, SimTime::from_secs(19));
-        assert_eq!(fed.tallies[0].restarts, 1);
+        assert_eq!(fed.front.sites[0].restarts, 1);
         assert!(
-            !fed.tallies[0].predictor.forecast(19.0, 1).has_model(),
+            !fed.front.sites[0].predictor.forecast(19.0, 1).has_model(),
             "rebuilt site inherited pre-crash rates"
         );
         assert!(
-            fed.tallies[0].health.value() > 0.0,
+            fed.front.sites[0].health.value() > 0.0,
             "the router's crash memory must survive the rebuild"
         );
         // The untouched site keeps its telemetry.
-        warm_predictor(&mut fed.tallies[1], 10.0);
-        assert!(fed.tallies[1].predictor.forecast(19.0, 1).has_model());
+        warm_predictor(&mut fed.front.sites[1], 10.0);
+        assert!(fed.front.sites[1].predictor.forecast(19.0, 1).has_model());
     }
 
     /// Regression: `set_router_config` restarts the telemetry layer
@@ -2388,24 +1774,24 @@ mod tests {
     #[test]
     fn router_config_reset_covers_full_tally() {
         let mut fed = make_fed(RouterKind::SloAware, &[0.003, 0.010], 0.05);
-        warm_predictor(&mut fed.tallies[0], 10.0);
-        fed.tallies[0].health.observe(0.0, true);
-        fed.tallies[0].health.observe(20.0, true);
-        assert!(fed.tallies[0].health.value() > 0.0);
-        fed.states[0].in_flight = 9;
-        fed.states[0].up = false;
-        fed.states[0].flakiness = 0.7;
-        fed.states[0].warm = 3;
+        warm_predictor(&mut fed.front.sites[0], 10.0);
+        fed.front.sites[0].health.observe(0.0, true);
+        fed.front.sites[0].health.observe(20.0, true);
+        assert!(fed.front.sites[0].health.value() > 0.0);
+        fed.front.states[0].in_flight = 9;
+        fed.front.states[0].up = false;
+        fed.front.states[0].flakiness = 0.7;
+        fed.front.states[0].warm = 3;
         fed.set_router_config(&RouterConfig::default());
         assert!(
-            !fed.tallies[0].predictor.forecast(20.0, 1).has_model(),
+            !fed.front.sites[0].predictor.forecast(20.0, 1).has_model(),
             "predictor survived the config reset"
         );
-        assert_eq!(fed.tallies[0].health.value(), 0.0);
-        assert_eq!(fed.states[0].in_flight, 0);
-        assert!(fed.states[0].up);
-        assert_eq!(fed.states[0].flakiness, 0.0);
-        assert_eq!(fed.states[0].warm, 0);
+        assert_eq!(fed.front.sites[0].health.value(), 0.0);
+        assert_eq!(fed.front.states[0].in_flight, 0);
+        assert!(fed.front.states[0].up);
+        assert_eq!(fed.front.states[0].flakiness, 0.0);
+        assert_eq!(fed.front.states[0].warm, 0);
     }
 
     /// The reconciler seam round-trips: snapshots arrive at the control

@@ -33,6 +33,7 @@ pub mod chaos;
 pub mod engine;
 pub mod events;
 pub mod federation;
+mod front;
 pub mod metrics;
 pub mod parallel;
 pub mod reqtable;

@@ -7,7 +7,9 @@
 //!
 //! * structs with named fields (`#[serde(default)]`,
 //!   `#[serde(default = "path")]`, `#[serde(skip)]` honoured per field;
-//!   container-level `#[serde(default)]` marks every field defaultable);
+//!   container-level `#[serde(default)]` marks every field defaultable,
+//!   container-level `#[serde(deny_unknown_fields)]` rejects keys that
+//!   name no field);
 //! * tuple structs (newtypes serialize transparently, wider tuples as
 //!   arrays);
 //! * enums with unit / newtype / tuple / struct variants, externally
@@ -25,6 +27,7 @@ struct SerdeAttrs {
     default: Option<String>,
     skip: bool,
     untagged: bool,
+    deny_unknown_fields: bool,
 }
 
 struct Field {
@@ -55,6 +58,8 @@ struct Item {
     /// Container-level `#[serde(default)]`: absent fields fall back to
     /// the corresponding field of `Self::default()`.
     container_default: bool,
+    /// Container-level `#[serde(deny_unknown_fields)]`.
+    deny_unknown_fields: bool,
     kind: Kind,
 }
 
@@ -144,6 +149,7 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
                     name,
                     untagged: container.untagged,
                     container_default: container.default.is_some(),
+                    deny_unknown_fields: container.deny_unknown_fields,
                     kind,
                 });
             }
@@ -175,6 +181,10 @@ fn merge_attr(stream: &TokenStream, out: &mut SerdeAttrs) {
                 }
                 "untagged" => {
                     out.untagged = true;
+                    i += 1;
+                }
+                "deny_unknown_fields" => {
+                    out.deny_unknown_fields = true;
                     i += 1;
                 }
                 "default" => {
@@ -434,6 +444,31 @@ fn field_expr(f: &Field, map_var: &str, ty: &str) -> String {
     }
 }
 
+/// With `deny_unknown_fields`, a check that every key of the object `m`
+/// names a (non-skipped) field; empty otherwise.
+fn unknown_fields_check(item: &Item, fields: &[Field]) -> String {
+    if !item.deny_unknown_fields {
+        return String::new();
+    }
+    let known: Vec<String> = fields
+        .iter()
+        .filter(|f| !f.attrs.skip)
+        .map(|f| format!("\"{}\"", f.name))
+        .collect();
+    format!(
+        "for __k in m.keys() {{ if ![{list}].contains(&__k.as_str()) {{ \
+         return Err(::serde::Error::custom(format!(\"unknown field `{{}}` in {name}; expected one of {expected}\", __k))); }} }}\n",
+        list = known.join(", "),
+        name = item.name,
+        expected = fields
+            .iter()
+            .filter(|f| !f.attrs.skip)
+            .map(|f| format!("`{}`", f.name))
+            .collect::<Vec<_>>()
+            .join(", "),
+    )
+}
+
 fn gen_deserialize(item: &Item) -> String {
     let name = &item.name;
     let body = match &item.kind {
@@ -442,8 +477,9 @@ fn gen_deserialize(item: &Item) -> String {
             // document actually provides (serde's container-default
             // semantics; field-level attributes still win).
             let mut s = format!(
-                "let m = ::serde::helpers::as_object(v, \"{name}\")?;\n\
-                 let mut __out = <{name} as ::std::default::Default>::default();\n"
+                "let m = ::serde::helpers::as_object(v, \"{name}\")?;\n{}\
+                 let mut __out = <{name} as ::std::default::Default>::default();\n",
+                unknown_fields_check(item, fields)
             );
             for f in fields {
                 if f.attrs.skip {
@@ -467,8 +503,10 @@ fn gen_deserialize(item: &Item) -> String {
             s
         }
         Kind::NamedStruct(fields) => {
-            let mut s =
-                format!("let m = ::serde::helpers::as_object(v, \"{name}\")?;\nOk({name} {{\n");
+            let mut s = format!(
+                "let m = ::serde::helpers::as_object(v, \"{name}\")?;\n{}Ok({name} {{\n",
+                unknown_fields_check(item, fields)
+            );
             for f in fields {
                 s.push_str(&format!("{}: {},\n", f.name, field_expr(f, "m", name)));
             }

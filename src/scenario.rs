@@ -26,6 +26,7 @@ use serde::{Deserialize, Serialize};
 
 /// Cluster shape.
 #[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ClusterSpec {
     /// Number of worker nodes.
     pub nodes: u32,
@@ -147,6 +148,7 @@ impl serde::Deserialize for ScenarioPolicy {
 
 /// One site of a federated scenario.
 #[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct SiteSpec {
     /// Site display name (unique within the topology).
     pub name: String,
@@ -164,6 +166,7 @@ pub struct SiteSpec {
 /// cluster. The scenario's `policy` is instantiated once per site
 /// (`"openwhisk"` is not federatable).
 #[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct TopologySpec {
     /// Which front-end router dispatches arrivals across sites
     /// (`"round-robin"`, `"least-loaded"`, `"latency-aware"`,
@@ -209,6 +212,7 @@ pub struct TopologySpec {
 /// `report_interval_ms: 0` (the default) keeps the oracle-fresh hot
 /// path, byte-for-byte.
 #[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct TelemetrySpec {
     /// Milliseconds between snapshot publishes per site; 0 disables the
     /// propagation model entirely (oracle-fresh routing).
@@ -284,6 +288,7 @@ impl TopologySpec {
 
 /// One timed fault in a scenario's `chaos` block.
 #[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ChaosEventSpec {
     /// When the fault fires, in seconds from the start of the run.
     pub at: f64,
@@ -307,6 +312,7 @@ pub struct ChaosEventSpec {
 /// block; every fault is drawn from labelled deterministic RNG streams,
 /// so a chaos run is exactly reproducible under its seed.
 #[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ChaosSpec {
     /// Optional profile name (labels `lass-sweep` rows).
     #[serde(default)]
@@ -491,6 +497,7 @@ impl FunctionRef {
 
 /// One deployed function in a scenario.
 #[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct FunctionEntry {
     /// The function (catalog name or custom spec).
     pub function: FunctionRef,
@@ -524,6 +531,7 @@ fn one() -> f64 {
 
 /// A complete simulation scenario.
 #[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct Scenario {
     /// RNG seed (default 42).
     #[serde(default = "default_seed")]
