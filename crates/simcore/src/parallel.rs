@@ -91,7 +91,7 @@ use crate::metrics::SampleStats;
 use crate::rng::SimRng;
 use crate::telemetry::TelemetrySnapshot;
 use crate::time::{SimDuration, SimTime};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::{Barrier, Mutex};
 
 /// A time-stamped inter-shard message: what the front-end hands a site
@@ -118,7 +118,8 @@ enum Msg {
     /// A hedge-race loser cancellation lands: release the clone's books
     /// if the site still holds it (idempotent — the clone may already
     /// have finished locally, in which case the merge phase reclassified
-    /// that finish as wasted work).
+    /// that finish as wasted work). A released clone already in service
+    /// still runs to the end; that completion is logged as wasted work.
     Cancel { rid: u64 },
 }
 
@@ -150,6 +151,10 @@ enum LogKind {
         rid: u64,
         fn_idx: u32,
     },
+    /// A released clone's service ran to the end anyway.
+    Wasted {
+        service: f64,
+    },
 }
 
 struct LogEntry {
@@ -170,6 +175,10 @@ struct ShardState<E> {
     live: BTreeMap<u64, (u32, SimTime)>,
     /// Completions held back by an ongoing partition: `(rid, started)`.
     stalled: Vec<(u64, SimTime)>,
+    /// Hedge clones released by a [`Msg::Cancel`]: the site policy is
+    /// not told, so a clone already in service runs to the end, and its
+    /// completion is wasted work.
+    hedge_lost: BTreeSet<u64>,
     /// Whether the router↔site link is currently cut (shard's view).
     partitioned: bool,
     /// Requests delivered and not yet finished.
@@ -214,12 +223,19 @@ struct LocalCtx<'a, E> {
 }
 
 impl<E> ShardState<E> {
-    /// The shared completion path: compute the request's timings, fold
-    /// them into the site statistics, and log the outcome for the merge
-    /// phase. Mirrors the sequential engine's `complete` +
-    /// `SiteTally::record_completion` pair (the predictor half of
-    /// `record_completion` is replayed by the merge phase).
-    fn complete_now(&mut self, rid: u64, started: SimTime, now: SimTime) -> Option<Completion> {
+    /// The service of `rid` that began at `started` ends at `now`: log
+    /// wasted work for a released hedge clone; otherwise compute the
+    /// request's timings, fold them into the site statistics, and log
+    /// the completion for the merge phase (which feeds the front end).
+    fn end_service(&mut self, rid: u64, started: SimTime, now: SimTime) -> Option<Completion> {
+        if self.hedge_lost.remove(&rid) {
+            let service = now.saturating_since(started).as_secs_f64();
+            self.log.push(LogEntry {
+                t: now,
+                kind: LogKind::Wasted { service },
+            });
+            return None;
+        }
         let (fn_idx, arrival) = self.live.remove(&rid)?;
         let wait = started.saturating_since(arrival).as_secs_f64();
         let service = now.saturating_since(started).as_secs_f64();
@@ -283,13 +299,13 @@ impl<E> PolicyCtx<E> for LocalCtx<'_, E> {
     fn complete(&mut self, rid: ReqId, started: SimTime, now: SimTime) -> Option<Completion> {
         if self.st.partitioned {
             // The response cannot cross the cut link: hold it until the
-            // partition heals, exactly like the sequential SiteCtx.
+            // partition heals (the stall lands in response time).
             if self.st.live.contains_key(&rid.0) {
                 self.st.stalled.push((rid.0, started));
             }
             return None;
         }
-        self.st.complete_now(rid.0, started, now)
+        self.st.end_service(rid.0, started, now)
     }
 
     fn abandon(&mut self, rid: ReqId) -> Option<u32> {
@@ -382,7 +398,7 @@ fn pump_shard<P: ContainerChaos>(shard: &mut Shard<P>, horizon: SimTime) {
                     // stall lands in their response time.
                     let stalled = std::mem::take(&mut ctx.st.stalled);
                     for (rid, started) in stalled {
-                        ctx.st.complete_now(rid, started, t);
+                        ctx.st.end_service(rid, started, t);
                     }
                 }
                 Msg::Burst { count } => {
@@ -393,11 +409,8 @@ fn pump_shard<P: ContainerChaos>(shard: &mut Shard<P>, horizon: SimTime) {
                     policy.apply_desired_fleet(&mut ctx, desired, t);
                 }
                 Msg::Cancel { rid } => {
-                    // The site policy is not told: its own completion
-                    // event for the clone later finds the request gone
-                    // and degrades to a no-op, exactly like the
-                    // sequential cancel path.
                     if let Some((fn_idx, _)) = ctx.st.live.remove(&rid) {
+                        ctx.st.hedge_lost.insert(rid);
                         ctx.st.in_flight = ctx.st.in_flight.saturating_sub(1);
                         ctx.st.per_fn[fn_idx as usize].cancelled += 1;
                         ctx.st.log.push(LogEntry {
@@ -439,11 +452,8 @@ enum FeEv {
         arrival: SimTime,
     },
     /// A site's node agent publishes its telemetry snapshot
-    /// (self-re-arming; only scheduled when telemetry is enabled). The
-    /// snapshot is assembled in the front-end phase from the
-    /// barrier-stale shard census plus the front-end-owned predictor —
-    /// deterministic for every thread count, since every shard is
-    /// parked at the window start when the front-end phase runs.
+    /// (self-re-arming; only scheduled when telemetry is enabled), built
+    /// from the barrier-stale shard census.
     Publish {
         site: u32,
     },
@@ -458,19 +468,15 @@ enum FeEv {
         site: u32,
         desired: u32,
     },
-    /// A deferred hedge trigger comes due: dispatch the clones unless
-    /// the race already resolved (the resolution cancelled this event,
-    /// so a surviving fire is always live — the guard is belt and
-    /// braces).
+    /// A deferred hedge trigger or retry deadline comes due (the race
+    /// resolving cancels it).
     HedgeFire {
         rid: u64,
         fn_idx: u32,
     },
     /// A loser-cancellation message completes its hop to the site;
-    /// forwarded into the site's inbox as a current-window
-    /// [`Msg::Cancel`]. Pushed regardless of partitions — cancels are
-    /// idempotent control traffic, mirroring the sequential
-    /// `CancelDeliver`.
+    /// forwarded as a current-window [`Msg::Cancel`] regardless of
+    /// partitions (cancels are idempotent control traffic).
     CancelDue {
         site: u32,
         rid: u64,
@@ -719,6 +725,7 @@ impl<P: ContainerChaos> Frontend<P> {
                     // fault instant, so the whole calendar is invalid.
                     shard.st.queue.clear();
                     shard.st.stalled.clear();
+                    shard.st.hedge_lost.clear();
                     shard.st.in_flight = 0;
                     std::mem::take(&mut shard.st.live).into_iter().collect()
                 };
@@ -991,6 +998,7 @@ impl<P: ContainerChaos> Frontend<P> {
                 LogKind::Rerun { fn_idx } => {
                     self.agg[fn_idx as usize].reruns += 1;
                 }
+                LogKind::Wasted { service } => self.front.sites[s].waste(service),
                 LogKind::Cancelled { rid, fn_idx } => {
                     self.front.sites[s].finished += 1;
                     self.agg[fn_idx as usize].cancelled += 1;
@@ -1080,6 +1088,7 @@ where
                     inbox: VecDeque::new(),
                     live: BTreeMap::new(),
                     stalled: Vec::new(),
+                    hedge_lost: BTreeSet::new(),
                     partitioned: false,
                     in_flight: 0,
                     window: tally.window,

@@ -353,3 +353,28 @@ proptest! {
         prop_assert_eq!(migrated_out, migrated_in, "migration is not symmetric");
     }
 }
+
+/// The parallel executor counts wasted work like the sequential driver:
+/// a hedge loser whose cancel lands after it started service still runs
+/// to the end, and that completion is wasted — not silently dropped. On
+/// the hedge-tail scenario the two drivers' totals agree within 10 %.
+#[test]
+fn parallel_counts_wasted_work_like_sequential() {
+    let text = std::fs::read_to_string("scenarios/hedge-tail.json").expect("read scenario");
+    let wasted = |parallel: Option<usize>| {
+        let mut sc = lass::scenario::Scenario::from_json(&text).expect("valid scenario");
+        sc.topology.as_mut().expect("topology").parallel_sites = parallel;
+        match sc.run_report().expect("runs") {
+            lass::scenario::ScenarioReport::Federated(rep) => rep.wasted_work,
+            _ => panic!("hedge-tail is federated"),
+        }
+    };
+    let (seq, par) = (wasted(None), wasted(Some(2)));
+    assert!(seq > 1000, "sequential run wasted only {seq}");
+    let gap = (par as f64 - seq as f64).abs() / seq as f64;
+    assert!(
+        gap <= 0.10,
+        "parallel wasted {par} vs sequential {seq} ({:.0} % apart)",
+        gap * 100.0
+    );
+}
