@@ -108,8 +108,10 @@ pub struct FedFunction {
     pub slo_deadline: f64,
     /// Per-container demand vector `[cpu milli, mem MiB, bw Mbps]` of
     /// the function's standard size — what the planner router fits
-    /// against a site's [`ResourceSnapshot`]. All-zero (the default for
-    /// pre-vector callers) means unknown and never constrains routing.
+    /// against a site's
+    /// [`ResourceSnapshot`](crate::router::ResourceSnapshot). All-zero
+    /// (the default for pre-vector callers) means unknown and never
+    /// constrains routing.
     pub demand: [f64; 3],
 }
 

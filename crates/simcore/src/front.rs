@@ -39,7 +39,7 @@ use lass_queueing::{EvaluatedForecast, ForecastCache, HealthEwma, WaitPredictor}
 pub(crate) struct RouterSite {
     pub(crate) meta: SiteMeta,
     /// Requests the router sent to this site (delivered or in transit).
-    pub(crate) routed: usize,
+    routed: usize,
     /// Requests that finished at this site (completed, abandoned, lost,
     /// cancelled, or migrated away). `routed - finished` is the router's
     /// view of the site's commitment: it includes requests still in
@@ -49,27 +49,27 @@ pub(crate) struct RouterSite {
     /// any delivery moves its visible load.
     pub(crate) finished: usize,
     /// Whether the site is alive (not crashed).
-    pub(crate) up: bool,
+    up: bool,
     /// Whether the router↔site link is currently cut.
     pub(crate) partitioned: bool,
     /// Whether a [`Fault::SiteSlowdown`] brown-out is active: the site
     /// keeps serving (and stays routable), but the health EWMA sees it
     /// as degraded so the failure-aware router browns it out.
-    pub(crate) slowed: bool,
+    slowed: bool,
     /// The site crashed and its scheduler must be rebuilt on recovery.
-    pub(crate) needs_rebuild: bool,
+    needs_rebuild: bool,
     /// Completed crash/rebuild cycles (labels the replacement policy).
     pub(crate) restarts: u32,
     /// Requests migrated away from this site (orphans of a crash plus
     /// in-transit bounces off a dead or partitioned site).
-    pub(crate) migrated_out: usize,
+    migrated_out: usize,
     /// Migrated requests this site accepted from a failing site.
-    pub(crate) migrated_in: usize,
+    migrated_in: usize,
     /// Requests committed to this site that could not be migrated
     /// anywhere (engine-level lost).
-    pub(crate) failed: usize,
+    failed: usize,
     /// Total time the site was unroutable (crashed or partitioned).
-    pub(crate) downtime: DowntimeClock,
+    downtime: DowntimeClock,
     /// Online λ̂/μ̂ telemetry feeding the model-driven routers'
     /// forecasts. Observe-only: maintained for every run, read only by
     /// routers that care.
@@ -77,14 +77,14 @@ pub(crate) struct RouterSite {
     /// Memoized M/M/c evaluation of the predictor's forecast, keyed by
     /// `(λ̂ epoch, μ̂ epoch, server count)`: the refresh re-evaluates the
     /// model only when the predictor advanced or the fleet changed.
-    pub(crate) fcache: ForecastCache,
+    fcache: ForecastCache,
     /// Downtime EWMA behind the failure-aware router's flakiness score.
     pub(crate) health: HealthEwma,
     /// Hedge clones that ran to completion here after their sibling had
     /// already answered: work nobody was waiting for.
-    pub(crate) wasted: usize,
+    wasted: usize,
     /// Service seconds burned by those wasted completions.
-    pub(crate) wasted_secs: f64,
+    wasted_secs: f64,
 }
 
 impl RouterSite {
@@ -210,12 +210,12 @@ fn blank_state(meta: &SiteMeta) -> SiteState {
 /// The router-facing state of a federated run.
 pub(crate) struct Front {
     pub(crate) sites: Vec<RouterSite>,
-    pub(crate) router: Box<dyn RouterPolicy + Send>,
+    router: Box<dyn RouterPolicy + Send>,
     /// Scratch router view, refreshed per decision.
     pub(crate) states: Vec<SiteState>,
     /// The router/telemetry knobs in force (rebuilds a crashed site's
     /// predictor with the same smoothing constants).
-    pub(crate) router_cfg: RouterConfig,
+    router_cfg: RouterConfig,
     /// Delayed-telemetry propagation state; disabled (zero interval)
     /// means oracle routing.
     pub(crate) telemetry: TelemetryRuntime,
@@ -228,7 +228,7 @@ pub(crate) struct Front {
     pub(crate) unroutable: usize,
     /// Per-function demand vectors in registration order (the planner
     /// router's fit denominators).
-    pub(crate) fn_demands: Vec<[f64; 3]>,
+    fn_demands: Vec<[f64; 3]>,
     /// Whether the run opted into multi-dimensional accounting: gates
     /// the per-site `utilization` report key and the telemetry resources
     /// column so legacy reports stay byte-identical.
@@ -458,12 +458,12 @@ impl Front {
     }
 
     /// Site `i`'s node agent publishes at `now`. Returns the next
-    /// publish instant — re-armed first, one jitter draw per grid slot
-    /// whatever the site's fate, so the schedule is identical across
-    /// fault histories and thread counts — and, unless the site is dead,
-    /// the snapshot is lost on a cut link or to background loss, the
-    /// snapshot with its arrival instant. `census` yields the site's
-    /// warm counts per function and its resource picture.
+    /// publish instant — one jitter draw per grid slot whatever the
+    /// site's fate, so the schedule is identical across fault histories
+    /// and thread counts — and the snapshot with its arrival instant,
+    /// unless the site is dead or the snapshot is lost (cut link or
+    /// background loss). `census` yields the site's warm counts per
+    /// function and its resource picture.
     pub(crate) fn publish(
         &mut self,
         i: usize,

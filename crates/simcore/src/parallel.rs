@@ -16,7 +16,7 @@
 //! runner-up ranking and waste budget, the front half of faults and
 //! migration, and the router's half of the report. The federation is
 //! handed over in one piece. What this driver owns is its transport:
-//! the front calendar ([`FeEv`]), the per-site shards with their inboxes
+//! the front calendar (`FeEv`), the per-site shards with their inboxes
 //! and outcome logs, the window loop and the deterministic merge, and
 //! its hedge groups, whose races it resolves at merge.
 //!

@@ -450,20 +450,19 @@ fn unknown_fields_check(item: &Item, fields: &[Field]) -> String {
     if !item.deny_unknown_fields {
         return String::new();
     }
-    let known: Vec<String> = fields
+    let known: Vec<&str> = fields
         .iter()
         .filter(|f| !f.attrs.skip)
-        .map(|f| format!("\"{}\"", f.name))
+        .map(|f| f.name.as_str())
         .collect();
     format!(
-        "for __k in m.keys() {{ if ![{list}].contains(&__k.as_str()) {{ \
+        "const __KNOWN: &[&str] = &{known:?};\n\
+         for __k in m.keys() {{ if !__KNOWN.contains(&__k.as_str()) {{ \
          return Err(::serde::Error::custom(format!(\"unknown field `{{}}` in {name}; expected one of {expected}\", __k))); }} }}\n",
-        list = known.join(", "),
         name = item.name,
-        expected = fields
+        expected = known
             .iter()
-            .filter(|f| !f.attrs.skip)
-            .map(|f| format!("`{}`", f.name))
+            .map(|k| format!("`{k}`"))
             .collect::<Vec<_>>()
             .join(", "),
     )
