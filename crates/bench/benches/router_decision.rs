@@ -1,19 +1,25 @@
-//! Criterion microbenchmark for the route-decision hot path: every
-//! arrival in a federated run pays one `RouterPolicy::route` call, so
-//! the decision cost bounds front-end throughput. All six routers are
-//! measured over 2 / 8 / 64-site views with realistic telemetry (the
-//! model-driven routers evaluate one M/M/c forecast per site per
-//! decision — the expensive part).
+//! Criterion microbenchmark for the route-decision step: every arrival
+//! in a federated run pays one `RouterPolicy::route` call. All seven
+//! routers are measured over 2 / 8 / 64-site views with realistic
+//! telemetry (the model-driven routers query one M/M/c forecast per
+//! site per decision).
+//!
+//! Only `route` is timed. The forecasts are evaluated once, up front,
+//! in `make_sites`, so neither this bench nor its smoke ceiling sees
+//! the federation's routing refresh. Under oracle routing, for a
+//! forecast-reading router or a hedged run, that refresh re-runs an
+//! O(c) Erlang-C evaluation per site whenever μ̂ moved — in practice on
+//! nearly every decision. End-to-end benchmarks measure that cost.
 //!
 //! Besides the criterion output, the run writes `BENCH_routing.json`
-//! (cwd) with ns-per-decision per router × fleet size, seeding the perf
-//! trajectory for future optimization PRs.
+//! (workspace root) with ns-per-decision per router × fleet size and
+//! the host's core count.
 //!
 //! With `ROUTER_BENCH_SMOKE` set, the run instead times a short burst
 //! per router and **fails** (non-zero exit) if any router exceeds a
 //! generous per-decision ceiling — the CI tripwire against
-//! re-introducing per-decision model construction on the routing hot
-//! path (the pre-cache model-driven routers paid ~20 µs/decision at 64
+//! re-introducing per-decision model construction inside `route`
+//! (the pre-cache model-driven routers paid ~20 µs/decision at 64
 //! sites; the cached path is 2–3 orders of magnitude below the
 //! ceiling).
 
@@ -106,6 +112,7 @@ fn main() {
         return;
     }
     let mut c = Criterion::default();
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut rows = Vec::new();
     let decisions = 100_000u64;
     for &n in &[2usize, 8, 64] {
@@ -116,11 +123,12 @@ fn main() {
             let ns = measure(kind, &mut sites, decisions);
             rows.push(format!(
                 "    {{ \"bench\": \"route/{}/{}\", \"ns_per_decision\": {:.1}, \
-                 \"decisions\": {} }}",
+                 \"decisions\": {}, \"cores\": {} }}",
                 kind.as_str(),
                 n,
                 ns,
-                decisions
+                decisions,
+                cores
             ));
             // Criterion-visible timing of the same routine (smaller
             // sample so the shim's wall-clock loop stays fast).

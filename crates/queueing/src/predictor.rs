@@ -339,14 +339,17 @@ impl From<WaitForecast> for EvaluatedForecast {
 
 /// Per-site forecast cache keyed by `(λ̂ epoch, μ̂ epoch, c)`.
 ///
-/// The federation refreshes every site's forecast at every routing
-/// decision, but the underlying estimates only move when the predictor
-/// closes an arrival tick, accepts a service observation, or the site's
-/// server count changes. The cache compares the predictor's
-/// [`epochs`](WaitPredictor::epochs) (after advancing it to `now`) and
-/// the server count against the key of the last evaluation and returns
-/// the retained [`EvaluatedForecast`] on a hit — making the steady-state
-/// refresh path allocation-free and O(1) per site. Evaluations reuse one
+/// Under oracle routing the federation refreshes every site's forecast
+/// at every decision whose router reads it, but the underlying
+/// estimates only move when the predictor closes an arrival tick,
+/// accepts a service observation, or the site's server count changes.
+/// The cache compares the predictor's [`epochs`](WaitPredictor::epochs)
+/// (after advancing it to `now`) and the server count against the key
+/// of the last evaluation and returns the retained [`EvaluatedForecast`]
+/// on a hit. A hit is O(1); a miss re-runs the O(c) Erlang-C
+/// evaluation. Every accepted service observation bumps the μ̂ epoch,
+/// so a site completing requests between decisions misses almost every
+/// time — the cache pays off only on quiet sites. Evaluations reuse one
 /// [`ErlangScratch`], so even misses allocate nothing once the buffers
 /// have grown to the fleet size.
 #[derive(Debug, Clone, Default)]

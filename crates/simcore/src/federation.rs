@@ -415,18 +415,23 @@ impl SiteTally {
     }
 }
 
-/// The live census of one site's scheduler for routing `fn_idx`.
+/// The live census of one site's scheduler for routing `fn_idx`; the
+/// O(functions) fleet sum only when `need_fleet`.
 fn census<'a, P: ContainerChaos>(
     sites: &'a [P],
     tallies: &'a [SiteTally],
     fn_idx: u32,
-) -> impl FnMut(usize) -> Census + 'a {
-    move |i| {
+) -> impl FnMut(usize, bool) -> Census + 'a {
+    move |i, need_fleet| {
         let site = &sites[i];
         let n_fns = tallies[i].per_fn.len() as u32;
         Census {
             warm: site.warm_containers(fn_idx),
-            fleet: (0..n_fns).map(|f| site.warm_containers(f)).sum(),
+            fleet: if need_fleet {
+                (0..n_fns).map(|f| site.warm_containers(f)).sum()
+            } else {
+                0
+            },
             resources: site.resource_snapshot(),
         }
     }

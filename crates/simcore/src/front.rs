@@ -23,6 +23,9 @@
 //! live census and the live predictor and health. With delayed telemetry
 //! they come from the last snapshot that arrived. Either way one loop
 //! fills the router's [`SiteState`]s and one pick consults the router.
+//! The oracle forecast column — an M/M/c evaluation per site, the bulk
+//! of a refresh — is filled only when someone reads it: a router whose
+//! [`RouterPolicy::reads_forecast`] is `true`, or the hedge trigger.
 
 use crate::chaos::Fault;
 use crate::engine::FnStats;
@@ -71,12 +74,14 @@ pub(crate) struct RouterSite {
     /// Total time the site was unroutable (crashed or partitioned).
     downtime: DowntimeClock,
     /// Online λ̂/μ̂ telemetry feeding the model-driven routers'
-    /// forecasts. Observe-only: maintained for every run, read only by
-    /// routers that care.
+    /// forecasts. Observe-only: fed for every run, read only when the
+    /// router or the hedge trigger scores forecasts, or a snapshot is
+    /// published.
     pub(crate) predictor: WaitPredictor,
     /// Memoized M/M/c evaluation of the predictor's forecast, keyed by
     /// `(λ̂ epoch, μ̂ epoch, server count)`: the refresh re-evaluates the
-    /// model only when the predictor advanced or the fleet changed.
+    /// model only when the predictor advanced or the fleet changed —
+    /// under load, after every completion.
     fcache: ForecastCache,
     /// Downtime EWMA behind the failure-aware router's flakiness score.
     pub(crate) health: HealthEwma,
@@ -160,7 +165,8 @@ impl RouterSite {
 pub(crate) struct Census {
     /// Warm containers for the routed function.
     pub(crate) warm: u64,
-    /// Warm containers across every function (the model's servers).
+    /// Warm containers across every function (the model's servers);
+    /// 0 unless the refresh asked for it.
     pub(crate) fleet: u64,
     /// The site's per-dimension capacity picture.
     pub(crate) resources: ResourceSnapshot,
@@ -300,7 +306,15 @@ impl Front {
     /// from the last *arrived* snapshot under delayed telemetry, however
     /// old. Pure bookkeeping — no randomness, no events — so routers
     /// that ignore a column replay their decisions exactly.
-    pub(crate) fn refresh<C: FnMut(usize) -> Census>(
+    ///
+    /// Under oracle routing the forecast column is the expensive one:
+    /// every completion moves μ̂, so the [`ForecastCache`] misses on
+    /// nearly every decision and re-runs an O(c) Erlang-C per site. It
+    /// is evaluated (and `census` asked for the O(functions) fleet sum
+    /// behind c) only when the router [reads
+    /// it](RouterPolicy::reads_forecast) or hedging is on; otherwise
+    /// the column stays at the "no model" default, never a stale value.
+    pub(crate) fn refresh<C: FnMut(usize, bool) -> Census>(
         &mut self,
         fn_idx: u32,
         now: SimTime,
@@ -308,6 +322,8 @@ impl Front {
     ) {
         let t = now.as_secs_f64();
         let stale = self.telemetry.enabled();
+        // The hedge trigger and runner-up ranking score forecasts too.
+        let forecast = self.hedge.is_some() || self.router.reads_forecast();
         let demand = self
             .fn_demands
             .get(fn_idx as usize)
@@ -323,16 +339,21 @@ impl Front {
                 state.warm = view.warm.get(fn_idx as usize).copied().unwrap_or(0);
                 state.resources = view.resources;
             } else {
-                let c = census(i);
+                let c = census(i, forecast);
                 state.up = site.routable();
                 site.observe_health(t);
                 state.flakiness = site.health.value();
                 state.warm = c.warm;
                 state.resources = c.resources;
-                // The cache re-evaluates the M/M/c model only when the
-                // predictor advanced or the server count changed.
-                let servers = site.servers(c.fleet);
-                state.forecast = site.fcache.refresh(&mut site.predictor, t, servers);
+                // Evaluate only for a reader. Skipping also skips the
+                // predictor's advance; the dispatch's `commit` advances
+                // the chosen site's predictor anyway.
+                state.forecast = if forecast {
+                    let servers = site.servers(c.fleet);
+                    site.fcache.refresh(&mut site.predictor, t, servers)
+                } else {
+                    EvaluatedForecast::default()
+                };
             }
             state.fits = state.resources.fit_count(demand);
         }
@@ -347,7 +368,7 @@ impl Front {
     /// view marks every site down the front end routes blind to the
     /// first physically routable site rather than shedding traffic its
     /// own counters can't justify dropping.
-    pub(crate) fn pick<C: FnMut(usize) -> Census>(
+    pub(crate) fn pick<C: FnMut(usize, bool) -> Census>(
         &mut self,
         fn_idx: u32,
         now: SimTime,
@@ -585,7 +606,7 @@ impl Front {
     /// count it failed and return `None`; otherwise pick and book the
     /// destination and return it with the re-delivery hop (inbound
     /// latency plus the migration penalty).
-    pub(crate) fn migrate<C: FnMut(usize) -> Census>(
+    pub(crate) fn migrate<C: FnMut(usize, bool) -> Census>(
         &mut self,
         from: usize,
         fn_idx: u32,

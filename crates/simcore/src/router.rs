@@ -8,7 +8,7 @@
 //! plugs into — mirroring how [`SchedulerPolicy`](crate::SchedulerPolicy)
 //! is the seam for per-site scheduling.
 //!
-//! Six routers ship with the workspace, in two families.
+//! Seven routers ship with the workspace, in two families.
 //!
 //! **Load/latency routers** read only the instantaneous load picture:
 //!
@@ -20,7 +20,7 @@
 //!   the paper's future-work edge↔cloud offload pattern.
 //!
 //! **Model-driven routers** additionally consume the per-site telemetry
-//! the federation maintains in [`SiteState`] — a
+//! the federation fills in [`SiteState`] — a
 //! [`WaitForecast`](lass_queueing::WaitForecast) built from EWMA'd
 //! arrival/service rates (the same M/M/c mathematics the per-site
 //! scheduler plans with), a warm-container census for the routed
@@ -36,6 +36,13 @@
 //! * [`FailureAwareRouter`] — avoid recently-failed (browned-out) sites
 //!   by their downtime EWMA, re-admitting them through a deterministic
 //!   credit trickle as their health score decays.
+//! * [`PlannerRouter`] — route where the next container of the function
+//!   fits on its binding resource dimension, by predicted wait.
+//!
+//! The three load/latency routers and the failure-aware router never
+//! read the wait forecast and say so through
+//! [`RouterPolicy::reads_forecast`], which spares the federation the
+//! per-decision M/M/c evaluation behind it.
 //!
 //! All routers are deterministic: decisions depend only on the event
 //! history, never on wall-clock time or ambient randomness (the
@@ -128,8 +135,11 @@ pub struct SiteState {
     /// telemetry (zero-wait before any telemetry accumulates), with its
     /// M/M/c model pre-evaluated through the federation's per-site
     /// [`ForecastCache`](lass_queueing::ForecastCache) so the routers'
-    /// waiting-time queries are O(1) and allocation-free. Old routers
-    /// ignore it; the federation maintains it either way.
+    /// waiting-time queries are O(1) and allocation-free. Under oracle
+    /// routing the federation fills it only for a router whose
+    /// [`RouterPolicy::reads_forecast`] is `true` (or when hedging is
+    /// on); otherwise it is the "no model" default. Under delayed
+    /// telemetry it is the last arrived snapshot's, whatever the router.
     pub forecast: EvaluatedForecast,
     /// EWMA'd recent downtime fraction in `[0, 1]` fed by the chaos
     /// layer: 0 for a site that has been healthy for a while, high for
@@ -303,6 +313,15 @@ pub trait RouterPolicy {
 
     /// Short policy name carried into reports.
     fn name(&self) -> &'static str;
+
+    /// Whether [`route`](Self::route) reads [`SiteState::forecast`].
+    /// Under oracle routing the federation evaluates each site's M/M/c
+    /// forecast only when the router (or the hedge trigger) reads it;
+    /// a router answering `false` sees the "no model" default instead.
+    /// `true` is the safe answer for any router that might look.
+    fn reads_forecast(&self) -> bool {
+        true
+    }
 }
 
 /// Index of the least-loaded **up** site (ties broken toward the lower
@@ -354,6 +373,10 @@ impl RouterPolicy for RoundRobinRouter {
     fn name(&self) -> &'static str {
         "round-robin"
     }
+
+    fn reads_forecast(&self) -> bool {
+        false
+    }
 }
 
 /// Send each arrival to the site with the lowest normalized in-flight
@@ -375,6 +398,10 @@ impl RouterPolicy for LeastLoadedRouter {
 
     fn name(&self) -> &'static str {
         "least-loaded"
+    }
+
+    fn reads_forecast(&self) -> bool {
+        false
     }
 }
 
@@ -424,6 +451,10 @@ impl RouterPolicy for LatencyAwareRouter {
 
     fn name(&self) -> &'static str {
         "latency-aware"
+    }
+
+    fn reads_forecast(&self) -> bool {
+        false
     }
 }
 
@@ -709,6 +740,10 @@ impl RouterPolicy for FailureAwareRouter {
 
     fn name(&self) -> &'static str {
         "failure-aware"
+    }
+
+    fn reads_forecast(&self) -> bool {
+        false
     }
 }
 

@@ -26,7 +26,8 @@
 //!   snapshot, with its M/M/c model evaluated once per *arrival*
 //!   through a value-keyed
 //!   [`SnapshotCache`](lass_queueing::SnapshotCache) — cheaper than the
-//!   oracle path, which re-keys per decision.
+//!   oracle path, which re-keys per decision for forecast-reading
+//!   routers.
 //! * [`ReconcilerSeam`] — the scaling side of the same delay: a
 //!   reconciler reads each *reported* snapshot and emits a desired
 //!   server count, which travels back to the site at the same latency
