@@ -415,23 +415,18 @@ impl SiteTally {
     }
 }
 
-/// The live census of one site's scheduler for routing `fn_idx`; the
-/// O(functions) fleet sum only when `need_fleet`.
+/// The live census of one site's scheduler for routing `fn_idx`.
 fn census<'a, P: ContainerChaos>(
     sites: &'a [P],
     tallies: &'a [SiteTally],
     fn_idx: u32,
-) -> impl FnMut(usize, bool) -> Census + 'a {
-    move |i, need_fleet| {
+) -> impl FnMut(usize) -> Census + 'a {
+    move |i| {
         let site = &sites[i];
         let n_fns = tallies[i].per_fn.len() as u32;
         Census {
             warm: site.warm_containers(fn_idx),
-            fleet: if need_fleet {
-                (0..n_fns).map(|f| site.warm_containers(f)).sum()
-            } else {
-                0
-            },
+            fleet: (0..n_fns).map(|f| site.warm_containers(f)).sum(),
             resources: site.resource_snapshot(),
         }
     }

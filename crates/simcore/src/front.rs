@@ -165,8 +165,7 @@ impl RouterSite {
 pub(crate) struct Census {
     /// Warm containers for the routed function.
     pub(crate) warm: u64,
-    /// Warm containers across every function (the model's servers);
-    /// 0 unless the refresh asked for it.
+    /// Warm containers across every function (the model's servers).
     pub(crate) fleet: u64,
     /// The site's per-dimension capacity picture.
     pub(crate) resources: ResourceSnapshot,
@@ -310,11 +309,10 @@ impl Front {
     /// Under oracle routing the forecast column is the expensive one:
     /// every completion moves μ̂, so the [`ForecastCache`] misses on
     /// nearly every decision and re-runs an O(c) Erlang-C per site. It
-    /// is evaluated (and `census` asked for the O(functions) fleet sum
-    /// behind c) only when the router [reads
+    /// is evaluated only when the router [reads
     /// it](RouterPolicy::reads_forecast) or hedging is on; otherwise
     /// the column stays at the "no model" default, never a stale value.
-    pub(crate) fn refresh<C: FnMut(usize, bool) -> Census>(
+    pub(crate) fn refresh<C: FnMut(usize) -> Census>(
         &mut self,
         fn_idx: u32,
         now: SimTime,
@@ -339,7 +337,7 @@ impl Front {
                 state.warm = view.warm.get(fn_idx as usize).copied().unwrap_or(0);
                 state.resources = view.resources;
             } else {
-                let c = census(i, forecast);
+                let c = census(i);
                 state.up = site.routable();
                 site.observe_health(t);
                 state.flakiness = site.health.value();
@@ -368,7 +366,7 @@ impl Front {
     /// view marks every site down the front end routes blind to the
     /// first physically routable site rather than shedding traffic its
     /// own counters can't justify dropping.
-    pub(crate) fn pick<C: FnMut(usize, bool) -> Census>(
+    pub(crate) fn pick<C: FnMut(usize) -> Census>(
         &mut self,
         fn_idx: u32,
         now: SimTime,
@@ -606,7 +604,7 @@ impl Front {
     /// count it failed and return `None`; otherwise pick and book the
     /// destination and return it with the re-delivery hop (inbound
     /// latency plus the migration penalty).
-    pub(crate) fn migrate<C: FnMut(usize, bool) -> Census>(
+    pub(crate) fn migrate<C: FnMut(usize) -> Census>(
         &mut self,
         from: usize,
         fn_idx: u32,

@@ -531,22 +531,18 @@ struct Frontend<P: ContainerChaos> {
 /// The barrier-stale census of each shard for routing `fn_idx`. The
 /// lock is uncontended — phases never overlap — and every shard is
 /// parked at the window start, so the census is deterministic for every
-/// thread count. The O(functions) fleet sum only when `need_fleet`.
+/// thread count.
 fn census<P: ContainerChaos>(
     shards: &[Mutex<Shard<P>>],
     fn_idx: u32,
-) -> impl FnMut(usize, bool) -> Census + '_ {
-    move |i, need_fleet| {
+) -> impl FnMut(usize) -> Census + '_ {
+    move |i| {
         let shard = shards[i].lock().expect("shard lock");
         Census {
             warm: shard.policy.warm_containers(fn_idx),
-            fleet: if need_fleet {
-                (0..shard.st.per_fn.len())
-                    .map(|f| shard.policy.warm_containers(f as u32))
-                    .sum()
-            } else {
-                0
-            },
+            fleet: (0..shard.st.per_fn.len())
+                .map(|f| shard.policy.warm_containers(f as u32))
+                .sum(),
             resources: shard.policy.resource_snapshot(),
         }
     }
