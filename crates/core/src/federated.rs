@@ -151,7 +151,8 @@ impl FederatedSimulation {
         self
     }
 
-    /// Run sites on a pool of `threads` worker threads using the
+    /// Run sites on `threads` threads in total — the calling thread plus
+    /// `threads - 1` workers — using the
     /// conservative-synchronization parallel executor (see
     /// `lass_simcore::parallel`). Requires a multi-site topology where
     /// every site has a strictly positive router latency — degenerate

@@ -66,9 +66,11 @@ pub struct EngineConfig {
     /// simulations (their goldens hash exact sample vectors); on for
     /// trace replay at 10⁴–10⁶ functions.
     pub stream_stats: bool,
-    /// Worker threads for the parallel federated executor
-    /// ([`crate::parallel::run_federation_parallel`]). `None` (the
-    /// default) keeps the sequential event pump; [`run_simulation`]
+    /// Threads for the parallel federated executor
+    /// ([`crate::parallel::run_federation_parallel`]), counting the
+    /// calling thread: `Some(1)` runs the windowed executor on the
+    /// calling thread alone, `Some(n)` spawns `n - 1` workers. `None`
+    /// (the default) keeps the sequential event pump; [`run_simulation`]
     /// itself ignores the knob — federated launchers dispatch on it.
     /// The parallel executor is deterministic in this value's presence
     /// but not its magnitude: any `Some(n)` produces byte-identical

@@ -608,9 +608,10 @@ pub struct FederatedReport<R> {
     pub outstanding: usize,
     /// Simulated duration in seconds (excluding drain).
     pub duration: f64,
-    /// Worker threads the run *actually* used: 1 for a sequential run
-    /// (including the parallel driver's zero-latency/single-site
-    /// fallback), the effective pool size otherwise. Deliberately
+    /// Threads the run *actually* used, the calling thread included: 1
+    /// for a sequential run (including the parallel driver's
+    /// zero-latency/single-site fallback), the effective thread count
+    /// otherwise. Deliberately
     /// excluded from the serialized report — the JSON key set is pinned
     /// by goldens, and the thread count must never differ across
     /// byte-identical runs anyway.

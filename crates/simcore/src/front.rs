@@ -14,7 +14,7 @@
 //! straight off its scheduler; the windowed
 //! [`run_federation_parallel`](crate::parallel::run_federation_parallel)
 //! carries them over its own front calendar and per-site inboxes and
-//! reads the census from the barrier-parked shards. Each driver hands
+//! reads the census from the shards parked between windows. Each driver hands
 //! the front end a census closure (statically dispatched — the refresh
 //! runs once per routing decision) and acts on what the front end
 //! returns.

@@ -35,11 +35,19 @@
 //!    bounces into migration, also here. Because `latency ≥ L`, a
 //!    delivery created in this window always lands in a later window,
 //!    so the per-site inboxes only ever hold current-window messages.
-//! 2. **Worker phase**: `parallel_sites` worker threads drain each
+//! 2. **Worker phase**: `parallel_sites` threads in total — the main
+//!    thread plus `parallel_sites - 1` spawned workers — drain each
 //!    site's inbox and local event queue through `[T, H)`, running the
-//!    site's scheduler exactly as the sequential run would. Sites are
-//!    fully independent inside a window; outcomes (completions,
-//!    timeouts, losses, reruns) are appended to a per-site log.
+//!    site's scheduler exactly as the sequential run would. The main
+//!    thread publishes the horizon, wakes each worker once, and then
+//!    claims and pumps shards itself; every thread takes shards from one
+//!    epoch-tagged atomic cursor, so a worker that wakes late finds the
+//!    window's shards already taken and goes back to sleep instead of
+//!    stalling the window. The main thread then waits only for shards a
+//!    worker claimed and has not finished (a brief spin, then it
+//!    blocks). Sites are fully independent inside a window; outcomes
+//!    (completions, timeouts, losses, reruns) are appended to a per-site
+//!    log.
 //! 3. **Merge phase** (main thread): the per-site logs are merged in
 //!    deterministic `(time, site, log-index)` order and folded into the
 //!    cross-site aggregate statistics and the router telemetry — the
@@ -50,13 +58,14 @@
 //! Site-level faults ([`Fault`]) are window split points: the fault
 //! schedule is materialized up front
 //! ([`ChaosConfig::build_schedule`]), each fault instant terminates a
-//! window, and the fault is applied by the main thread at the barrier.
+//! window, and the fault is applied by the main thread between windows.
 //!
 //! # Determinism contract
 //!
 //! For a fixed seed the executor is **byte-identical across every
-//! `parallel_sites` value** (1, 2, 8, … — workers only touch their own
-//! shards and the merge order is thread-independent). It is *not* in
+//! `parallel_sites` value** (1, 2, 8, … — a shard is pumped by whichever
+//! thread claims it, but only ever by one, and the merge order is
+//! thread-independent). It is *not* in
 //! general byte-identical to the sequential federation, for three
 //! documented reasons:
 //!
@@ -92,7 +101,9 @@ use crate::rng::SimRng;
 use crate::telemetry::TelemetrySnapshot;
 use crate::time::{SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
-use std::sync::{Barrier, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
+use std::thread::Thread;
 
 /// A time-stamped inter-shard message: what the front-end hands a site
 /// for one window. Deliveries are the routed (or migrated) requests
@@ -440,6 +451,169 @@ fn pump_shard<P: ContainerChaos>(shard: &mut Shard<P>, horizon: SimTime) {
     }
 }
 
+/// Spin-loop iterations the main thread waits for a worker's claimed
+/// shard before it blocks: a few microseconds, about one shard's pump.
+/// Blocking stays necessary because `parallel_sites` may exceed the
+/// core count, and a descheduled worker cannot finish by spinning.
+const DONE_SPINS: u32 = 256;
+
+/// The per-window handoff between the main thread and the spawned
+/// workers. Every thread claims shards from one cursor; the main thread
+/// is the only writer of everything else except the done count.
+struct Handoff {
+    /// `epoch << 32 | next unclaimed shard`. Epoch 0 is before the first
+    /// window and has nothing to claim.
+    cursor: AtomicU64,
+    /// The current window's horizon in [`SimTime`] nanoseconds, stored
+    /// before the cursor publishes the window.
+    horizon: AtomicU64,
+    /// Shards of the current window pumped to the horizon.
+    done: AtomicUsize,
+    /// The window loop is over: workers return.
+    stop: AtomicBool,
+    /// A worker panicked inside a shard pump; its shard will never be
+    /// done.
+    panicked: AtomicBool,
+    n_shards: usize,
+}
+
+impl Handoff {
+    fn new(n_shards: usize) -> Self {
+        Self {
+            cursor: AtomicU64::new(n_shards as u64),
+            horizon: AtomicU64::new(0),
+            done: AtomicUsize::new(0),
+            stop: AtomicBool::new(false),
+            panicked: AtomicBool::new(false),
+            n_shards,
+        }
+    }
+
+    fn epoch(&self) -> u32 {
+        (self.cursor.load(Ordering::Acquire) >> 32) as u32
+    }
+
+    /// Publish window `epoch` with `horizon`: nothing claimed, nothing
+    /// done. Only called once every shard of the previous window is
+    /// done, so no thread holds a claim. The relaxed stores are
+    /// published by the cursor's `Release` store, which every claim of
+    /// this window reads (through the chain of claim CASes) with
+    /// `Acquire`.
+    fn open(&self, epoch: u32, horizon: SimTime) {
+        self.done.store(0, Ordering::Relaxed);
+        self.horizon.store(horizon.0, Ordering::Relaxed);
+        self.cursor.store(u64::from(epoch) << 32, Ordering::Release);
+    }
+
+    /// Claim the next shard of window `epoch` with the window's horizon,
+    /// or `None` once its shards are all claimed or the window is over.
+    fn claim(&self, epoch: u32) -> Option<(usize, SimTime)> {
+        let mut cur = self.cursor.load(Ordering::Acquire);
+        loop {
+            let i = (cur & u64::from(u32::MAX)) as usize;
+            if (cur >> 32) as u32 != epoch || i >= self.n_shards {
+                return None;
+            }
+            match self.cursor.compare_exchange_weak(
+                cur,
+                cur + 1,
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            ) {
+                // The window cannot close while this claim is open, so
+                // the horizon read here is this window's.
+                Ok(_) => {
+                    return Some((i, SimTime(self.horizon.load(Ordering::Relaxed))));
+                }
+                Err(now) => cur = now,
+            }
+        }
+    }
+
+    /// Claim and pump shards of window `epoch` until none is left; each
+    /// pumped shard counts as done. Returns whether this thread finished
+    /// the window's last shard.
+    fn pump<P: ContainerChaos>(&self, epoch: u32, shards: &[Mutex<Shard<P>>]) -> bool {
+        let mut last = false;
+        while let Some((i, horizon)) = self.claim(epoch) {
+            pump_shard(&mut shards[i].lock().expect("shard lock"), horizon);
+            last = self.done.fetch_add(1, Ordering::AcqRel) + 1 == self.n_shards;
+        }
+        last
+    }
+
+    /// Main thread: wait until every shard of the window is done, spinning
+    /// briefly and then parking (a worker finishing the last shard
+    /// unparks it). Returns `false` if a worker panicked instead.
+    fn wait_done(&self) -> bool {
+        let mut spins = 0;
+        loop {
+            if self.done.load(Ordering::Acquire) == self.n_shards {
+                return true;
+            }
+            if self.panicked.load(Ordering::Acquire) {
+                return false;
+            }
+            if spins < DONE_SPINS {
+                spins += 1;
+                std::hint::spin_loop();
+            } else {
+                std::thread::park();
+            }
+        }
+    }
+}
+
+/// A spawned worker: sleep until a new window opens, help pump its
+/// shards, repeat until the window loop stops. Wake-ups are unparks;
+/// a spurious one just finds no new epoch and parks again.
+fn work<P: ContainerChaos>(ctl: &Handoff, shards: &[Mutex<Shard<P>>], main: &Thread) {
+    // Unwinding out of a shard pump tells the main thread, which would
+    // otherwise wait forever for the shard to be done.
+    struct PanicFlag<'a>(&'a Handoff, &'a Thread);
+    impl Drop for PanicFlag<'_> {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                self.0.panicked.store(true, Ordering::Release);
+                self.1.unpark();
+            }
+        }
+    }
+    let _flag = PanicFlag(ctl, main);
+    let mut seen = 0;
+    loop {
+        if ctl.stop.load(Ordering::Acquire) {
+            return;
+        }
+        let epoch = ctl.epoch();
+        if epoch == seen {
+            std::thread::park();
+            continue;
+        }
+        seen = epoch;
+        if ctl.pump(epoch, shards) {
+            main.unpark();
+        }
+    }
+}
+
+/// Releases the spawned workers when the window loop ends, including
+/// when the main thread unwinds out of it: the scope joins every worker
+/// before it returns, so a parked one must be told to stop.
+struct StopWorkers<'a> {
+    ctl: &'a Handoff,
+    workers: Vec<Thread>,
+}
+
+impl Drop for StopWorkers<'_> {
+    fn drop(&mut self) {
+        self.ctl.stop.store(true, Ordering::Release);
+        for w in &self.workers {
+            w.unpark();
+        }
+    }
+}
+
 /// Front-end calendar events: the arrival pump plus in-flight network
 /// hops. Faults are *not* calendar events here — every fault instant is
 /// a window barrier handled by the main thread.
@@ -526,6 +700,9 @@ struct Frontend<P: ContainerChaos> {
     end: SimTime,
     /// Live hedge groups by logical request id (empty unless hedging).
     hedges: BTreeMap<u64, FeHedge>,
+    /// The merge phase's buffer, kept across windows so a window does
+    /// not allocate one.
+    merged: Vec<(u32, LogEntry)>,
 }
 
 /// The barrier-stale census of each shard for routing `fn_idx`. The
@@ -939,17 +1116,15 @@ impl<P: ContainerChaos> Frontend<P> {
     /// deterministic `(time, site, log-index)` order and feed the
     /// per-site telemetry — thread-count-independent by construction.
     fn merge_window(&mut self, shards: &[Mutex<Shard<P>>]) {
-        let mut merged: Vec<(u32, LogEntry)> = Vec::new();
+        let mut merged = std::mem::take(&mut self.merged);
         for (i, shard) in shards.iter().enumerate() {
             let mut shard = shard.lock().expect("shard lock");
-            for e in shard.st.log.drain(..) {
-                merged.push((i as u32, e));
-            }
+            merged.extend(shard.st.log.drain(..).map(|e| (i as u32, e)));
         }
         // Stable by time: equal instants keep (site, log-index) order.
         merged.sort_by_key(|(_, e)| e.t);
         let hedging = self.front.hedge.is_some();
-        for (site, e) in merged {
+        for (site, e) in merged.drain(..) {
             let s = site as usize;
             let timeout = matches!(e.kind, LogKind::Timeout { .. });
             match e.kind {
@@ -1006,6 +1181,7 @@ impl<P: ContainerChaos> Frontend<P> {
                 }
             }
         }
+        self.merged = merged;
     }
 }
 
@@ -1017,16 +1193,19 @@ impl<P: ContainerChaos> Frontend<P> {
 /// `chaos`/`chaos_seed` describe the fault schedule the sequential path
 /// would inject through a
 /// [`ChaosPolicy`](crate::chaos::ChaosPolicy) wrapper (pass
-/// `ChaosConfig::default()` for a fault-free run). The worker count
-/// comes from `cfg.parallel_sites` (clamped to the site count; `None`
-/// runs the windowed executor single-threaded, which produces the same
-/// bytes as any other thread count).
+/// `ChaosConfig::default()` for a fault-free run). The thread count
+/// comes from `cfg.parallel_sites` and includes the calling thread
+/// (clamped to the site count; `None` or `Some(1)` runs the windowed
+/// executor on the calling thread alone, which produces the same bytes
+/// as any other thread count).
 ///
 /// # Panics
 ///
 /// Panics if any site latency is zero (the lookahead would be
 /// degenerate — callers are expected to validate and fall back to the
-/// sequential path) or if the duration is not positive.
+/// sequential path) or if the duration is not positive. A panic in a
+/// site policy, on whichever thread pumped the site, is passed on to
+/// the caller.
 pub fn run_federation_parallel<P>(
     cfg: EngineConfig,
     functions: Vec<FunctionEntry>,
@@ -1132,6 +1311,7 @@ where
         next_rid: 0,
         end,
         hedges: BTreeMap::new(),
+        merged: Vec::new(),
     };
     for i in 0..fe.procs.len() as u32 {
         fe.schedule_next_arrival(i, SimTime::ZERO);
@@ -1153,36 +1333,28 @@ where
         });
     }
 
-    // Bulk-synchronous window loop: two barrier waits per window, the
-    // horizon handed to the persistent workers through a mutex.
-    let start_barrier = Barrier::new(threads + 1);
-    let done_barrier = Barrier::new(threads + 1);
-    // (horizon, stop)
-    let command = Mutex::new((SimTime::ZERO, false));
+    // Window loop. The main thread is worker 0: each window it opens a
+    // new epoch of the shard cursor, unparks every spawned worker once,
+    // pumps shards itself, and waits only for shards a worker claimed.
+    let ctl = &Handoff::new(n_sites);
     let shards_ref = &shards;
     std::thread::scope(|scope| {
-        for w in 0..threads {
-            let start = &start_barrier;
-            let done = &done_barrier;
-            let command = &command;
-            scope.spawn(move || loop {
-                start.wait();
-                let (horizon, stop) = *command.lock().expect("command lock");
-                if stop {
-                    return;
-                }
-                for i in (w..n_sites).step_by(threads) {
-                    let mut shard = shards_ref[i].lock().expect("shard lock");
-                    pump_shard(&mut shard, horizon);
-                }
-                done.wait();
-            });
-        }
+        let main = std::thread::current();
+        let workers: Vec<_> = (1..threads)
+            .map(|_| {
+                let main = main.clone();
+                scope.spawn(move || work(ctl, shards_ref, &main))
+            })
+            .collect();
+        let stop = StopWorkers {
+            ctl,
+            workers: workers.iter().map(|w| w.thread().clone()).collect(),
+        };
 
         let mut t_window = SimTime::ZERO;
         let mut fi = 0usize;
         loop {
-            // Barrier phase: apply every fault due at the window start.
+            // Apply every fault due at the window start.
             while fi < faults.len() && faults[fi].0 <= t_window {
                 let (t, fault) = faults[fi];
                 fi += 1;
@@ -1224,16 +1396,27 @@ where
             }
 
             // Worker phase.
-            *command.lock().expect("command lock") = (horizon, false);
-            start_barrier.wait();
-            done_barrier.wait();
+            let epoch = ctl.epoch().wrapping_add(1);
+            ctl.open(epoch, horizon);
+            for w in &stop.workers {
+                w.unpark();
+            }
+            ctl.pump(epoch, shards_ref);
+            if !ctl.wait_done() {
+                // A worker panicked: its join below hands the panic on.
+                break;
+            }
 
             // Merge phase.
             fe.merge_window(shards_ref);
             t_window = horizon;
         }
-        *command.lock().expect("command lock") = (SimTime::ZERO, true);
-        start_barrier.wait();
+        drop(stop);
+        for w in workers {
+            if let Err(panic) = w.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
     });
 
     let outstanding = fe

@@ -83,8 +83,8 @@ struct SweepSpec {
     seeds: Option<Vec<u64>>,
     /// Override the topology's `parallel_sites` knob for every cell
     /// (requires a `topology` in the base scenario): run each federated
-    /// cell on this many worker threads via the conservative parallel
-    /// executor. Cells still run concurrently on the rayon pool, so
+    /// cell on this many threads, the cell's own thread included, via
+    /// the conservative parallel executor. Cells still run concurrently on the rayon pool, so
     /// prefer this only when sweeping a few large scenarios.
     #[serde(default)]
     parallel_sites: Option<usize>,

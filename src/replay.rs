@@ -70,8 +70,9 @@ pub struct ReplayConfig {
     pub csv: Option<String>,
     /// First minute of the CSV window (e.g. 660 for 11:00).
     pub window_start: usize,
-    /// Worker threads for the conservative-synchronization parallel
-    /// executor; `None` runs the sequential engine. Needs `sites >= 2`
+    /// Threads for the conservative-synchronization parallel executor,
+    /// counting the calling thread (`Some(1)` runs it on the calling
+    /// thread alone); `None` runs the sequential engine. Needs `sites >= 2`
     /// and strictly positive inbound latency on every site (set
     /// `site_latency_ms`), otherwise the replay warns and falls back to
     /// the sequential engine.

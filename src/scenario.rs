@@ -181,8 +181,10 @@ pub struct TopologySpec {
     /// routers.
     #[serde(default)]
     pub router_config: RouterConfig,
-    /// Worker threads for the conservative-synchronization parallel
-    /// executor (omit or `null` for the sequential engine). Needs a
+    /// Threads for the conservative-synchronization parallel executor,
+    /// counting the calling thread (`1` runs the windowed executor on
+    /// the calling thread alone; omit or `null` for the sequential
+    /// engine). Needs a
     /// multi-site topology where every `latency_ms` is strictly
     /// positive — zero latency leaves the executor no lookahead, so
     /// such topologies warn and fall back to the sequential engine.

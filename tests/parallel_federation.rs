@@ -27,6 +27,10 @@ use lass::simcore::{
 };
 use proptest::prelude::*;
 use std::collections::VecDeque;
+use std::panic::AssertUnwindSafe;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 fn fnv64(s: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -394,6 +398,103 @@ proptest! {
             fnv64(&report_json(&rep)),
             fnv64(&report_json(&other)),
             "2 vs 5 worker threads diverged"
+        );
+    }
+}
+
+/// Sites 0 and 1 each fire one timer at 1 s, so both shards have work in
+/// the same window; the faulty one's panics. When `wait` is set, the
+/// other one's handler waits (up to 2 s) for the faulty one to start, so
+/// the two shards are pumped by different threads.
+struct Tripwire {
+    timer: bool,
+    faulty: bool,
+    wait: bool,
+    fired: Arc<AtomicBool>,
+}
+
+impl SchedulerPolicy for Tripwire {
+    type Event = ();
+    type Report = Vec<FnStats>;
+
+    fn on_start(&mut self, ctx: &mut impl PolicyCtx<()>) {
+        if self.timer {
+            ctx.schedule(SimTime::from_secs(1), ());
+        }
+    }
+
+    fn on_arrival(&mut self, _: &mut impl PolicyCtx<()>, _: ReqId, _: u32, _: SimTime) {}
+
+    fn on_event(&mut self, _: &mut impl PolicyCtx<()>, _: (), _: SimTime) {
+        if self.faulty {
+            self.fired.store(true, Ordering::SeqCst);
+            panic!("faulty site policy");
+        }
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while self.wait && !self.fired.load(Ordering::SeqCst) && Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+    }
+
+    fn finish(self, outcome: EngineOutcome) -> Vec<FnStats> {
+        outcome.per_fn
+    }
+}
+
+impl ContainerChaos for Tripwire {}
+
+/// A site policy panicking inside a shard pump reaches the caller with
+/// its own message, instead of leaving the window loop waiting for a
+/// shard that will never finish or the scope waiting for parked workers.
+/// The calling thread claims shard 0 first, so a faulty site 1 whose
+/// sibling waits for it panics on a worker, and a faulty site 0 panics
+/// on the calling thread. Each run happens on a helper thread so a
+/// regression fails the test by timeout rather than hanging it.
+#[test]
+fn a_panicking_site_policy_reaches_the_caller() {
+    for (threads, faulty) in [(1, 1), (2, 1), (4, 1), (2, 0), (4, 0)] {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let fired = Arc::new(AtomicBool::new(false));
+            let sites = metas(&LATS)
+                .into_iter()
+                .enumerate()
+                .map(|(site, m)| {
+                    let policy = Tripwire {
+                        timer: site < 2,
+                        faulty: site == faulty,
+                        wait: threads > 1 && faulty == 1,
+                        fired: Arc::clone(&fired),
+                    };
+                    (m, policy)
+                })
+                .collect();
+            let fed = Federation::new(sites, RouterKind::RoundRobin.build(), &fed_functions());
+            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                run_federation_parallel(
+                    engine_cfg(3, Some(threads)),
+                    probe_entry(8.0),
+                    fed,
+                    ChaosConfig::default(),
+                    3,
+                )
+            }));
+            let message = outcome.err().map(|panic| {
+                panic
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| panic.downcast_ref::<String>().cloned())
+                    .unwrap_or_default()
+            });
+            tx.send(message).expect("test thread waits");
+        });
+        let message = rx
+            .recv_timeout(Duration::from_secs(20))
+            .unwrap_or_else(|_| panic!("{threads} threads hung after site {faulty} panicked"));
+        assert_eq!(
+            message.as_deref(),
+            Some("faulty site policy"),
+            "{threads} threads, site {faulty}"
         );
     }
 }
