@@ -3,17 +3,17 @@
 //! All mutation of containers and node reservations goes through
 //! [`Cluster`], which maintains the invariant that every node's reserved
 //! resources equal the sum of its resident (non-terminated) containers'
-//! allocations. Iteration orders are deterministic (`BTreeMap`s) so
-//! simulations replay exactly.
+//! allocations. Containers iterate in id (creation) order and functions in
+//! `FnId` order, so simulations replay exactly.
 
 use crate::container::{Container, ContainerState};
 use crate::ids::{ContainerId, FnId, NodeId};
 use crate::node::Node;
 use crate::placement::PlacementPolicy;
 use crate::resources::{CpuMilli, Dimension, MemMib, ResourceVec};
+use crate::store::ContainerStore;
 use crate::RequestId;
 use lass_simcore::SimTime;
-use std::collections::BTreeMap;
 
 /// Errors from cluster operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -90,7 +90,7 @@ struct FnEntry {
 #[derive(Debug, Clone)]
 pub struct Cluster {
     nodes: Vec<Node>,
-    containers: BTreeMap<ContainerId, Container>,
+    containers: ContainerStore,
     /// Per-function records, indexed densely by `FnId` (ids are interned
     /// first-seen, so this is a flat vector rather than a map — O(1)
     /// lookups with no tree walk or hashing even at 10⁶ functions).
@@ -122,7 +122,7 @@ impl Cluster {
             .collect();
         Self {
             nodes,
-            containers: BTreeMap::new(),
+            containers: ContainerStore::default(),
             fns: Vec::new(),
             next_container: 0,
             placement,
@@ -141,7 +141,7 @@ impl Cluster {
             .collect();
         Self {
             nodes,
-            containers: BTreeMap::new(),
+            containers: ContainerStore::default(),
             fns: Vec::new(),
             next_container: 0,
             placement,
@@ -320,7 +320,7 @@ impl Cluster {
             ready_at,
         );
         ctr.set_bandwidth(demand.bandwidth);
-        self.containers.insert(id, ctr);
+        self.containers.insert(ctr);
         let entry = self.fn_entry_mut(fn_id);
         entry.containers.push(id);
         entry.slots.push(WrrSlot {
@@ -341,7 +341,7 @@ impl Cluster {
     ) -> Result<Termination, ClusterError> {
         let mut ctr = self
             .containers
-            .remove(&cid)
+            .remove(cid)
             .ok_or(ClusterError::NoSuchContainer(cid))?;
         let orphans = ctr.terminate(now);
         let node = &mut self.nodes[ctr.node().0 as usize];
@@ -370,7 +370,7 @@ impl Cluster {
     ) -> Result<(), ClusterError> {
         let ctr = self
             .containers
-            .get(&cid)
+            .get(cid)
             .ok_or(ClusterError::NoSuchContainer(cid))?;
         let old = ctr.cpu();
         if new_cpu > ctr.standard_cpu() {
@@ -382,7 +382,7 @@ impl Cluster {
         }
         node.resize_cpu(old, new_cpu);
         let fn_id = {
-            let c = self.containers.get_mut(&cid).expect("checked above");
+            let c = self.containers.get_mut(cid).expect("checked above");
             c.set_cpu(new_cpu);
             c.fn_id()
         };
@@ -417,7 +417,7 @@ impl Cluster {
     /// or not in the `Starting` state, so stale readiness events are
     /// harmless.
     pub fn mark_container_ready(&mut self, cid: ContainerId) -> bool {
-        let Some(c) = self.containers.get_mut(&cid) else {
+        let Some(c) = self.containers.get_mut(cid) else {
             return false;
         };
         if !matches!(c.state(), ContainerState::Starting { .. }) {
@@ -433,29 +433,41 @@ impl Cluster {
     }
 
     /// Begin service on `cid` if it is idle with queued work, keeping
-    /// the dispatch index coherent. `None` when the container is gone,
+    /// the dispatch index coherent. Returns the request now in service
+    /// and the service's completion token, to be handed back to
+    /// [`Cluster::finish_service`]. `None` when the container is gone,
     /// not idle, or has nothing queued.
-    pub fn begin_service(&mut self, cid: ContainerId, now: SimTime) -> Option<RequestId> {
-        let c = self.containers.get_mut(&cid)?;
-        let rid = c.try_begin_service(now)?;
+    pub fn begin_service(&mut self, cid: ContainerId, now: SimTime) -> Option<(RequestId, u64)> {
+        let c = self.containers.get_mut(cid)?;
+        let begun = c.try_begin_service(now)?;
         let fn_id = c.fn_id();
         self.slot_mut(fn_id, cid)
             .expect("live container indexed")
             .idle = false;
-        Some(rid)
+        Some(begun)
     }
 
-    /// Finish the in-service request on `cid`, keeping the dispatch
-    /// index coherent. `None` when the container is gone; panics (like
-    /// the underlying container) when it is not busy.
-    pub fn finish_service(&mut self, cid: ContainerId, now: SimTime) -> Option<RequestId> {
-        let c = self.containers.get_mut(&cid)?;
-        let rid = c.complete_service(now);
+    /// Finish the service `token` names on `cid`, keeping the dispatch
+    /// index coherent. Returns the request and the instant its service
+    /// began. `None`, touching nothing, when the completion is stale:
+    /// the container is gone (terminated or crashed mid-service), idle,
+    /// or already serving a later request.
+    pub fn finish_service(
+        &mut self,
+        cid: ContainerId,
+        token: u64,
+        now: SimTime,
+    ) -> Option<(RequestId, SimTime)> {
+        let c = self.containers.get_mut(cid)?;
+        if c.service_token() != Some(token) {
+            return None;
+        }
+        let done = c.complete_service(now);
         let fn_id = c.fn_id();
         self.slot_mut(fn_id, cid)
             .expect("live container indexed")
             .idle = true;
-        Some(rid)
+        Some(done)
     }
 
     /// The function's weighted dispatch index: every live container's
@@ -472,12 +484,12 @@ impl Cluster {
 
     /// Immutable container access.
     pub fn container(&self, cid: ContainerId) -> Option<&Container> {
-        self.containers.get(&cid)
+        self.containers.get(cid)
     }
 
     /// Mutable container access.
     pub fn container_mut(&mut self, cid: ContainerId) -> Option<&mut Container> {
-        self.containers.get_mut(&cid)
+        self.containers.get_mut(cid)
     }
 
     /// Ids of the live containers of a function (deterministic order).
@@ -491,7 +503,7 @@ impl Cluster {
     pub fn fn_containers(&self, fn_id: FnId) -> impl Iterator<Item = &Container> {
         self.containers_of(fn_id)
             .iter()
-            .filter_map(move |cid| self.containers.get(cid))
+            .filter_map(move |&cid| self.containers.get(cid))
     }
 
     /// Aggregate CPU currently allocated to a function.
@@ -533,15 +545,15 @@ impl Cluster {
         best.map(|(cid, _)| cid)
     }
 
-    /// All live containers (deterministic order).
+    /// All live containers, in id (creation) order.
     pub fn all_containers(&self) -> impl Iterator<Item = &Container> {
-        self.containers.values()
+        self.containers.iter()
     }
 
     /// Ids of all live containers, in id (creation) order — the
     /// deterministic victim pool for fault-injection bursts.
     pub fn container_ids(&self) -> Vec<ContainerId> {
-        self.containers.keys().copied().collect()
+        self.containers.iter().map(Container::id).collect()
     }
 
     /// Total number of live containers.
@@ -555,10 +567,11 @@ impl Cluster {
     /// capacity vector. Panics on violation; intended for tests and
     /// debug builds.
     pub fn check_invariants(&self) {
+        self.containers.check_invariants(self.next_container);
         for node in &self.nodes {
             let mut used = ResourceVec::ZERO;
             let mut count = 0u32;
-            for ctr in self.containers.values() {
+            for ctr in self.containers.iter() {
                 if ctr.node() == node.id() {
                     assert!(
                         ctr.state() != ContainerState::Terminated,
@@ -595,7 +608,7 @@ impl Cluster {
             for cid in list {
                 let ctr = self
                     .containers
-                    .get(cid)
+                    .get(*cid)
                     .expect("fn entry points at live container");
                 assert_eq!(ctr.fn_id(), fn_id, "container index corrupted");
             }
@@ -607,7 +620,7 @@ impl Cluster {
             let mut warm = 0u64;
             for (slot, cid) in slots.iter().zip(list) {
                 assert_eq!(slot.cid, *cid, "dispatch order drift on {fn_id}");
-                let ctr = self.containers.get(cid).expect("checked above");
+                let ctr = self.containers.get(*cid).expect("checked above");
                 assert_eq!(
                     slot.weight,
                     wrr_weight(ctr.cpu()),
@@ -634,6 +647,8 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn small() -> Cluster {
         Cluster::homogeneous(2, CpuMilli(4000), MemMib(8192), PlacementPolicy::WorstFit)
@@ -882,6 +897,131 @@ mod tests {
         // Other functions see their own (empty) census.
         assert_eq!(cl.fn_warm_count(FnId(9)), 0);
         cl.check_invariants();
+    }
+
+    /// One step of the container-store differential test; `pick`
+    /// selects a live container by rank.
+    #[derive(Debug, Clone)]
+    enum StoreOp {
+        Create { fn_id: u32, cpu: u32 },
+        Ready { pick: usize },
+        Begin { pick: usize },
+        Finish { pick: usize },
+        Resize { pick: usize, ratio: f64 },
+        Terminate { pick: usize },
+    }
+
+    fn store_op() -> impl Strategy<Value = StoreOp> {
+        prop_oneof![
+            (0u32..3, 100u32..1500).prop_map(|(fn_id, cpu)| StoreOp::Create { fn_id, cpu }),
+            (0usize..32).prop_map(|pick| StoreOp::Ready { pick }),
+            (0usize..32).prop_map(|pick| StoreOp::Begin { pick }),
+            (0usize..32).prop_map(|pick| StoreOp::Finish { pick }),
+            ((0usize..32), 0.5f64..1.0).prop_map(|(pick, ratio)| StoreOp::Resize { pick, ratio }),
+            (0usize..32).prop_map(|pick| StoreOp::Terminate { pick }),
+        ]
+    }
+
+    /// What the reference map remembers of a live container.
+    type Seen = (FnId, CpuMilli, ContainerState);
+
+    fn seen(c: &Container) -> Seen {
+        (c.fn_id(), c.cpu(), c.state())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The dense container store against a `BTreeMap` reference:
+        /// every lookup agrees, iteration runs in id order, the cluster
+        /// invariants hold, and the index never spans more than the ids
+        /// from the oldest live container to the newest issued one.
+        #[test]
+        fn container_store_matches_btreemap_reference(
+            ops in prop::collection::vec(store_op(), 1..200),
+        ) {
+            let mut cl = small();
+            let mut reference: BTreeMap<ContainerId, Seen> = BTreeMap::new();
+            let mut next_rid = 0u64;
+            for (t, op) in ops.into_iter().enumerate() {
+                let now = SimTime::from_secs(t as u64);
+                let nth = |reference: &BTreeMap<ContainerId, Seen>, pick: usize| {
+                    (!reference.is_empty())
+                        .then(|| *reference.keys().nth(pick % reference.len()).expect("in range"))
+                };
+                match op {
+                    StoreOp::Create { fn_id, cpu } => {
+                        let (f, cpu) = (FnId(fn_id), CpuMilli(cpu));
+                        if let Ok(cid) = cl.create_container(f, cpu, MemMib(256), now, now) {
+                            let state = ContainerState::Starting { ready_at: now };
+                            reference.insert(cid, (f, cpu, state));
+                        }
+                    }
+                    StoreOp::Ready { pick } => {
+                        if let Some(cid) = nth(&reference, pick) {
+                            if cl.mark_container_ready(cid) {
+                                reference.get_mut(&cid).expect("live").2 = ContainerState::Idle;
+                            }
+                        }
+                    }
+                    StoreOp::Begin { pick } => {
+                        if let Some(cid) = nth(&reference, pick) {
+                            next_rid += 1;
+                            cl.container_mut(cid).expect("live").enqueue(RequestId(next_rid));
+                            if cl.begin_service(cid, now).is_some() {
+                                reference.get_mut(&cid).expect("live").2 = ContainerState::Busy;
+                            }
+                        }
+                    }
+                    StoreOp::Finish { pick } => {
+                        if let Some(cid) = nth(&reference, pick) {
+                            let token = cl.container(cid).expect("live").service_token();
+                            if let Some(token) = token {
+                                prop_assert!(cl.finish_service(cid, token, now).is_some());
+                                reference.get_mut(&cid).expect("live").2 = ContainerState::Idle;
+                            }
+                        }
+                    }
+                    StoreOp::Resize { pick, ratio } => {
+                        if let Some(cid) = nth(&reference, pick) {
+                            let entry = reference.get_mut(&cid).expect("live");
+                            let cpu = entry.1.scale(ratio).max(CpuMilli(1));
+                            if cl.resize_container_cpu(cid, cpu).is_ok() {
+                                entry.1 = cpu;
+                            }
+                        }
+                    }
+                    StoreOp::Terminate { pick } => {
+                        if let Some(cid) = nth(&reference, pick) {
+                            let term = cl.terminate_container(cid, now).expect("live");
+                            prop_assert_eq!(term.container.id(), cid);
+                            reference.remove(&cid);
+                        }
+                    }
+                }
+                // Every id agrees, retired and not-yet-issued ones included.
+                for id in 0..=cl.next_container + 1 {
+                    let cid = ContainerId(id);
+                    prop_assert_eq!(cl.container(cid).map(seen), reference.get(&cid).copied());
+                }
+                let walked: Vec<ContainerId> = cl.all_containers().map(Container::id).collect();
+                let expected: Vec<ContainerId> = reference.keys().copied().collect();
+                prop_assert_eq!(&walked, &expected);
+                prop_assert_eq!(&cl.container_ids(), &expected);
+                prop_assert_eq!(cl.container_count(), reference.len());
+                cl.check_invariants();
+                let span = reference
+                    .keys()
+                    .next()
+                    .map_or(0, |oldest| cl.next_container - oldest.0);
+                prop_assert!(
+                    cl.containers.index_len() as u64 <= span,
+                    "{} index slots for a span of {} ids",
+                    cl.containers.index_len(),
+                    span
+                );
+            }
+        }
     }
 
     #[test]

@@ -52,6 +52,8 @@ pub struct Container {
     marked_for_termination: bool,
     busy_since: Option<SimTime>,
     busy_total: SimDuration,
+    /// Services begun so far; the current one's completion token.
+    services: u64,
 }
 
 impl Container {
@@ -90,6 +92,7 @@ impl Container {
             marked_for_termination: false,
             busy_since: None,
             busy_total: SimDuration::ZERO,
+            services: 0,
         }
     }
 
@@ -218,12 +221,13 @@ impl Container {
     }
 
     /// If idle with a non-empty queue, pop the head and begin service.
-    /// Returns the request now in service.
+    /// Returns the request now in service and the service's completion
+    /// token (the number of services begun, this one included).
     ///
     /// Crate-private: go through
     /// [`Cluster::begin_service`](crate::Cluster::begin_service) so the
     /// dispatch index's idle flag stays coherent.
-    pub(crate) fn try_begin_service(&mut self, now: SimTime) -> Option<RequestId> {
+    pub(crate) fn try_begin_service(&mut self, now: SimTime) -> Option<(RequestId, u64)> {
         if self.state != ContainerState::Idle {
             return None;
         }
@@ -231,22 +235,28 @@ impl Container {
         self.state = ContainerState::Busy;
         self.in_service = Some(rid);
         self.busy_since = Some(now);
-        Some(rid)
+        self.services += 1;
+        Some((rid, self.services))
     }
 
-    /// Finish the in-service request, returning it. Panics unless `Busy`.
+    /// The completion token of the service in progress, if busy.
+    pub fn service_token(&self) -> Option<u64> {
+        (self.state == ContainerState::Busy).then_some(self.services)
+    }
+
+    /// Finish the in-service request, returning it and the instant its
+    /// service began. Panics unless `Busy`.
     ///
     /// Crate-private: go through
     /// [`Cluster::finish_service`](crate::Cluster::finish_service) so the
     /// dispatch index's idle flag stays coherent.
-    pub(crate) fn complete_service(&mut self, now: SimTime) -> RequestId {
+    pub(crate) fn complete_service(&mut self, now: SimTime) -> (RequestId, SimTime) {
         assert_eq!(self.state, ContainerState::Busy, "complete on non-busy");
         let rid = self.in_service.take().expect("busy implies in-service");
-        if let Some(since) = self.busy_since.take() {
-            self.busy_total = self.busy_total + now.saturating_since(since);
-        }
+        let since = self.busy_since.take().expect("busy implies a start");
+        self.busy_total = self.busy_total + now.saturating_since(since);
         self.state = ContainerState::Idle;
-        rid
+        (rid, since)
     }
 
     /// Terminate, returning every request that must be re-dispatched (the
@@ -326,13 +336,15 @@ mod tests {
         assert_eq!(c.try_begin_service(SimTime::from_millis(100)), None);
         c.mark_ready();
         assert!(c.is_idle());
-        let rid = c.try_begin_service(SimTime::from_millis(500));
-        assert_eq!(rid, Some(RequestId(1)));
+        let begun = c.try_begin_service(SimTime::from_millis(500));
+        assert_eq!(begun, Some((RequestId(1), 1)));
         assert_eq!(c.state(), ContainerState::Busy);
         assert_eq!(c.in_service(), Some(RequestId(1)));
+        assert_eq!(c.service_token(), Some(1));
         let done = c.complete_service(SimTime::from_millis(700));
-        assert_eq!(done, RequestId(1));
+        assert_eq!(done, (RequestId(1), SimTime::from_millis(500)));
         assert!(c.is_idle());
+        assert_eq!(c.service_token(), None, "an idle container serves no token");
     }
 
     #[test]
@@ -343,13 +355,14 @@ mod tests {
         c.enqueue(RequestId(2));
         c.enqueue(RequestId(3));
         assert_eq!(c.queue_len(), 3);
-        assert_eq!(c.try_begin_service(SimTime::ZERO), Some(RequestId(1)));
+        assert_eq!(c.try_begin_service(SimTime::ZERO), Some((RequestId(1), 1)));
         assert_eq!(c.load(), 3);
         c.complete_service(SimTime::from_millis(10));
         assert_eq!(
             c.try_begin_service(SimTime::from_millis(10)),
-            Some(RequestId(2))
+            Some((RequestId(2), 2))
         );
+        assert_eq!(c.service_token(), Some(2), "a later service, a new token");
     }
 
     #[test]

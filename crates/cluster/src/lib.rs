@@ -19,6 +19,7 @@ pub mod ids;
 pub mod node;
 pub mod placement;
 pub mod resources;
+mod store;
 pub mod topology;
 
 pub use cluster::{Cluster, ClusterError, Termination, WrrSlot};

@@ -142,8 +142,8 @@ fn apply_op(
         Op::Finish { idx } => {
             if !live.is_empty() {
                 let cid = live[idx % live.len()];
-                if cluster.container(cid).expect("live").state() == ContainerState::Busy {
-                    assert!(cluster.finish_service(cid, now).is_some());
+                if let Some(token) = cluster.container(cid).expect("live").service_token() {
+                    assert!(cluster.finish_service(cid, token, now).is_some());
                 }
             }
         }

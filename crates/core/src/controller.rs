@@ -6,8 +6,11 @@
 //!
 //! 1. turns the sliding-window arrival counts into a burst-aware, EWMA-
 //!    smoothed rate estimate per function (§3.3, §5),
-//! 2. solves the queueing model for every function's desired allocation —
-//!    in parallel across functions, as the paper notes is possible (§6.3),
+//! 2. solves the queueing model for every function's desired allocation,
+//!    one function after another on the calling thread (the paper notes
+//!    the solves could run in parallel, §6.3, but each is microseconds of
+//!    pure work and simulated time does not depend on wall-clock
+//!    concurrency, so a per-epoch thread fan-out only costs),
 //! 3. detects overload (`Σ desired > capacity`) and, if so, applies
 //!    weighted fair share (Eq. 7–8) using the hierarchical weight tree,
 //! 4. emits container commands through the configured reclamation policy
@@ -23,7 +26,6 @@ use crate::reclaim::{deflation_commands, termination_commands, FnSnapshot};
 use crate::registry::FunctionRegistry;
 use lass_cluster::{Cluster, ContainerId, FnId, RequestId};
 use lass_simcore::{SimDuration, SimTime};
-use rayon::prelude::*;
 use std::collections::BTreeMap;
 
 /// Outcome of applying a plan to the cluster.
@@ -33,8 +35,6 @@ pub struct ApplyOutcome {
     pub created: Vec<(ContainerId, SimTime)>,
     /// Requests orphaned by terminations; they must be re-dispatched.
     pub orphans: Vec<RequestId>,
-    /// Containers terminated by this plan.
-    pub terminated: Vec<ContainerId>,
     /// Creates that could not be satisfied even after lazy reclamation.
     pub failed_creates: u32,
     /// Resizes that could not be applied (e.g. re-inflation with no room).
@@ -142,13 +142,14 @@ impl LassController {
             .map(|&f| (f, self.estimated_rate(f, now_secs)))
             .collect();
 
-        // 2. Model solves, parallel across functions (§6.3).
+        // 2. Model solves, in turn on this thread: each is pure and
+        //    microsecond-scale, cheaper than spawning threads per epoch.
         let cfg = &self.cfg;
         let profiler = &self.profiler;
         let registry = &self.registry;
         let reinflate = self.reinflate;
-        let solved: Vec<(FnId, DesiredAllocation)> = fn_ids
-            .par_iter()
+        let desired: BTreeMap<FnId, DesiredAllocation> = fn_ids
+            .iter()
             .map(|&fn_id| {
                 let rec = registry.get(fn_id).expect("registered");
                 let std_cpu = f64::from(rec.spec.standard_cpu.0);
@@ -202,7 +203,6 @@ impl LassController {
                 (fn_id, d)
             })
             .collect();
-        let desired: BTreeMap<FnId, DesiredAllocation> = solved.into_iter().collect();
         let solver_iterations = desired.values().map(|d| d.solver_iterations).sum();
 
         // 3. Overload detection & fair share (on CPU-milli).
@@ -339,7 +339,6 @@ impl LassController {
                 Command::Terminate { cid } => {
                     if let Ok(t) = cluster.terminate_container(cid, now) {
                         out.orphans.extend(t.orphans);
-                        out.terminated.push(cid);
                     }
                 }
                 Command::Resize { cid, cpu } => {
@@ -359,7 +358,6 @@ impl LassController {
                                     Some(v) => {
                                         if let Ok(t) = cluster.terminate_container(v, now) {
                                             out.orphans.extend(t.orphans);
-                                            out.terminated.push(v);
                                         }
                                     }
                                     None => {
@@ -455,7 +453,6 @@ impl LassController {
         if let Some(v) = victim {
             if let Ok(t) = cluster.terminate_container(v, now) {
                 out.orphans.extend(t.orphans);
-                out.terminated.push(v);
                 return true;
             }
         }
@@ -558,7 +555,6 @@ impl LassController {
             if let Some(v) = victim {
                 if let Ok(t) = cluster.terminate_container(v, now) {
                     out.orphans.extend(t.orphans);
-                    out.terminated.push(v);
                     return true;
                 }
             }

@@ -31,7 +31,7 @@ use lass_simcore::{
     run_simulation, EngineConfig, EngineOutcome, FunctionEntry, PolicyCtx, ReqId, SchedulerPolicy,
     SimDuration, SimTime, TimeSeries, TimeWeightedGauge,
 };
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Concurrency-target simulation over a [`Cluster`].
 ///
@@ -101,7 +101,8 @@ impl KnativeSimulation {
 pub(crate) enum Ev {
     /// A cold-started container finished booting.
     Ready(ContainerId),
-    /// A container finished serving a request.
+    /// Service number `seq` on `cid` ends (stale once the container is
+    /// gone or has begun a later service).
     Complete { cid: ContainerId, seq: u64 },
     /// The recurring autoscaler tick.
     Scale,
@@ -125,8 +126,6 @@ pub(crate) struct KnativePolicy {
     setups: Vec<FunctionSetup>,
     target: f64,
     fns: BTreeMap<FnId, KnFn>,
-    in_service: HashMap<ContainerId, (RequestId, u64, SimTime)>,
-    next_seq: u64,
     util_gauge: TimeWeightedGauge,
     busy_cpu_seconds: f64,
     epochs: usize,
@@ -179,8 +178,6 @@ impl KnativePolicy {
             setups,
             target,
             fns,
-            in_service: HashMap::new(),
-            next_seq: 0,
             util_gauge: TimeWeightedGauge::new(SimTime::ZERO, 0.0),
             busy_cpu_seconds: 0.0,
             epochs: 0,
@@ -252,7 +249,7 @@ impl KnativePolicy {
         };
         let fn_id = c.fn_id();
         let deflation = c.deflation_ratio();
-        let Some(rid) = self.cluster.begin_service(cid, now) else {
+        let Some((_, seq)) = self.cluster.begin_service(cid, now) else {
             return;
         };
         let dur = self.setups[fn_id.0 as usize]
@@ -260,9 +257,6 @@ impl KnativePolicy {
             .service
             .sample(deflation, ctx.service_rng(fn_id.0))
             / self.service_scale;
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.in_service.insert(cid, (rid, seq, now));
         ctx.schedule(
             now + SimDuration::from_secs_f64(dur),
             Ev::Complete { cid, seq },
@@ -344,7 +338,6 @@ impl KnativePolicy {
                 victims.reverse();
                 victims.truncate((current - desired) as usize);
                 for cid in victims {
-                    self.in_service.remove(&cid);
                     let term = self
                         .cluster
                         .terminate_container(cid, now)
@@ -388,7 +381,6 @@ impl lass_simcore::ContainerChaos for KnativePolicy {
             };
             crashed += 1;
             self.crashes += 1;
-            self.in_service.remove(&cid);
             let f = term.container.fn_id();
             for rid in term.orphans {
                 if ctx.rerun(ReqId(rid.0)).is_some() {
@@ -462,21 +454,12 @@ impl SchedulerPolicy for KnativePolicy {
                 self.feed(ctx, cid, f, now);
             }
             Ev::Complete { cid, seq } => {
-                match self.in_service.get(&cid) {
-                    Some(&(_, s, _)) if s == seq => {}
-                    _ => return,
-                }
-                let (rid, _, started) = self.in_service.remove(&cid).expect("checked");
-                let Some(c) = self.cluster.container(cid) else {
-                    return;
+                let Some((rid, started)) = self.cluster.finish_service(cid, seq, now) else {
+                    return; // the container crashed mid-service
                 };
+                let c = self.cluster.container(cid).expect("live container");
                 let f = c.fn_id();
                 let cpu_cores = c.cpu().as_cores();
-                let done = self
-                    .cluster
-                    .finish_service(cid, now)
-                    .expect("live container");
-                debug_assert_eq!(done, rid);
                 // `None`: the completion was withheld upstream (stalled
                 // behind a federated network partition).
                 if let Some(completion) = ctx.complete(ReqId(rid.0), started, now) {

@@ -24,7 +24,7 @@ use lass_simcore::{
     SchedulerPolicy, SimTime, TimeSeries, TimeWeightedGauge,
 };
 use serde::Serialize;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// One function's deployment in a simulation run.
 #[derive(Debug, Clone)]
@@ -68,6 +68,8 @@ impl FunctionSetup {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Ev {
     Ready(ContainerId),
+    /// Service number `seq` on `cid` ends; stale once the container is
+    /// gone or has begun a later service.
     Complete {
         cid: ContainerId,
         seq: u64,
@@ -238,9 +240,6 @@ pub(crate) struct LassPolicy {
     /// Per-function runtime state, indexed densely by `FnId` (ids are
     /// assigned sequentially at registration).
     fns: Vec<FnRuntime>,
-    /// Per-container current service: (request, seq, start).
-    in_service: HashMap<ContainerId, (RequestId, u64, SimTime)>,
-    next_seq: u64,
     crash_rng: lass_simcore::SimRng,
     crashes: usize,
     util_gauge: TimeWeightedGauge,
@@ -310,8 +309,6 @@ impl LassPolicy {
             cluster,
             controller,
             fns,
-            in_service: HashMap::new(),
-            next_seq: 0,
             crash_rng: lass_simcore::SimRng::from_seed_label(
                 seed,
                 &format!("{rng_site_label}crashes"),
@@ -343,7 +340,6 @@ impl LassPolicy {
             return; // already gone (stale timer)
         };
         self.crashes += 1;
-        self.in_service.remove(&cid);
         let f = term.container.fn_id();
         for rid in term.orphans {
             if ctx.rerun(ReqId(rid.0)).is_some() {
@@ -402,13 +398,13 @@ impl LassPolicy {
     /// abandoned at dequeue (§2.1's execution time limit).
     fn try_start(&mut self, ctx: &mut impl PolicyCtx<Ev>, cid: ContainerId, now: SimTime) {
         let timeout = self.cfg.request_timeout_secs;
-        let (fn_id, deflation, rid) = loop {
+        let (fn_id, deflation, seq) = loop {
             let Some(c) = self.cluster.container(cid) else {
                 return;
             };
             let fn_id = c.fn_id();
             let deflation = c.deflation_ratio();
-            let Some(rid) = self.cluster.begin_service(cid, now) else {
+            let Some((rid, seq)) = self.cluster.begin_service(cid, now) else {
                 return;
             };
             let expired = timeout.is_some_and(|limit| {
@@ -416,10 +412,13 @@ impl LassPolicy {
                     .is_some_and(|(_, arrival)| now.saturating_since(arrival).as_secs_f64() > limit)
             });
             if !expired {
-                break (fn_id, deflation, rid);
+                break (fn_id, deflation, seq);
             }
             // Abandon: undo the service start and drop the request.
-            let dropped = self.cluster.finish_service(cid, now).expect("still live");
+            let (dropped, _) = self
+                .cluster
+                .finish_service(cid, seq, now)
+                .expect("still live");
             debug_assert_eq!(dropped, rid);
             ctx.abandon(ReqId(rid.0));
         };
@@ -431,9 +430,6 @@ impl LassPolicy {
             .spec
             .service;
         let dur = spec_model.sample(deflation, ctx.service_rng(fn_id.0)) / self.service_scale;
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.in_service.insert(cid, (rid, seq, now));
         ctx.schedule(
             now + lass_simcore::SimDuration::from_secs_f64(dur),
             Ev::Complete { cid, seq },
@@ -489,23 +485,14 @@ impl LassPolicy {
         seq: u64,
         now: SimTime,
     ) {
-        // Validate against stale events (container terminated / rerun).
-        match self.in_service.get(&cid) {
-            Some(&(_, s, _)) if s == seq => {}
-            _ => return,
-        }
-        let (rid, _, started) = self.in_service.remove(&cid).expect("checked");
-        let Some(c) = self.cluster.container(cid) else {
+        // Stale when the container was terminated or crashed mid-service.
+        let Some((rid, started)) = self.cluster.finish_service(cid, seq, now) else {
             return;
         };
+        let c = self.cluster.container(cid).expect("live container");
         let deflation = c.deflation_ratio();
         let f = c.fn_id();
         let cpu_cores = c.cpu().as_cores();
-        let done = self
-            .cluster
-            .finish_service(cid, now)
-            .expect("live container");
-        debug_assert_eq!(done, rid);
 
         // `None` means the completion was withheld upstream (a federated
         // site whose response is stalled behind a network partition): the
@@ -541,10 +528,6 @@ impl LassPolicy {
         }
         let outcome = self.controller.apply(&mut self.cluster, &plan, now);
         self.failed_creates += outcome.failed_creates;
-        // Invalidate in-service bookkeeping for terminated containers.
-        for cid in &outcome.terminated {
-            self.in_service.remove(cid);
-        }
         for (cid, ready) in &outcome.created {
             ctx.schedule(*ready, Ev::Ready(*cid));
             self.arm_crash(ctx, *cid, now);
@@ -733,7 +716,6 @@ impl lass_simcore::ContainerChaos for LassPolicy {
                 let Ok(term) = self.cluster.terminate_container(cid, now) else {
                     continue;
                 };
-                self.in_service.remove(&cid);
                 for rid in term.orphans {
                     if ctx.rerun(ReqId(rid.0)).is_some() {
                         self.dispatch(ctx, rid, f, now);
@@ -985,10 +967,33 @@ mod tests {
         assert!(report.per_fn[&1].completed > 1800);
     }
 
-    /// Minimal context for driving the reconciler seam directly.
+    /// Minimal context for driving the policy's handlers directly.
     struct StubCtx {
         scheduled: Vec<(SimTime, Ev)>,
         rng: lass_simcore::SimRng,
+        /// Requests reported complete, in order.
+        completed: Vec<ReqId>,
+    }
+
+    impl StubCtx {
+        fn new() -> Self {
+            Self {
+                scheduled: Vec::new(),
+                rng: lass_simcore::SimRng::from_seed_label(7, "stub"),
+                completed: Vec::new(),
+            }
+        }
+
+        /// The most recently scheduled completion event.
+        fn last_completion(&self) -> Ev {
+            *self
+                .scheduled
+                .iter()
+                .rev()
+                .map(|(_, ev)| ev)
+                .find(|ev| matches!(ev, Ev::Complete { .. }))
+                .expect("a completion was scheduled")
+        }
     }
 
     impl PolicyCtx<Ev> for StubCtx {
@@ -1009,10 +1014,11 @@ mod tests {
         }
         fn complete(
             &mut self,
-            _rid: ReqId,
+            rid: ReqId,
             _started: SimTime,
             _now: SimTime,
         ) -> Option<lass_simcore::Completion> {
+            self.completed.push(rid);
             None
         }
         fn abandon(&mut self, _rid: ReqId) -> Option<u32> {
@@ -1055,10 +1061,7 @@ mod tests {
             &[setup],
             "",
         );
-        let mut ctx = StubCtx {
-            scheduled: Vec::new(),
-            rng: lass_simcore::SimRng::from_seed_label(7, "stub"),
-        };
+        let mut ctx = StubCtx::new();
         let now = SimTime::from_secs_f64(1.0);
         // Scale up 2 → 5: three creates, each paying its cold start.
         assert!(policy.apply_desired_fleet(&mut ctx, 5, now));
@@ -1078,5 +1081,86 @@ mod tests {
         assert_eq!(policy.cluster.container_count(), 1);
         // Converged: reapplying the directive changes nothing.
         assert!(!policy.apply_desired_fleet(&mut ctx, 1, now));
+    }
+
+    /// A LaSS policy over one warm container of a single function.
+    fn one_container_policy() -> (LassPolicy, ContainerId) {
+        let mut setup = FunctionSetup::new(
+            micro_benchmark(0.1),
+            0.1,
+            WorkloadSpec::Static {
+                rate: 1.0,
+                duration: 10.0,
+            },
+        );
+        setup.initial_containers = 1;
+        let policy = LassPolicy::new(
+            LassConfig::default(),
+            Cluster::paper_testbed(),
+            7,
+            &[setup],
+            "",
+        );
+        let cid = policy.cluster.container_ids()[0];
+        (policy, cid)
+    }
+
+    /// A completion whose container was terminated or crashed
+    /// mid-service is ignored: nothing is reported complete.
+    #[test]
+    fn completion_of_a_crashed_container_is_ignored() {
+        for crash in [true, false] {
+            let (mut policy, cid) = one_container_policy();
+            let mut ctx = StubCtx::new();
+            let now = SimTime::from_secs(1);
+            policy.on_arrival(&mut ctx, ReqId(1), 0, now);
+            let done = ctx.last_completion();
+            if crash {
+                policy.on_crash(&mut ctx, cid, now);
+            } else {
+                policy.cluster.terminate_container(cid, now).expect("live");
+            }
+            assert!(policy.cluster.container(cid).is_none());
+            policy.on_event(&mut ctx, done, SimTime::from_secs(2));
+            assert!(
+                ctx.completed.is_empty(),
+                "stale completion finished a request"
+            );
+        }
+    }
+
+    /// A completion token from an earlier service on the same live
+    /// container is ignored, whether the container is busy with a later
+    /// service or idle; the current token still finishes exactly once.
+    #[test]
+    fn completion_from_an_earlier_service_is_ignored() {
+        let (mut policy, cid) = one_container_policy();
+        let mut ctx = StubCtx::new();
+        policy.on_arrival(&mut ctx, ReqId(1), 0, SimTime::from_secs(1));
+        let first = ctx.last_completion();
+        policy.on_event(&mut ctx, first, SimTime::from_secs(2));
+        assert_eq!(ctx.completed, vec![ReqId(1)]);
+
+        policy.on_arrival(&mut ctx, ReqId(2), 0, SimTime::from_secs(3));
+        let second = ctx.last_completion();
+        assert_ne!(first, second, "each service gets its own token");
+        // The first service's token again, while the second is running.
+        policy.on_event(&mut ctx, first, SimTime::from_secs(4));
+        assert_eq!(ctx.completed, vec![ReqId(1)]);
+        let c = policy.cluster.container(cid).expect("live");
+        assert_eq!(
+            c.in_service(),
+            Some(RequestId(2)),
+            "later service untouched"
+        );
+
+        policy.on_event(&mut ctx, second, SimTime::from_secs(5));
+        assert_eq!(ctx.completed, vec![ReqId(1), ReqId(2)]);
+        // Both tokens again on the now idle container: no double finish.
+        policy.on_event(&mut ctx, first, SimTime::from_secs(6));
+        policy.on_event(&mut ctx, second, SimTime::from_secs(6));
+        assert_eq!(ctx.completed, vec![ReqId(1), ReqId(2)]);
+        assert!(policy.cluster.container(cid).expect("live").is_idle());
+        policy.cluster.check_invariants();
     }
 }

@@ -16,7 +16,7 @@ use lass_simcore::{
     run_simulation, EngineConfig, EngineOutcome, FunctionEntry, PolicyCtx, ReqId, SchedulerPolicy,
     SimDuration, SimTime, TimeSeries, TimeWeightedGauge,
 };
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Static-allocation round-robin simulation over a [`Cluster`].
 pub struct StaticRrSimulation {
@@ -85,6 +85,8 @@ struct Pool {
 /// Policy events (completions only — nothing is ever re-planned).
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Ev {
+    /// Service number `seq` on `cid` ends (stale once the container is
+    /// gone).
     Complete { cid: ContainerId, seq: u64 },
 }
 
@@ -94,8 +96,6 @@ pub(crate) struct StaticRrPolicy {
     setups: Vec<FunctionSetup>,
     cluster: Cluster,
     pools: BTreeMap<FnId, Pool>,
-    in_service: HashMap<ContainerId, (RequestId, u64, SimTime)>,
-    next_seq: u64,
     util_gauge: TimeWeightedGauge,
     busy_cpu_seconds: f64,
     /// Containers lost to chaos bursts (nothing replaces them: the
@@ -136,8 +136,6 @@ impl StaticRrPolicy {
             setups,
             cluster,
             pools,
-            in_service: HashMap::new(),
-            next_seq: 0,
             util_gauge: TimeWeightedGauge::new(SimTime::ZERO, 0.0),
             busy_cpu_seconds: 0.0,
             crashes: 0,
@@ -168,7 +166,7 @@ impl StaticRrPolicy {
         };
         let fn_id = c.fn_id();
         let deflation = c.deflation_ratio();
-        let Some(rid) = self.cluster.begin_service(cid, now) else {
+        let Some((_, seq)) = self.cluster.begin_service(cid, now) else {
             return;
         };
         let dur = self.setups[fn_id.0 as usize]
@@ -176,9 +174,6 @@ impl StaticRrPolicy {
             .service
             .sample(deflation, ctx.service_rng(fn_id.0))
             / self.service_scale;
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.in_service.insert(cid, (rid, seq, now));
         ctx.schedule(
             now + SimDuration::from_secs_f64(dur),
             Ev::Complete { cid, seq },
@@ -201,7 +196,6 @@ impl lass_simcore::ContainerChaos for StaticRrPolicy {
             };
             crashed += 1;
             self.crashes += 1;
-            self.in_service.remove(&cid);
             let f = term.container.fn_id();
             self.pools
                 .get_mut(&f)
@@ -268,20 +262,10 @@ impl SchedulerPolicy for StaticRrPolicy {
 
     fn on_event(&mut self, ctx: &mut impl PolicyCtx<Ev>, ev: Ev, now: SimTime) {
         let Ev::Complete { cid, seq } = ev;
-        match self.in_service.get(&cid) {
-            Some(&(_, s, _)) if s == seq => {}
-            _ => return,
-        }
-        let (rid, _, started) = self.in_service.remove(&cid).expect("checked");
-        let Some(c) = self.cluster.container(cid) else {
-            return;
+        let Some((rid, started)) = self.cluster.finish_service(cid, seq, now) else {
+            return; // the container crashed mid-service
         };
-        let cpu_cores = c.cpu().as_cores();
-        let done = self
-            .cluster
-            .finish_service(cid, now)
-            .expect("live container");
-        debug_assert_eq!(done, rid);
+        let cpu_cores = self.cluster.container(cid).expect("live").cpu().as_cores();
         // `None`: the completion was withheld upstream (stalled behind a
         // federated network partition); only the measurement is deferred.
         if let Some(completion) = ctx.complete(ReqId(rid.0), started, now) {

@@ -364,3 +364,106 @@ fn slo_aware_scenario_matches_pinned_golden() {
     // And it replays byte-for-byte.
     assert_eq!(json, serde_json::to_string(&run()).unwrap());
 }
+
+/// Runs a scenario file through the `lass-sim` entry point and returns
+/// the FNV-64 hash of its serialized report.
+fn scenario_file_hash(name: &str) -> u64 {
+    let path = format!("{}/scenarios/{name}", env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(path).expect("scenario file");
+    let sc = lass::scenario::Scenario::from_json(&text).expect("valid scenario");
+    let lass::scenario::ScenarioReport::Lass(rep) = sc.run_report().expect("runs") else {
+        panic!("expected a single-cluster report");
+    };
+    fnv64(&serde_json::to_string(&rep).unwrap())
+}
+
+/// Pinned values for the two baseline policies, not only run-to-run
+/// determinism: a change to how they track in-service requests or look
+/// containers up must leave their reports byte-identical.
+#[test]
+fn knative_and_static_rr_scenarios_match_pinned_goldens() {
+    assert_eq!(
+        scenario_file_hash("knative.json"),
+        2831296833105806609,
+        "knative golden drifted"
+    );
+    assert_eq!(
+        scenario_file_hash("static-rr.json"),
+        3184327130032953232,
+        "static-rr golden drifted"
+    );
+}
+
+/// An overloaded LaSS run that walks every site-path branch: weighted
+/// fair share across users, deflation, lazy and forced terminations
+/// whose orphans rerun, MTBF crashes of busy containers and timed-out
+/// requests abandoned at dequeue. Its full report is pinned.
+#[test]
+fn overloaded_lass_with_crashes_matches_pinned_golden() {
+    let mut cfg = LassConfig::default();
+    cfg.container_mtbf_secs = Some(90.0);
+    cfg.request_timeout_secs = Some(4.0);
+    let mut sim = Simulation::new(cfg, Cluster::paper_testbed(), 17);
+    let fns = [
+        (
+            mobilenet_v2(),
+            1.0,
+            1.0,
+            vec![(0.0, 2.0), (60.0, 9.0), (180.0, 3.0)],
+        ),
+        (
+            binary_alert(),
+            2.0,
+            3.0,
+            vec![(0.0, 40.0), (120.0, 180.0), (240.0, 20.0)],
+        ),
+        (
+            micro_benchmark(0.1),
+            1.0,
+            1.0,
+            vec![(0.0, 10.0), (90.0, 45.0)],
+        ),
+    ];
+    for (i, (spec, weight, user_weight, steps)) in fns.into_iter().enumerate() {
+        let mut setup = FunctionSetup::new(
+            spec,
+            0.1,
+            WorkloadSpec::Steps {
+                steps,
+                duration: 300.0,
+            },
+        );
+        setup.weight = weight;
+        setup.user = lass::cluster::UserId(i as u32 % 2);
+        setup.user_weight = user_weight;
+        setup.initial_containers = 2;
+        sim.add_function(setup);
+    }
+    let report = sim.run(Some(300.0));
+    // The run really exercises the branches it is meant to pin.
+    assert!(report.overloaded_epochs > 0, "never overloaded");
+    assert!(report.crashes > 0, "no container crashed");
+    let reruns: usize = report.per_fn.values().map(|f| f.reruns).sum();
+    let timeouts: usize = report.per_fn.values().map(|f| f.timeouts).sum();
+    assert!(reruns > 0, "no request reran");
+    assert!(timeouts > 0, "no request timed out");
+    // A fleet whose CPU is not a whole number of standard containers
+    // holds a deflated one.
+    let standard_cpu = [2000.0, 500.0, 400.0];
+    let deflated = report.per_fn.values().zip(standard_cpu).any(|(f, std)| {
+        f.cpu_timeline
+            .points()
+            .iter()
+            .any(|&(_, cpu)| cpu % std != 0.0)
+    });
+    assert!(deflated, "no container was deflated");
+    assert_eq!(
+        (report.epochs, report.overloaded_epochs, report.crashes),
+        (30, 24, 67)
+    );
+    assert_eq!(
+        fnv64(&serde_json::to_string(&report).unwrap()),
+        11195249894080062191,
+        "overloaded LaSS golden drifted"
+    );
+}
