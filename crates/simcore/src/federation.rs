@@ -33,17 +33,17 @@
 //! flags, the λ̂/μ̂ predictors and health EWMAs, the routing refresh and
 //! pick (oracle routing is the zero-age view of the delayed-telemetry
 //! one), the telemetry publish / arrive / directive steps, the hedge
-//! trigger, runner-up ranking and waste budget, the front half of fault
-//! handling and migration, and the router's half of each
-//! [`SiteReport`] — lives in the crate-private `front` module and is
-//! shared with the windowed parallel driver
+//! race, the front half of fault handling and migration, and the
+//! router's half of each [`SiteReport`] — lives in the crate-private
+//! `front` module and is shared with the windowed parallel driver
 //! ([`run_federation_parallel`](crate::parallel::run_federation_parallel)).
 //!
 //! This driver owns its transport: the engine calendar with [`FedEv`],
-//! the scoped site context, the site-side tallies (in-flight and live
-//! requests, per-site statistics, stalled responses, incarnations), and
-//! the hedge groups, whose races it resolves inside the callback that
-//! retired the request.
+//! the scoped site context, and the site-side tallies (in-flight and
+//! live requests, per-site statistics, stalled responses, incarnations,
+//! and the marks of copies that lost a hedge race). Its merge point is
+//! the end of each callback: the requests the callback retired are
+//! settled with the front end's race ledger in the order they retired.
 //!
 //! # Failure semantics
 //!
@@ -77,7 +77,7 @@
 
 use crate::chaos::{ChaosTarget, ContainerChaos, Fault};
 use crate::engine::{Completion, EngineOutcome, FnStats, PolicyCtx, ReqId, SchedulerPolicy};
-use crate::front::{Census, Front, HedgeStep, SiteWork};
+use crate::front::{Cancel, Census, Front, HedgeStep, Migration, SiteWork};
 use crate::metrics::SampleStats;
 use crate::rng::SimRng;
 use crate::router::{RouterConfig, RouterPolicy};
@@ -273,17 +273,6 @@ impl Deserialize for HedgeConfig {
     }
 }
 
-/// One logical request's live hedge state: which sites currently hold a
-/// copy, plus the deferred-trigger timer (if armed).
-struct HedgeGroup {
-    /// Sites holding (or about to receive) a copy; the primary first.
-    copies: Vec<u32>,
-    /// Cancellation token for a pending [`FedEv::HedgeFire`], when the
-    /// outer calendar supports cancellation. `None` means the fire
-    /// event (if any) is uncancellable and will no-op on arrival.
-    fire_token: Option<u64>,
-}
-
 /// Events of a federated run: deliveries completing their network hop,
 /// plus the inner schedulers' own events tagged by site.
 pub enum FedEv<E> {
@@ -330,9 +319,9 @@ pub enum FedEv<E> {
         /// Desired total warm-container count.
         desired: u32,
     },
-    /// A deferred hedge timer fires: if the request is still unanswered,
-    /// dispatch its clones now. Cancelled (or degraded to a
-    /// liveness-checked no-op) once the primary responds first.
+    /// A deferred hedge timer fires: if the race is still unresolved,
+    /// dispatch its clones now. Cancelled once the race resolves (a
+    /// no-op then, on a calendar that cannot cancel).
     HedgeFire {
         /// The hedged request.
         rid: ReqId,
@@ -369,10 +358,11 @@ pub(crate) struct SiteTally {
     pub(crate) epoch: u32,
     /// Containers crashed here by chaos bursts.
     pub(crate) chaos_crashes: u32,
-    /// Hedge clones that lost the race at this site and may still be in
-    /// service — their eventual (suppressed) completion is wasted work.
-    /// Inserted when the sibling wins, consumed by the suppressed
-    /// completion; a clone cancelled while still queued leaves its entry
+    /// Copies here that must never win: losers of a resolved race and
+    /// copies a retry abandoned. Marked when the race decides, before
+    /// the cancel lands. A marked copy's completion is wasted work (and
+    /// consumes the mark); its timeout or loss never retires the
+    /// request. A copy cancelled while still queued leaves its mark
     /// behind (it never completes), which is bookkeeping-only.
     pub(crate) hedge_lost: BTreeSet<u64>,
 }
@@ -444,11 +434,10 @@ struct SiteCtx<'a, C> {
     /// crash recovery.
     offset: SimDuration,
     /// Logical-request retirements (complete / abandon / lose) recorded
-    /// during this callback, as `(rid, site)` — the federation drains
-    /// them afterwards to resolve hedge groups (first response wins,
-    /// losers get cancel messages). Unused — pushed to and cleared —
+    /// during this callback, as `(rid, site)` — the federation settles
+    /// their hedge races afterwards. Unused — pushed to and cleared —
     /// when hedging is off.
-    resolved: &'a mut Vec<(u64, u32)>,
+    retired: &'a mut Vec<(u64, u32)>,
 }
 
 impl<C> SiteCtx<'_, C> {
@@ -456,7 +445,7 @@ impl<C> SiteCtx<'_, C> {
     fn retire(&mut self, rid: ReqId) {
         self.tally.release(rid.0);
         self.front.sites[self.site as usize].finished += 1;
-        self.resolved.push((rid.0, self.site));
+        self.retired.push((rid.0, self.site));
     }
 }
 
@@ -506,17 +495,23 @@ impl<E, C: PolicyCtx<FedEv<E>>> PolicyCtx<E> for SiteCtx<'_, C> {
         if self.tally.hedge_lost.remove(&rid.0) {
             let secs = now.saturating_since(started).as_secs_f64();
             self.front.sites[self.site as usize].waste(secs);
+            self.front.wasted(rid.0, self.site);
             return None;
         }
         let c = self.inner.complete(rid, started, now)?;
         self.tally.live.remove(&rid.0);
         self.tally.record_completion(&c);
         self.front.record_completion(self.site as usize, c.service);
-        self.resolved.push((rid.0, self.site));
+        self.retired.push((rid.0, self.site));
         Some(c)
     }
 
+    // A marked copy (see `SiteTally::hedge_lost`) never retires the
+    // request: it stays on the books until its cancel lands.
     fn abandon(&mut self, rid: ReqId) -> Option<u32> {
+        if self.tally.hedge_lost.contains(&rid.0) {
+            return None;
+        }
         let fn_idx = self.inner.abandon(rid)?;
         let f = &mut self.tally.per_fn[fn_idx as usize];
         f.timeouts += 1;
@@ -526,6 +521,9 @@ impl<E, C: PolicyCtx<FedEv<E>>> PolicyCtx<E> for SiteCtx<'_, C> {
     }
 
     fn lose(&mut self, rid: ReqId) -> Option<u32> {
+        if self.tally.hedge_lost.contains(&rid.0) {
+            return None;
+        }
         let fn_idx = self.inner.lose(rid)?;
         self.tally.per_fn[fn_idx as usize].lost += 1;
         self.retire(rid);
@@ -673,11 +671,9 @@ pub struct Federation<P: SchedulerPolicy> {
     pub(crate) front: Front,
     /// Factory that rebuilds a crashed site's scheduler on recovery.
     pub(crate) rebuild: Option<SiteRebuild<P>>,
-    /// Live hedge groups keyed by request id.
-    hedges: BTreeMap<u64, HedgeGroup>,
     /// Retirements recorded by the scoped contexts during the current
-    /// callback, drained afterwards to resolve hedge groups.
-    hedge_resolved: Vec<(u64, u32)>,
+    /// callback, settled afterwards.
+    retired: Vec<(u64, u32)>,
 }
 
 impl<P: ContainerChaos> Federation<P> {
@@ -697,8 +693,7 @@ impl<P: ContainerChaos> Federation<P> {
             sites,
             front: Front::new(metas, router, functions),
             rebuild: None,
-            hedges: BTreeMap::new(),
-            hedge_resolved: Vec::new(),
+            retired: Vec::new(),
         }
     }
 
@@ -792,7 +787,7 @@ impl<P: ContainerChaos> Federation<P> {
                 tally: &mut self.tallies[i],
                 front: &mut self.front,
                 offset: SimDuration::ZERO,
-                resolved: &mut self.hedge_resolved,
+                retired: &mut self.retired,
             },
         )
     }
@@ -817,62 +812,20 @@ impl<P: ContainerChaos> Federation<P> {
         }
     }
 
-    /// Send a loser-cancellation message to the copy of `rid` at `site`
-    /// (landing inline for a zero-latency site).
-    fn send_cancel(
-        &mut self,
-        ctx: &mut impl PolicyCtx<FedEv<P::Event>>,
-        site: u32,
-        rid: ReqId,
-        now: SimTime,
-    ) {
-        let latency = self.front.sites[site as usize].meta.latency;
-        if latency == SimDuration::ZERO {
-            self.cancel_clone_at(ctx, site, rid);
-        } else {
-            ctx.schedule(now + latency, FedEv::CancelDeliver { site, rid });
-        }
-    }
-
-    /// Dispatch up to `max_clones` hedge clones of `rid` to the
-    /// front end's runner-up sites. Assumes the router's view was
-    /// refreshed for `fn_idx`.
-    fn dispatch_clones(
+    /// Send hedge clones of `rid` to the sites the front end committed.
+    fn send_clones(
         &mut self,
         ctx: &mut impl PolicyCtx<FedEv<P::Event>>,
         rid: ReqId,
         fn_idx: u32,
-        primary: u32,
+        clones: Vec<usize>,
         now: SimTime,
     ) {
-        let cfg = self.front.hedge.expect("hedging enabled");
-        self.hedges.entry(rid.0).or_insert_with(|| HedgeGroup {
-            copies: vec![primary],
-            fire_token: None,
-        });
-        for _ in 0..cfg.max_clones {
-            let Some(c) = self.front.runner_up(&self.hedges[&rid.0].copies) else {
-                break;
-            };
-            self.hedges
-                .get_mut(&rid.0)
-                .expect("group inserted above")
-                .copies
-                .push(c as u32);
-            self.front.commit(c, now);
+        for c in clones {
             self.tallies[c].per_fn[fn_idx as usize].hedged += 1;
             ctx.note_hedged(fn_idx);
             let latency = self.front.sites[c].meta.latency;
             self.send(ctx, c, latency, rid, fn_idx, now);
-        }
-        // A group that got no clone and has no pending deferred fire
-        // dissolves (nothing to race, nothing to cancel).
-        if self
-            .hedges
-            .get(&rid.0)
-            .is_some_and(|g| g.copies.len() == 1 && g.fire_token.is_none())
-        {
-            self.hedges.remove(&rid.0);
         }
     }
 
@@ -891,45 +844,53 @@ impl<P: ContainerChaos> Federation<P> {
             tally.release(rid.0);
             tally.per_fn[fn_idx as usize].cancelled += 1;
             self.front.sites[site as usize].finished += 1;
+            self.front.loser_settled(rid.0, site);
             ctx.note_cancelled(fn_idx);
         }
     }
 
-    /// Resolve hedge groups whose logical request retired during the
-    /// callback that just returned: first response wins — the other
-    /// copies get cancel messages travelling at their site's latency
-    /// (delivered inline for zero-latency sites), and a pending deferred
-    /// fire is cancelled where the calendar allows (it degrades to a
-    /// liveness-checked no-op where it doesn't).
-    fn drain_hedge_resolutions(&mut self, ctx: &mut impl PolicyCtx<FedEv<P::Event>>, now: SimTime) {
-        if self.hedge_resolved.is_empty() {
-            return;
+    /// Cancel what the front end asked for: the timer where the
+    /// calendar allows, and each copy of `rid`. A copy is marked at once
+    /// (a completion that beats the cancel home is already wasted work)
+    /// but its books are released only when the cancel lands, after the
+    /// copy's latency (inline for a zero-latency site).
+    fn cancel(
+        &mut self,
+        ctx: &mut impl PolicyCtx<FedEv<P::Event>>,
+        rid: u64,
+        cancel: Cancel,
+        now: SimTime,
+    ) {
+        if let Some(token) = cancel.timer {
+            ctx.cancel_scheduled(token);
         }
-        if self.hedges.is_empty() {
-            self.hedge_resolved.clear();
-            return;
-        }
-        let mut resolved = std::mem::take(&mut self.hedge_resolved);
-        for (rid, winner) in resolved.drain(..) {
-            let Some(group) = self.hedges.remove(&rid) else {
-                continue;
-            };
-            if let Some(token) = group.fire_token {
-                ctx.cancel_scheduled(token);
-            }
-            for &site in &group.copies {
-                if site == winner {
-                    continue;
-                }
-                // Mark the loser immediately (accounting-only: a
-                // completion that beats the cancel message home is
-                // already wasted work), but release the site's books
-                // only when the cancel lands.
-                self.tallies[site as usize].hedge_lost.insert(rid);
-                self.send_cancel(ctx, site, ReqId(rid), now);
+        for site in cancel.copies {
+            self.tallies[site as usize].hedge_lost.insert(rid);
+            let latency = self.front.sites[site as usize].meta.latency;
+            let rid = ReqId(rid);
+            if latency == SimDuration::ZERO {
+                self.cancel_clone_at(ctx, site, rid);
+            } else {
+                ctx.schedule(now + latency, FedEv::CancelDeliver { site, rid });
             }
         }
-        self.hedge_resolved = resolved;
+    }
+
+    /// Settle the retirements recorded during the callback that just
+    /// returned — this driver's merge point — in the order they
+    /// happened.
+    fn settle_retired(&mut self, ctx: &mut impl PolicyCtx<FedEv<P::Event>>, now: SimTime) {
+        if self.retired.is_empty() || self.front.hedge.is_none() {
+            self.retired.clear();
+            return;
+        }
+        let mut retired = std::mem::take(&mut self.retired);
+        for (rid, site) in retired.drain(..) {
+            if let Some(cancel) = self.front.settle(rid, site) {
+                self.cancel(ctx, rid, cancel, now);
+            }
+        }
+        self.retired = retired;
     }
 
     /// Deliver a routed request to its site's scheduler.
@@ -942,14 +903,10 @@ impl<P: ContainerChaos> Federation<P> {
         now: SimTime,
     ) {
         let i = site as usize;
-        if self.front.hedge.is_some() && ctx.request_info(rid).is_none() {
-            // A hedge clone arriving after its sibling already answered
-            // (the race resolved while it crossed the network): consumed
-            // at the door, never enters the scheduler.
+        if self.front.door(rid.0, site) {
             let f = &mut self.tallies[i].per_fn[fn_idx as usize];
             f.arrivals += 1;
             f.cancelled += 1;
-            self.front.sites[i].finished += 1;
             ctx.note_cancelled(fn_idx);
             return;
         }
@@ -982,61 +939,35 @@ impl<P: ContainerChaos> Federation<P> {
         now: SimTime,
         delivered: bool,
     ) {
-        // Release the source site's commitment either way.
-        self.front.sites[from].finished += 1;
         if delivered {
             self.tallies[from].release(rid.0);
         }
-        if self.front.hedge.is_some() {
-            // A copy this federation already abandoned (a hedge loser
-            // whose cancel is still in flight, or a retry-abandoned
-            // original) dies with its site instead of migrating — it
-            // must never resurrect as a live copy. So does a hedge clone
-            // with a surviving sibling, or whose request already won: an
-            // orphaned clone must never resurrect an answered request,
-            // and a sibling copy is already racing elsewhere.
-            let abandoned = self.tallies[from].hedge_lost.remove(&rid.0);
-            let sibling_alive = self.hedges.get(&rid.0).is_some_and(|g| g.copies.len() > 1);
-            if abandoned || sibling_alive || ctx.request_info(rid).is_none() {
-                if !abandoned {
-                    if let Some(g) = self.hedges.get_mut(&rid.0) {
-                        g.copies.retain(|&s| s != from as u32);
-                    }
-                }
+        // The copy leaves the site, and its mark with it.
+        self.tallies[from].hedge_lost.remove(&rid.0);
+        let census = census(&self.sites, &self.tallies, fn_idx);
+        match self.front.migrate(rid.0, from, fn_idx, now, census) {
+            Migration::Dies => {
                 if delivered {
                     self.tallies[from].per_fn[fn_idx as usize].cancelled += 1;
                 }
                 ctx.note_cancelled(fn_idx);
-                return;
+            }
+            Migration::Fails(cancel) => {
+                if delivered {
+                    self.tallies[from].per_fn[fn_idx as usize].lost += 1;
+                }
+                ctx.lose(rid);
+                self.cancel(ctx, rid.0, cancel, now);
+            }
+            Migration::Moves(dest, hop) => {
+                if delivered {
+                    // The orphan lost its server; the aggregate rerun
+                    // counter is the cross-site view of that.
+                    ctx.rerun(rid);
+                }
+                self.send(ctx, dest, hop, rid, fn_idx, now);
             }
         }
-        let census = census(&self.sites, &self.tallies, fn_idx);
-        let Some((dest, hop)) = self.front.migrate(from, fn_idx, now, census) else {
-            // Nowhere to go: the request is failed.
-            if delivered {
-                self.tallies[from].per_fn[fn_idx as usize].lost += 1;
-            }
-            ctx.lose(rid);
-            if self.front.hedge.is_some() {
-                // The last copy of a hedged request failing retires the
-                // logical request: resolve its (loser-free) group.
-                self.hedge_resolved.push((rid.0, from as u32));
-            }
-            return;
-        };
-        if delivered {
-            // The orphan lost its server; the aggregate rerun counter is
-            // the cross-site view of that.
-            ctx.rerun(rid);
-        }
-        // The surviving last copy moves: keep the group's site map honest
-        // so a later resolution cancels the right place.
-        if let Some(g) = self.hedges.get_mut(&rid.0) {
-            if let Some(p) = g.copies.iter_mut().find(|s| **s == from as u32) {
-                *p = dest as u32;
-            }
-        }
-        self.send(ctx, dest, hop, rid, fn_idx, now);
     }
 }
 
@@ -1075,29 +1006,21 @@ impl<P: ContainerChaos> SchedulerPolicy for Federation<P> {
             .front
             .pick(fn_idx, now, census(&self.sites, &self.tallies, fn_idx));
         self.front.commit(chosen, now);
+        // The race opens before the primary leaves: a zero-latency
+        // primary is delivered inline, and may bounce and migrate, or
+        // answer, before this call returns.
+        let step = self.front.open_race(rid.0, chosen, now);
         let latency = self.front.sites[chosen].meta.latency;
         self.send(ctx, chosen, latency, rid, fn_idx, now);
-        // A zero-latency primary may already have answered inline;
-        // don't hedge a request that is no longer live.
-        if self.front.hedge.is_some() && ctx.request_info(rid).is_some() {
-            match self.front.hedge_step(chosen, now) {
-                Some(HedgeStep::Clone) => {
-                    self.dispatch_clones(ctx, rid, fn_idx, chosen as u32, now)
-                }
-                Some(HedgeStep::Arm(at)) => {
-                    let token = ctx.schedule_cancellable(at, FedEv::HedgeFire { rid, fn_idx });
-                    self.hedges.insert(
-                        rid.0,
-                        HedgeGroup {
-                            copies: vec![chosen as u32],
-                            fire_token: token,
-                        },
-                    );
-                }
-                None => {}
+        match step {
+            Some(HedgeStep::Clone(clones)) => self.send_clones(ctx, rid, fn_idx, clones, now),
+            Some(HedgeStep::Arm(at)) => {
+                let token = ctx.schedule_cancellable(at, FedEv::HedgeFire { rid, fn_idx });
+                self.front.arm_race(rid.0, token);
             }
+            None => {}
         }
-        self.drain_hedge_resolutions(ctx, now);
+        self.settle_retired(ctx, now);
     }
 
     fn on_event(&mut self, ctx: &mut impl PolicyCtx<Self::Event>, ev: Self::Event, now: SimTime) {
@@ -1112,38 +1035,10 @@ impl<P: ContainerChaos> SchedulerPolicy for Federation<P> {
                 policy.on_event(&mut sctx, ev, now);
             }
             FedEv::HedgeFire { rid, fn_idx } => {
-                // Fires only while the group is unresolved (a resolved
-                // group cancelled this event, or — under an
-                // uncancellable calendar — removed the group, making
-                // this a no-op).
-                if self.hedges.contains_key(&rid.0) && ctx.request_info(rid).is_some() {
-                    let g = self.hedges.get_mut(&rid.0).expect("checked above");
-                    g.fire_token = None;
-                    let primary = g.copies[0];
-                    if !self.front.hedge_within_budget() {
-                        // Over the waste budget: no clone, no retry. A
-                        // clone-less group has nothing left to race.
-                        self.hedges.remove(&rid.0);
-                        return;
-                    }
-                    let census = census(&self.sites, &self.tallies, fn_idx);
-                    self.front.refresh(fn_idx, now, census);
-                    self.dispatch_clones(ctx, rid, fn_idx, primary, now);
-                    let retry = self.front.hedge.is_some_and(|cfg| cfg.retry_after_ms > 0.0);
-                    // Retry, not hedge: the original is abandoned once its
-                    // replacement exists — a late answer from it is
-                    // wasted work, not a win.
-                    let replaced = retry
-                        && self
-                            .hedges
-                            .get_mut(&rid.0)
-                            .filter(|g| g.copies.len() > 1 && g.copies[0] == primary)
-                            .map(|g| g.copies.remove(0))
-                            .is_some();
-                    if replaced {
-                        self.tallies[primary as usize].hedge_lost.insert(rid.0);
-                        self.send_cancel(ctx, primary, rid, now);
-                    }
+                let census = census(&self.sites, &self.tallies, fn_idx);
+                if let Some(fired) = self.front.fire_race(rid.0, fn_idx, now, census) {
+                    self.send_clones(ctx, rid, fn_idx, fired.clones, now);
+                    self.cancel(ctx, rid.0, fired.cancel, now);
                 }
             }
             FedEv::CancelDeliver { site, rid } => self.cancel_clone_at(ctx, site, rid),
@@ -1173,10 +1068,13 @@ impl<P: ContainerChaos> SchedulerPolicy for Federation<P> {
                 }
             }
         }
-        self.drain_hedge_resolutions(ctx, now);
+        self.settle_retired(ctx, now);
     }
 
     fn finish(self, outcome: EngineOutcome) -> Self::Report {
+        self.front.audit_races(outcome.outstanding, |rid, site| {
+            self.tallies[site as usize].live.contains_key(&rid)
+        });
         let duration = outcome.duration_secs;
         let multidim = self.front.multidim;
         let parts = self
@@ -1241,23 +1139,21 @@ impl<P: ContainerChaos> ChaosTarget for Federation<P> {
                 // response time now includes the stall.
                 let stalled = std::mem::take(&mut self.tallies[i].stalled);
                 for (rid, started) in stalled {
-                    if let Some(c) = ctx.complete(ReqId(rid), started, now) {
+                    if self.tallies[i].hedge_lost.remove(&rid) {
+                        // The race went against this copy while it was
+                        // stalled behind the cut: the held response is
+                        // wasted work, and the copy leaves the books as
+                        // cancelled rather than completed.
+                        let secs = now.saturating_since(started).as_secs_f64();
+                        self.front.sites[i].waste(secs);
+                        self.cancel_clone_at(ctx, i as u32, ReqId(rid));
+                    } else if let Some(c) = ctx.complete(ReqId(rid), started, now) {
                         let tally = &mut self.tallies[i];
                         tally.live.remove(&rid);
                         tally.record_completion(&c);
                         self.front.record_completion(i, c.service);
-                        if self.front.hedge.is_some() {
-                            self.hedge_resolved.push((rid, i as u32));
-                        }
+                        self.retired.push((rid, i as u32));
                     } else if self.front.hedge.is_some() {
-                        // A sibling copy won while this one was stalled
-                        // behind the cut: the held response is wasted
-                        // work, and the clone leaves the books as
-                        // cancelled rather than completed.
-                        if self.tallies[i].hedge_lost.remove(&rid) {
-                            let secs = now.saturating_since(started).as_secs_f64();
-                            self.front.sites[i].waste(secs);
-                        }
                         self.cancel_clone_at(ctx, i as u32, ReqId(rid));
                     }
                 }
@@ -1269,7 +1165,7 @@ impl<P: ContainerChaos> ChaosTarget for Federation<P> {
                 self.tallies[i].chaos_crashes += crashed;
             }
         }
-        self.drain_hedge_resolutions(ctx, now);
+        self.settle_retired(ctx, now);
     }
 }
 

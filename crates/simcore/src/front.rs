@@ -4,9 +4,8 @@
 //! router side knows and decides lives here, once: the per-site
 //! commitment counters and fault flags, the λ̂/μ̂ predictors and health
 //! EWMAs, the routing refresh and pick, the delayed-telemetry publish /
-//! arrive / directive steps, the hedge trigger, runner-up ranking and
-//! waste budget, the front half of fault handling and migration, and the
-//! router's half of the per-site report.
+//! arrive / directive steps, the hedge race, the front half of fault
+//! handling and migration, and the router's half of the per-site report.
 //!
 //! The two drivers differ only in transport. The sequential
 //! [`Federation`](crate::federation::Federation) carries requests and
@@ -26,6 +25,20 @@
 //! The oracle forecast column — an M/M/c evaluation per site, the bulk
 //! of a refresh — is filled only when someone reads it: a router whose
 //! [`RouterPolicy::reads_forecast`] is `true`, or the hedge trigger.
+//!
+//! # The hedge race
+//!
+//! One ledger here keeps every open hedge race and decides it; the
+//! drivers only carry the clones, cancels and timers it asks for. A race
+//! opens after the pick ([`Front::open_race`]) and may clone again when
+//! its timer fires ([`Front::fire_race`]), where a retry also abandons
+//! the primary. The first terminal outcome the driver reports wins
+//! ([`Front::settle`]); later ones, and an abandoned copy's, are wasted
+//! work. On a site failure only the last racing copy of an unresolved
+//! race moves ([`Front::migrate`]), and a delivery that arrives after
+//! its race resolved is eaten at the door ([`Front::door`]). A resolved
+//! race stays until every loser reached its terminal event, so these
+//! verdicts hold for copies still in flight.
 
 use crate::chaos::Fault;
 use crate::engine::FnStats;
@@ -37,6 +50,7 @@ use crate::router::{predicted_score, ResourceSnapshot, RouterConfig, RouterPolic
 use crate::telemetry::{ReconcilerSeam, TelemetryConfig, TelemetryRuntime, TelemetrySnapshot};
 use crate::time::{SimDuration, SimTime};
 use lass_queueing::{EvaluatedForecast, ForecastCache, HealthEwma, WaitPredictor};
+use std::collections::BTreeMap;
 
 /// The router's bookkeeping for one site.
 pub(crate) struct RouterSite {
@@ -188,12 +202,56 @@ pub(crate) enum SiteWork {
     Burst(u32),
 }
 
-/// What a hedged dispatch does right away.
+/// What opening a hedge race does right away: send clones already
+/// committed to these sites, or arm a timer at this instant and hand
+/// its token to [`Front::arm_race`].
 pub(crate) enum HedgeStep {
-    /// Clone to the runner-up site(s) now.
-    Clone,
-    /// Arm a deferred trigger or retry deadline firing at this instant.
+    Clone(Vec<usize>),
     Arm(SimTime),
+}
+
+/// A fired timer's clones to send (they inherit the front-door
+/// `arrival`), and what to cancel: the primary a retry abandoned.
+pub(crate) struct Fired {
+    pub(crate) arrival: SimTime,
+    pub(crate) clones: Vec<usize>,
+    pub(crate) cancel: Cancel,
+}
+
+/// What the driver cancels: the copies at these sites, and the pending
+/// timer.
+#[derive(Default)]
+pub(crate) struct Cancel {
+    pub(crate) copies: Vec<u32>,
+    pub(crate) timer: Option<u64>,
+}
+
+/// Where a copy on a failing site goes: nowhere (it dies), nowhere
+/// because no site is routable (the request fails, settling its race),
+/// or to a site after a hop.
+pub(crate) enum Migration {
+    Dies,
+    Fails(Cancel),
+    Moves(usize, SimDuration),
+}
+
+/// One logical request's hedge race.
+#[derive(Default)]
+struct Race {
+    /// Sites holding or about to receive a racing copy; primary first.
+    copies: Vec<u32>,
+    /// Token of the pending deferred trigger or retry deadline.
+    fire: Option<u64>,
+    resolved: bool,
+    /// The site whose copy a retry abandoned, until that copy answers:
+    /// its outcome never wins.
+    abandoned: Option<u32>,
+    /// Sites still booking an abandoned or losing copy. A site books
+    /// one copy of a request, so a copy leaving a site settles what is
+    /// owed there; a resolved race owed nothing is dropped.
+    owed: Vec<u32>,
+    /// The front-door arrival, which every copy inherits.
+    arrival: SimTime,
 }
 
 /// The router's view of a site before any telemetry.
@@ -242,6 +300,8 @@ pub(crate) struct Front {
     pub(crate) hedge: Option<HedgeConfig>,
     /// Logical completions so far: the waste budget's denominator.
     pub(crate) completed: usize,
+    /// Open hedge races by logical request id (empty unless hedging).
+    races: BTreeMap<u64, Race>,
 }
 
 impl Front {
@@ -268,6 +328,7 @@ impl Front {
             multidim: false,
             hedge: None,
             completed: 0,
+            races: BTreeMap::new(),
         }
     }
 
@@ -410,7 +471,7 @@ impl Front {
     /// Whether the waste-admission budget permits another clone or
     /// retry: the fraction of wasted completions among finished work
     /// must stay under `waste_budget` (`0` = unlimited).
-    pub(crate) fn hedge_within_budget(&self) -> bool {
+    fn hedge_within_budget(&self) -> bool {
         let Some(cfg) = self.hedge else { return false };
         if cfg.waste_budget <= 0.0 {
             return true;
@@ -419,37 +480,11 @@ impl Front {
         wasted == 0 || (wasted as f64) < cfg.waste_budget * ((self.completed + wasted) as f64)
     }
 
-    /// What a hedged dispatch to `chosen` does at `now` (states fresh
-    /// from the pick): a speculative-retry deadline or deferred trigger
-    /// arms a timer; an immediate trigger clones now, as does the
-    /// predicted-p95 trigger when the primary's predicted response
-    /// already exceeds the SLO — both only within the waste budget.
-    pub(crate) fn hedge_step(&self, chosen: usize, now: SimTime) -> Option<HedgeStep> {
-        let cfg = self.hedge?;
-        let after = |ms: f64| HedgeStep::Arm(now + SimDuration::from_secs_f64(ms / 1e3));
-        if cfg.retry_after_ms > 0.0 {
-            return Some(after(cfg.retry_after_ms));
-        }
-        let rc = &self.router_cfg;
-        match cfg.trigger {
-            HedgeTrigger::DeferredMs(ms) => Some(after(ms)),
-            HedgeTrigger::Immediate => self.hedge_within_budget().then_some(HedgeStep::Clone),
-            HedgeTrigger::PredictedP95OverSlo => {
-                let score = predicted_score(
-                    &self.states[chosen],
-                    rc.percentile,
-                    rc.cold_start_penalty_ms / 1e3,
-                );
-                (score > rc.slo_ms / 1e3 && self.hedge_within_budget()).then_some(HedgeStep::Clone)
-            }
-        }
-    }
-
     /// The best-scored view-up site not in `copies` — the next hedge
     /// clone's destination. Ranks by the predicted score the model
     /// routers use but never touches the router itself, so the primary
     /// decision stream is unperturbed. Assumes the states are fresh.
-    pub(crate) fn runner_up(&self, copies: &[u32]) -> Option<usize> {
+    fn runner_up(&self, copies: &[u32]) -> Option<usize> {
         let pct = self.router_cfg.percentile;
         let cold = self.router_cfg.cold_start_penalty_ms / 1e3;
         let mut best: Option<(f64, usize)> = None;
@@ -463,6 +498,189 @@ impl Front {
             }
         }
         best.map(|(_, i)| i)
+    }
+
+    /// Open the race of `rid`, just routed to `primary` at `now` (states
+    /// fresh from the pick). A retry deadline or deferred trigger arms a
+    /// timer; an immediate trigger clones now, as does the predicted-p95
+    /// one when the primary is predicted to miss the SLO — both only
+    /// within the waste budget. `None`: no race.
+    pub(crate) fn open_race(
+        &mut self,
+        rid: u64,
+        primary: usize,
+        now: SimTime,
+    ) -> Option<HedgeStep> {
+        let cfg = self.hedge?;
+        let race = Race {
+            copies: vec![primary as u32],
+            arrival: now,
+            ..Race::default()
+        };
+        let deadline_ms = match cfg.trigger {
+            _ if cfg.retry_after_ms > 0.0 => cfg.retry_after_ms,
+            HedgeTrigger::DeferredMs(ms) => ms,
+            HedgeTrigger::Immediate | HedgeTrigger::PredictedP95OverSlo => {
+                let rc = &self.router_cfg;
+                let late = cfg.trigger == HedgeTrigger::Immediate
+                    || predicted_score(
+                        &self.states[primary],
+                        rc.percentile,
+                        rc.cold_start_penalty_ms / 1e3,
+                    ) > rc.slo_ms / 1e3;
+                return (late && self.hedge_within_budget())
+                    .then(|| HedgeStep::Clone(self.clone_race(rid, race, now)));
+            }
+        };
+        self.races.insert(rid, race);
+        Some(HedgeStep::Arm(
+            now + SimDuration::from_secs_f64(deadline_ms / 1e3),
+        ))
+    }
+
+    /// Record the token of the timer [`HedgeStep::Arm`] asked for
+    /// (`None` if the calendar cannot cancel it).
+    pub(crate) fn arm_race(&mut self, rid: u64, token: Option<u64>) {
+        if let Some(race) = self.races.get_mut(&rid) {
+            race.fire = token;
+        }
+    }
+
+    /// Commit up to `max_clones` clones of `race` to the runner-up sites
+    /// and return them. A race with one copy and no timer dissolves.
+    fn clone_race(&mut self, rid: u64, mut race: Race, now: SimTime) -> Vec<usize> {
+        let mut clones = Vec::new();
+        for _ in 0..self.hedge.map_or(0, |cfg| cfg.max_clones) {
+            let Some(c) = self.runner_up(&race.copies) else {
+                break;
+            };
+            race.copies.push(c as u32);
+            self.commit(c, now);
+            clones.push(c);
+        }
+        if race.copies.len() > 1 || race.fire.is_some() {
+            self.races.insert(rid, race);
+        }
+        clones
+    }
+
+    /// The timer of `rid` fires at `now`. An unresolved race clones from
+    /// a fresh view for `fn_idx`, within the waste budget (over it, the
+    /// race dissolves). A retry then abandons the primary: a late answer
+    /// from it is wasted work, not a win.
+    pub(crate) fn fire_race<C: FnMut(usize) -> Census>(
+        &mut self,
+        rid: u64,
+        fn_idx: u32,
+        now: SimTime,
+        census: C,
+    ) -> Option<Fired> {
+        self.races.get(&rid).filter(|race| !race.resolved)?;
+        let mut race = self.races.remove(&rid)?;
+        race.fire = None;
+        let (primary, arrival) = (race.copies[0], race.arrival);
+        if !self.hedge_within_budget() {
+            return None;
+        }
+        self.refresh(fn_idx, now, census);
+        let clones = self.clone_race(rid, race, now);
+        let retry = self.hedge.is_some_and(|cfg| cfg.retry_after_ms > 0.0);
+        let mut cancel = Cancel::default();
+        if let Some(race) = self.races.get_mut(&rid) {
+            if retry && race.copies.len() > 1 && race.copies[0] == primary {
+                race.copies.remove(0);
+                race.abandoned = Some(primary);
+                race.owed.push(primary);
+                cancel.copies.push(primary);
+            }
+        }
+        Some(Fired {
+            arrival,
+            clones,
+            cancel,
+        })
+    }
+
+    /// Settle a terminal outcome of `rid` at `site`, in the order the
+    /// driver observes them. The first wins: the race resolves and hands
+    /// back its other copies and its timer to cancel. A later outcome,
+    /// or an abandoned copy's, loses (`None`). A request without a race
+    /// wins with nothing to cancel.
+    pub(crate) fn settle(&mut self, rid: u64, site: u32) -> Option<Cancel> {
+        let Some(race) = self.races.get_mut(&rid) else {
+            return Some(Cancel::default());
+        };
+        if race.resolved || race.abandoned == Some(site) {
+            self.loser_settled(rid, site);
+            return None;
+        }
+        race.resolved = true;
+        let mut losers = std::mem::take(&mut race.copies);
+        losers.retain(|&s| s != site);
+        race.owed.retain(|&s| s != site);
+        race.owed.extend_from_slice(&losers);
+        let timer = race.fire.take();
+        if race.owed.is_empty() {
+            self.races.remove(&rid);
+        }
+        Some(Cancel {
+            copies: losers,
+            timer,
+        })
+    }
+
+    /// Whether the copy of `rid` at failing site `from` dies instead of
+    /// migrating: an abandoned copy, a copy with a sibling racing
+    /// elsewhere, or one whose race is won — an orphaned copy must never
+    /// resurrect a request that was answered or given up on.
+    fn race_dies(&mut self, rid: u64, from: u32) -> bool {
+        let Some(race) = self.races.get_mut(&rid) else {
+            return false;
+        };
+        if race.resolved || race.abandoned == Some(from) {
+            self.loser_settled(rid, from);
+            return true;
+        }
+        let sibling = race.copies.len() > 1;
+        if sibling {
+            race.copies.retain(|&s| s != from);
+        }
+        sibling
+    }
+
+    /// Whether a delivery of `rid` reaching `site` is eaten at the door
+    /// because its race resolved while the copy crossed the network. An
+    /// eaten copy never enters the site.
+    pub(crate) fn door(&mut self, rid: u64, site: u32) -> bool {
+        if !self.races.get(&rid).is_some_and(|race| race.resolved) {
+            return false;
+        }
+        self.sites[site as usize].finished += 1;
+        self.loser_settled(rid, site);
+        true
+    }
+
+    /// The losing or abandoned copy of `rid` at `site` reached its
+    /// terminal event (a cancel released it, it lost, died or was eaten
+    /// at the door). A resolved race owed nothing more is dropped.
+    pub(crate) fn loser_settled(&mut self, rid: u64, site: u32) {
+        let Some(race) = self.races.get_mut(&rid) else {
+            return;
+        };
+        race.abandoned.take_if(|s| *s == site);
+        race.owed.retain(|&s| s != site);
+        if race.resolved && race.owed.is_empty() {
+            self.races.remove(&rid);
+        }
+    }
+
+    /// A copy of `rid` that must not win ran out at `site` as wasted
+    /// work. It will not answer again, so the site no longer holds an
+    /// abandoned copy; its books are released when its cancel lands.
+    pub(crate) fn wasted(&mut self, rid: u64, site: u32) {
+        if let Some(race) = self.races.get_mut(&rid) {
+            race.abandoned.take_if(|s| *s == site);
+        }
     }
 
     /// A delivery bounced off dark site `i`. Under delayed telemetry the
@@ -598,28 +816,54 @@ impl Front {
         Some(work)
     }
 
-    /// The front half of migrating a request off site `from` at `now`
-    /// (after the driver released the source commitment and ruled out
-    /// hedge copies that must die instead): with no routable site left,
-    /// count it failed and return `None`; otherwise pick and book the
-    /// destination and return it with the re-delivery hop (inbound
-    /// latency plus the migration penalty).
+    /// The front half of migrating request `rid` off site `from` at
+    /// `now`: release the source commitment and ask the race whether the
+    /// copy dies. A moving copy fails when no site is routable; otherwise
+    /// pick and book the destination, follow it in the race, and return
+    /// the re-delivery hop (inbound latency plus the migration penalty).
     pub(crate) fn migrate<C: FnMut(usize) -> Census>(
         &mut self,
+        rid: u64,
         from: usize,
         fn_idx: u32,
         now: SimTime,
         census: C,
-    ) -> Option<(usize, SimDuration)> {
+    ) -> Migration {
+        self.sites[from].finished += 1;
+        if self.race_dies(rid, from as u32) {
+            return Migration::Dies;
+        }
         if !self.any_routable() {
             self.sites[from].failed += 1;
-            return None;
+            return Migration::Fails(self.settle(rid, from as u32).unwrap_or_default());
         }
         self.sites[from].migrated_out += 1;
         let dest = self.pick(fn_idx, now, census);
         self.commit(dest, now);
         self.sites[dest].migrated_in += 1;
-        Some((dest, self.sites[dest].meta.latency + self.migration_penalty))
+        if let Some(race) = self.races.get_mut(&rid) {
+            if let Some(copy) = race.copies.iter_mut().find(|s| **s == from as u32) {
+                *copy = dest as u32;
+            }
+            race.owed.retain(|&s| s != from as u32);
+        }
+        Migration::Moves(dest, self.sites[dest].meta.latency + self.migration_penalty)
+    }
+
+    /// Audit the race ledger at the end of a run (debug builds): a
+    /// resolved race is open only for losers still `held(rid, site)` by
+    /// their site, and every unresolved one is an outstanding request.
+    pub(crate) fn audit_races(&self, outstanding: usize, held: impl Fn(u64, u32) -> bool) {
+        debug_assert!(
+            self.races
+                .iter()
+                .all(|(&rid, race)| !race.resolved || race.owed.iter().all(|&s| held(rid, s))),
+            "a resolved hedge race still owes a loser its site no longer holds"
+        );
+        debug_assert!(
+            self.races.values().filter(|race| !race.resolved).count() <= outstanding,
+            "more unresolved hedge races than the {outstanding} requests outstanding"
+        );
     }
 
     /// Assemble the federated report. `site_parts` yields, per site in

@@ -12,13 +12,14 @@
 //!
 //! Both drivers share one front end (the crate-private `front` module):
 //! the router's per-site state, the routing refresh and pick, the
-//! telemetry publish / arrive / directive steps, the hedge trigger,
-//! runner-up ranking and waste budget, the front half of faults and
-//! migration, and the router's half of the report. The federation is
-//! handed over in one piece. What this driver owns is its transport:
-//! the front calendar (`FeEv`), the per-site shards with their inboxes
-//! and outcome logs, the window loop and the deterministic merge, and
-//! its hedge groups, whose races it resolves at merge.
+//! telemetry publish / arrive / directive steps, the hedge race, the
+//! front half of faults and migration, and the router's half of the
+//! report. The federation is handed over in one piece. What this driver
+//! owns is its transport: the front calendar (`FeEv`), the per-site
+//! shards with their inboxes and outcome logs, the window loop and the
+//! deterministic merge. The merge hands each terminal outcome to the
+//! front end's race ledger in merge order, so a hedge race has the same
+//! winner at every thread count.
 //!
 //! # Execution model
 //!
@@ -95,7 +96,7 @@ use crate::engine::{
 };
 use crate::events::EventQueue;
 use crate::federation::{FederatedReport, Federation, SiteRebuild};
-use crate::front::{Census, Front, HedgeStep, SiteWork};
+use crate::front::{Cancel, Census, Front, HedgeStep, Migration, SiteWork};
 use crate::metrics::SampleStats;
 use crate::rng::SimRng;
 use crate::telemetry::TelemetrySnapshot;
@@ -657,29 +658,6 @@ enum FeEv {
     },
 }
 
-/// Front-end bookkeeping for one hedged logical request.
-struct FeHedge {
-    /// Original arrival instant (clones inherit it so their shard-side
-    /// wait/response include the time since the logical arrival, as in
-    /// the sequential engine's shared request record).
-    arrival: SimTime,
-    /// Sites currently holding (or about to receive) a copy;
-    /// `copies[0]` is the primary.
-    copies: Vec<u32>,
-    /// Cancellable calendar token of a pending deferred fire.
-    fire_token: Option<u64>,
-    /// Whether the first response already won the race.
-    resolved: bool,
-    /// Losers still owing a terminal event (cancel landing,
-    /// dead-on-arrival delivery, or wasted completion); the group is
-    /// dropped when this reaches zero.
-    pending_losers: usize,
-    /// Sites whose copy was abandoned *before* resolution (speculative
-    /// retry): their terminal log entry is always wasted work, never
-    /// the winner.
-    lost: Vec<u32>,
-}
-
 /// Everything the main thread owns between worker phases.
 struct Frontend<P: ContainerChaos> {
     calendar: EventQueue<FeEv>,
@@ -698,8 +676,6 @@ struct Frontend<P: ContainerChaos> {
     lost_total: usize,
     next_rid: u64,
     end: SimTime,
-    /// Live hedge groups by logical request id (empty unless hedging).
-    hedges: BTreeMap<u64, FeHedge>,
     /// The merge phase's buffer, kept across windows so a window does
     /// not allocate one.
     merged: Vec<(u32, LogEntry)>,
@@ -762,46 +738,32 @@ impl<P: ContainerChaos> Frontend<P> {
         );
     }
 
-    /// Send the copy of `rid` at `site` a loser-cancellation message.
-    fn cancel_at(&mut self, site: u32, rid: u64, now: SimTime) {
-        let at = now + self.front.sites[site as usize].meta.latency;
-        self.calendar.schedule(at, FeEv::CancelDue { site, rid });
-    }
-
-    /// One loser copy of `rid` reached its terminal event; the group is
-    /// dropped once no loser is owed.
-    fn settle_loser(&mut self, rid: u64) {
-        if let Some(g) = self.hedges.get_mut(&rid) {
-            g.pending_losers = g.pending_losers.saturating_sub(1);
-            if g.pending_losers == 0 {
-                self.hedges.remove(&rid);
-            }
-        }
-    }
-
-    /// Dispatch hedge clones for `rid` to the front end's runner-up
-    /// sites (states fresh for this decision). A group that ends with a
-    /// single copy and no pending deferred fire dissolves.
-    fn dispatch_clones(&mut self, rid: u64, fn_idx: u32, now: SimTime) {
-        let Some(hcfg) = self.front.hedge else { return };
-        for _ in 0..hcfg.max_clones {
-            let Some(c) = self.front.runner_up(&self.hedges[&rid].copies) else {
-                break;
-            };
-            let group = self.hedges.get_mut(&rid).expect("group inserted by caller");
-            group.copies.push(c as u32);
-            let arrival = group.arrival;
-            self.front.commit(c, now);
+    /// Send hedge clones of `rid` (which arrived at the front door at
+    /// `arrival`) to the sites the front end committed.
+    fn send_clones(
+        &mut self,
+        rid: u64,
+        fn_idx: u32,
+        clones: Vec<usize>,
+        arrival: SimTime,
+        now: SimTime,
+    ) {
+        for c in clones {
             self.agg[fn_idx as usize].hedged += 1;
             let latency = self.front.sites[c].meta.latency;
             self.dispatch(c, latency, rid, fn_idx, arrival, now);
         }
-        if self
-            .hedges
-            .get(&rid)
-            .is_some_and(|g| g.copies.len() == 1 && g.fire_token.is_none())
-        {
-            self.hedges.remove(&rid);
+    }
+
+    /// Cancel what the front end asked for at `now`: the timer, and
+    /// each copy of `rid` by a message travelling at its site's latency.
+    fn cancel(&mut self, rid: u64, cancel: Cancel, now: SimTime) {
+        if let Some(token) = cancel.timer {
+            self.calendar.cancel(token);
+        }
+        for site in cancel.copies {
+            let at = now + self.front.sites[site as usize].meta.latency;
+            self.calendar.schedule(at, FeEv::CancelDue { site, rid });
         }
     }
 
@@ -819,67 +781,36 @@ impl<P: ContainerChaos> Frontend<P> {
         now: SimTime,
         delivered: bool,
     ) {
-        self.front.sites[from].finished += 1;
-        if let Some(g) = self.hedges.get_mut(&rid) {
-            // A copy this front end already abandoned (retry) dies with
-            // its site instead of migrating — its pending cancel finds
-            // nothing and the loser debt settles here. So does a hedge
-            // clone with a surviving sibling, or whose request already
-            // won: an orphaned clone must never resurrect an answered
-            // request, and a sibling copy is already racing elsewhere.
-            let abandoned = g.lost.iter().position(|&s| s == from as u32);
-            if abandoned.is_some() || g.copies.len() > 1 || g.resolved {
-                match abandoned {
-                    Some(p) => {
-                        g.lost.remove(p);
-                    }
-                    None => g.copies.retain(|&s| s != from as u32),
-                }
-                if abandoned.is_some() || g.resolved {
-                    g.pending_losers = g.pending_losers.saturating_sub(1);
-                }
-                if g.resolved && g.pending_losers == 0 {
-                    self.hedges.remove(&rid);
-                }
+        match self
+            .front
+            .migrate(rid, from, fn_idx, now, census(shards, fn_idx))
+        {
+            Migration::Dies => {
                 self.agg[fn_idx as usize].cancelled += 1;
                 if delivered {
                     let mut shard = shards[from].lock().expect("shard lock");
                     shard.st.per_fn[fn_idx as usize].cancelled += 1;
                 }
-                return;
+            }
+            Migration::Fails(cancel) => {
+                // Nowhere to go: the request is failed (engine-level lost).
+                if delivered {
+                    let mut shard = shards[from].lock().expect("shard lock");
+                    shard.st.per_fn[fn_idx as usize].lost += 1;
+                }
+                self.agg[fn_idx as usize].lost += 1;
+                self.lost_total += 1;
+                self.cancel(rid, cancel, now);
+            }
+            Migration::Moves(dest, hop) => {
+                if delivered {
+                    // The orphan lost its server; the aggregate rerun
+                    // counter is the cross-site view of that.
+                    self.agg[fn_idx as usize].reruns += 1;
+                }
+                self.dispatch(dest, hop, rid, fn_idx, arrival, now);
             }
         }
-        let Some((dest, hop)) = self
-            .front
-            .migrate(from, fn_idx, now, census(shards, fn_idx))
-        else {
-            // Nowhere to go: the request is failed (engine-level lost).
-            if delivered {
-                let mut shard = shards[from].lock().expect("shard lock");
-                shard.st.per_fn[fn_idx as usize].lost += 1;
-            }
-            self.agg[fn_idx as usize].lost += 1;
-            self.lost_total += 1;
-            // The last copy of a hedged request failing retires its
-            // (loser-free) group.
-            if let Some(token) = self.hedges.remove(&rid).and_then(|g| g.fire_token) {
-                self.calendar.cancel(token);
-            }
-            return;
-        };
-        if delivered {
-            // The orphan lost its server; the aggregate rerun counter is
-            // the cross-site view of that.
-            self.agg[fn_idx as usize].reruns += 1;
-        }
-        if let Some(g) = self.hedges.get_mut(&rid) {
-            // The surviving last copy moves: keep the group's site map
-            // honest so a later resolution cancels the right place.
-            if let Some(p) = g.copies.iter_mut().find(|s| **s == from as u32) {
-                *p = dest as u32;
-            }
-        }
-        self.dispatch(dest, hop, rid, fn_idx, arrival, now);
     }
 
     /// Apply one fault at a window barrier: the front end flips its
@@ -953,30 +884,16 @@ impl<P: ContainerChaos> Frontend<P> {
                     self.front.commit(chosen, now);
                     let latency = self.front.sites[chosen].meta.latency;
                     self.dispatch(chosen, latency, rid, fn_idx, now, now);
-                    if self.front.hedge.is_some() {
-                        self.hedges.insert(
-                            rid,
-                            FeHedge {
-                                arrival: now,
-                                copies: vec![chosen as u32],
-                                fire_token: None,
-                                resolved: false,
-                                pending_losers: 0,
-                                lost: Vec::new(),
-                            },
-                        );
-                        match self.front.hedge_step(chosen, now) {
-                            Some(HedgeStep::Clone) => self.dispatch_clones(rid, fn_idx, now),
-                            Some(HedgeStep::Arm(at)) => {
-                                let fire = FeEv::HedgeFire { rid, fn_idx };
-                                let token = self.calendar.schedule_cancellable(at, fire);
-                                self.hedges.get_mut(&rid).expect("just inserted").fire_token =
-                                    Some(token);
-                            }
-                            None => {
-                                self.hedges.remove(&rid);
-                            }
+                    match self.front.open_race(rid, chosen, now) {
+                        Some(HedgeStep::Clone(clones)) => {
+                            self.send_clones(rid, fn_idx, clones, now, now)
                         }
+                        Some(HedgeStep::Arm(at)) => {
+                            let fire = FeEv::HedgeFire { rid, fn_idx };
+                            let token = self.calendar.schedule_cancellable(at, fire);
+                            self.front.arm_race(rid, Some(token));
+                        }
+                        None => {}
                     }
                 }
                 self.schedule_next_arrival(fn_idx, now);
@@ -988,17 +905,8 @@ impl<P: ContainerChaos> Frontend<P> {
                 arrival,
             } => {
                 let i = site as usize;
-                if self.hedges.get(&rid).is_some_and(|g| g.resolved) {
-                    // A hedge clone arriving after its sibling already
-                    // answered (the race resolved while it crossed the
-                    // network): consumed at the door, never enters the
-                    // scheduler.
-                    self.front.sites[i].finished += 1;
+                if self.front.door(rid, site) {
                     self.agg[fn_idx as usize].cancelled += 1;
-                    if let Some(g) = self.hedges.get_mut(&rid) {
-                        g.copies.retain(|&s| s != site);
-                    }
-                    self.settle_loser(rid);
                 } else if self.front.sites[i].routable() {
                     let msg = Msg::Deliver {
                         rid,
@@ -1039,77 +947,14 @@ impl<P: ContainerChaos> Frontend<P> {
                 }
             }
             FeEv::HedgeFire { rid, fn_idx } => {
-                let Some(g) = self.hedges.get_mut(&rid).filter(|g| !g.resolved) else {
-                    return;
-                };
-                g.fire_token = None;
-                let primary = g.copies[0];
-                if !self.front.hedge_within_budget() {
-                    // Over the waste budget: no clone, no retry — the
-                    // group has nothing to race.
-                    self.hedges.remove(&rid);
-                    return;
-                }
-                self.front.refresh(fn_idx, now, census(shards, fn_idx));
-                self.dispatch_clones(rid, fn_idx, now);
-                if self.front.hedge.is_some_and(|cfg| cfg.retry_after_ms > 0.0) {
-                    // Retry, not hedge: abandon the original once its
-                    // replacement exists — a late answer from it is
-                    // wasted work, not a win.
-                    if let Some(g) = self.hedges.get_mut(&rid) {
-                        if g.copies.len() > 1 && g.copies[0] == primary {
-                            g.copies.remove(0);
-                            g.lost.push(primary);
-                            g.pending_losers += 1;
-                            self.cancel_at(primary, rid, now);
-                        }
-                    }
+                let census = census(shards, fn_idx);
+                if let Some(fired) = self.front.fire_race(rid, fn_idx, now, census) {
+                    self.send_clones(rid, fn_idx, fired.clones, fired.arrival, now);
+                    self.cancel(rid, fired.cancel, now);
                 }
             }
             FeEv::CancelDue { site, rid } => send(shards, site as usize, now, Msg::Cancel { rid }),
         }
-    }
-
-    /// First-response-wins arbitration, run against every terminal log
-    /// entry of a hedged request in merge order. Returns `false` for
-    /// the winner (the first terminal entry — fold it normally, after
-    /// scheduling loser cancellations at each loser site's latency) and
-    /// `true` for every later entry (a loser that finished before its
-    /// cancel landed — reclassify as cancelled/wasted). Because the
-    /// merge order is `(time, site, log-index)`-stable, the winner is
-    /// identical for every thread count.
-    fn hedge_arbitrate(&mut self, rid: u64, winner: u32, t: SimTime) -> bool {
-        let Some(g) = self.hedges.get_mut(&rid) else {
-            return false;
-        };
-        // An abandoned (retry-lost) copy can never win, even if its
-        // terminal entry merges first: reclassify as wasted work.
-        if let Some(p) = g.lost.iter().position(|&s| s == winner) {
-            g.lost.remove(p);
-            g.pending_losers = g.pending_losers.saturating_sub(1);
-            if g.resolved && g.pending_losers == 0 {
-                self.hedges.remove(&rid);
-            }
-            return true;
-        }
-        if g.resolved {
-            self.settle_loser(rid);
-            return true;
-        }
-        g.resolved = true;
-        let token = g.fire_token.take();
-        let losers: Vec<u32> = g.copies.iter().copied().filter(|&s| s != winner).collect();
-        g.pending_losers += losers.len();
-        if g.pending_losers == 0 {
-            self.hedges.remove(&rid);
-        }
-        if let Some(token) = token {
-            self.calendar.cancel(token);
-        }
-        for site in losers {
-            self.cancel_at(site, rid, t);
-        }
-        false
     }
 
     /// Merge the window's per-site outcome logs into the aggregate in
@@ -1136,13 +981,16 @@ impl<P: ContainerChaos> Frontend<P> {
                     response,
                     violated,
                 } => {
-                    if hedging && self.hedge_arbitrate(rid, site, e.t) {
-                        // A loser finished before its cancel landed:
-                        // honest wasted work, not a logical completion.
-                        self.front.sites[s].finished += 1;
-                        self.front.sites[s].waste(service);
-                        self.agg[fn_idx as usize].cancelled += 1;
-                        continue;
+                    if hedging {
+                        let Some(cancel) = self.front.settle(rid, site) else {
+                            // A loser finished before its cancel landed:
+                            // honest wasted work, not a logical completion.
+                            self.front.sites[s].finished += 1;
+                            self.front.sites[s].waste(service);
+                            self.agg[fn_idx as usize].cancelled += 1;
+                            continue;
+                        };
+                        self.cancel(rid, cancel, e.t);
                     }
                     let f = &mut self.agg[fn_idx as usize];
                     f.completed += 1;
@@ -1156,9 +1004,12 @@ impl<P: ContainerChaos> Frontend<P> {
                 }
                 LogKind::Timeout { rid, fn_idx } | LogKind::Lost { rid, fn_idx } => {
                     self.front.sites[s].finished += 1;
-                    if hedging && self.hedge_arbitrate(rid, site, e.t) {
-                        self.agg[fn_idx as usize].cancelled += 1;
-                        continue;
+                    if hedging {
+                        let Some(cancel) = self.front.settle(rid, site) else {
+                            self.agg[fn_idx as usize].cancelled += 1;
+                            continue;
+                        };
+                        self.cancel(rid, cancel, e.t);
                     }
                     let f = &mut self.agg[fn_idx as usize];
                     if timeout {
@@ -1177,7 +1028,7 @@ impl<P: ContainerChaos> Frontend<P> {
                 LogKind::Cancelled { rid, fn_idx } => {
                     self.front.sites[s].finished += 1;
                     self.agg[fn_idx as usize].cancelled += 1;
-                    self.settle_loser(rid);
+                    self.front.loser_settled(rid, site);
                 }
             }
         }
@@ -1310,7 +1161,6 @@ where
         lost_total: 0,
         next_rid: 0,
         end,
-        hedges: BTreeMap::new(),
         merged: Vec::new(),
     };
     for i in 0..fe.procs.len() as u32 {
@@ -1422,6 +1272,10 @@ where
     let outstanding = fe
         .arrivals_total
         .saturating_sub(fe.front.completed + fe.timeouts_total + fe.lost_total);
+    fe.front.audit_races(outstanding, |rid, site| {
+        let shard = shards[site as usize].lock().expect("shard lock");
+        shard.st.live.contains_key(&rid)
+    });
     let multidim = fe.front.multidim;
     let parts = shards.into_iter().map(|shard| {
         let shard = shard.into_inner().expect("shard lock");

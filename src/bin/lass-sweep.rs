@@ -41,8 +41,10 @@ use lass_simcore::{HedgeConfig, HedgeTrigger, RouterKind, SampleStats};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-/// The sweep specification.
+/// The sweep specification. Unknown keys are rejected, so a misspelt
+/// axis fails loudly instead of silently running the base scenario.
 #[derive(Debug, Deserialize)]
+#[serde(deny_unknown_fields)]
 struct SweepSpec {
     /// Path to the base scenario JSON (relative to the cwd). Exactly one
     /// of `scenario` / `base` must be given.

@@ -445,6 +445,9 @@ pub fn run_replay(cfg: &ReplayConfig) -> Result<ReplaySummary, String> {
             cfg.utilization
         ));
     }
+    if let Some(h) = &cfg.hedge {
+        h.validate()?;
+    }
     let workload = match &cfg.csv {
         Some(path) => {
             let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
@@ -617,6 +620,26 @@ mod tests {
             Some(summary.arrivals as f64)
         );
         assert_eq!(obj.get("conserved"), Some(&serde_json::Value::Bool(true)));
+    }
+
+    #[test]
+    fn invalid_hedge_config_is_an_error_not_a_panic() {
+        let no_clones = HedgeConfig {
+            max_clones: 0,
+            ..HedgeConfig::default()
+        };
+        let negative_delay = HedgeConfig {
+            trigger: lass_simcore::HedgeTrigger::DeferredMs(-5.0),
+            ..HedgeConfig::default()
+        };
+        for hedge in [no_clones, negative_delay] {
+            let cfg = ReplayConfig {
+                hedge: Some(hedge),
+                ..quick_cfg()
+            };
+            let err = run_replay(&cfg).expect_err("invalid hedge must be rejected");
+            assert!(err.contains("hedge"), "{err}");
+        }
     }
 
     #[test]

@@ -467,3 +467,81 @@ fn overloaded_lass_with_crashes_matches_pinned_golden() {
         "overloaded LaSS golden drifted"
     );
 }
+
+/// `scenarios/hedge-tail.json` with its hedge block replaced by `hedge`,
+/// on the sequential driver (`parallel: None`) or the windowed one with
+/// that many threads. Returns the FNV-64 hash of the serialized report.
+fn hedge_tail_hash(hedge: lass::simcore::HedgeConfig, parallel: Option<usize>) -> u64 {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/hedge-tail.json");
+    let text = std::fs::read_to_string(path).expect("scenario file");
+    let mut sc = lass::scenario::Scenario::from_json(&text).expect("valid scenario");
+    let topology = sc.topology.as_mut().expect("topology");
+    topology.hedge = Some(hedge);
+    topology.parallel_sites = parallel;
+    let lass::scenario::ScenarioReport::Federated(rep) = sc.run_report().expect("runs") else {
+        panic!("expected a federated report");
+    };
+    fnv64(&serde_json::to_string(&rep).unwrap())
+}
+
+/// The hedge race on both drivers: every trigger family, a speculative
+/// retry and a waste budget on the windowed driver, and the scenario's
+/// own immediate hedge on the sequential one. Chaos crashes sites under
+/// the races, so clones die, migrate and get eaten at the door.
+#[test]
+fn hedge_tail_races_match_pinned_goldens() {
+    use lass::simcore::{HedgeConfig, HedgeTrigger};
+    let immediate = HedgeConfig::default();
+    let cases = [
+        (
+            "sequential immediate x1",
+            immediate,
+            None,
+            8279649650500678330,
+        ),
+        (
+            "windowed immediate x1",
+            immediate,
+            Some(2),
+            7315237636587648265,
+        ),
+        (
+            "windowed deferred-40ms x1",
+            HedgeConfig {
+                trigger: HedgeTrigger::DeferredMs(40.0),
+                ..immediate
+            },
+            Some(2),
+            2092660211541433557,
+        ),
+        (
+            "windowed retry-40ms x1",
+            HedgeConfig {
+                retry_after_ms: 40.0,
+                ..immediate
+            },
+            Some(2),
+            10234382271554990173,
+        ),
+        (
+            "windowed immediate x1 w0.1",
+            HedgeConfig {
+                waste_budget: 0.1,
+                ..immediate
+            },
+            Some(2),
+            6261001356266080070,
+        ),
+    ];
+    let drifted: Vec<String> = cases
+        .into_iter()
+        .filter_map(|(name, hedge, parallel, golden)| {
+            let got = hedge_tail_hash(hedge, parallel);
+            (got != golden).then(|| format!("{name}: {got} (pinned {golden})"))
+        })
+        .collect();
+    assert!(
+        drifted.is_empty(),
+        "hedge-tail goldens drifted: {drifted:#?}"
+    );
+}

@@ -15,8 +15,9 @@
 //!   arrival count, and every dispatched clone either wins, is
 //!   cancelled, or dies with its site before the race resolves.
 //!
-//! The last two tests compare the sequential and windowed drivers on
-//! `scenarios/hedge-tail.json`: wasted work, SLO attainment and p95
+//! The last three tests run `scenarios/hedge-tail.json` on the
+//! sequential and windowed drivers: wasted work, the race ledger's drain
+//! audit under a retry and a waste budget, and SLO attainment and p95
 //! response.
 
 use lass::cluster::{Cluster, CpuMilli, MemMib, PlacementPolicy, Topology};
@@ -359,14 +360,23 @@ proptest! {
 }
 
 /// `scenarios/hedge-tail.json` at `seed` (the file's own seed if `None`)
-/// on the sequential driver (`parallel: None`) or the windowed one.
-fn hedge_tail(seed: Option<u64>, parallel: Option<usize>) -> FederatedSimReport {
+/// on the sequential driver (`parallel: None`) or the windowed one, with
+/// `hedge` in place of the file's hedge block when given.
+fn hedge_tail(
+    seed: Option<u64>,
+    parallel: Option<usize>,
+    hedge: Option<HedgeConfig>,
+) -> FederatedSimReport {
     let text = std::fs::read_to_string("scenarios/hedge-tail.json").expect("read scenario");
     let mut sc = lass::scenario::Scenario::from_json(&text).expect("valid scenario");
     if let Some(seed) = seed {
         sc.seed = seed;
     }
-    sc.topology.as_mut().expect("topology").parallel_sites = parallel;
+    let topology = sc.topology.as_mut().expect("topology");
+    topology.parallel_sites = parallel;
+    if hedge.is_some() {
+        topology.hedge = hedge;
+    }
     match sc.run_report().expect("runs") {
         lass::scenario::ScenarioReport::Federated(rep) => rep,
         _ => panic!("hedge-tail is federated"),
@@ -379,7 +389,7 @@ fn hedge_tail(seed: Option<u64>, parallel: Option<usize>) -> FederatedSimReport 
 /// the hedge-tail scenario the two drivers' totals agree within 10 %.
 #[test]
 fn parallel_counts_wasted_work_like_sequential() {
-    let wasted = |parallel| hedge_tail(None, parallel).wasted_work;
+    let wasted = |parallel| hedge_tail(None, parallel, None).wasted_work;
     let (seq, par) = (wasted(None), wasted(Some(2)));
     assert!(seq > 1000, "sequential run wasted only {seq}");
     let gap = (par as f64 - seq as f64).abs() / seq as f64;
@@ -388,6 +398,47 @@ fn parallel_counts_wasted_work_like_sequential() {
         "parallel wasted {par} vs sequential {seq} ({:.0} % apart)",
         gap * 100.0
     );
+}
+
+/// The front end's race ledger drains on both drivers under a
+/// speculative retry (one and two replacements) and under a waste
+/// budget: its end-of-run audit (debug builds) finds no resolved race
+/// owing a loser the sites no longer hold, and no more unresolved races
+/// than outstanding requests. The logical ledger stays clone-free as
+/// well: with two replacements, the race must outlive the abandoned
+/// primary's cancel, or the second replacement's answer is counted as a
+/// second completion.
+#[test]
+fn race_ledger_drains_under_retry_and_waste_budget_on_both_drivers() {
+    let retry = HedgeConfig {
+        retry_after_ms: 40.0,
+        ..HedgeConfig::default()
+    };
+    let retry_two = HedgeConfig {
+        max_clones: 2,
+        ..retry
+    };
+    let budget = HedgeConfig {
+        waste_budget: 0.1,
+        ..HedgeConfig::default()
+    };
+    for hedge in [retry, retry_two, budget] {
+        for parallel in [None, Some(2)] {
+            let rep = hedge_tail(None, parallel, Some(hedge));
+            let (mut arrivals, mut finished, mut hedged) = (0, 0, 0);
+            for f in &rep.aggregate_per_fn {
+                arrivals += f.arrivals;
+                finished += f.completed + f.lost + f.timeouts;
+                hedged += f.hedged;
+            }
+            assert!(hedged > 0, "{hedge:?} on {parallel:?} never hedged");
+            assert_eq!(
+                arrivals,
+                finished + rep.outstanding,
+                "{hedge:?} on {parallel:?} broke conservation"
+            );
+        }
+    }
 }
 
 /// Aggregate SLO attainment (`1 − violations / finished`) and pooled p95
@@ -425,8 +476,8 @@ fn sequential_and_parallel_drivers_agree_on_hedge_tail() {
     let seeds = [1, 2, 3];
     let (mut attainment_gap, mut ln_p95_gap) = (0.0, 0.0);
     for seed in seeds {
-        let (seq_att, seq_p95) = attainment_and_p95(&hedge_tail(Some(seed), None));
-        let (par_att, par_p95) = attainment_and_p95(&hedge_tail(Some(seed), Some(2)));
+        let (seq_att, seq_p95) = attainment_and_p95(&hedge_tail(Some(seed), None, None));
+        let (par_att, par_p95) = attainment_and_p95(&hedge_tail(Some(seed), Some(2), None));
         attainment_gap += (par_att - seq_att) / seeds.len() as f64;
         ln_p95_gap += (par_p95 / seq_p95).ln() / seeds.len() as f64;
     }
