@@ -1,14 +1,14 @@
 //! End-to-end engine throughput: replay a synthesized Zipf workload for
 //! 10³ / 10⁴ / 10⁵ distinct functions through the federated engine
-//! (timer-wheel calendar, arena request table, streaming per-function
+//! (event calendar, arena request table, streaming per-function
 //! statistics) and measure simulated requests processed per wall-clock
 //! minute.
 //!
-//! Besides the criterion output, the run writes `BENCH_engine.json`
-//! (workspace root) with one row per scale, seeding the perf trajectory
-//! for future engine PRs. The acceptance bar for the timer-wheel +
-//! arena + interning + streaming-stats stack is ≥10⁷ simulated
-//! requests per wall-clock minute at the 10⁴-function scale.
+//! Besides the criterion output, the run merges one row per scale into
+//! `BENCH_engine.json` (workspace root), replacing its own `engine/`
+//! rows and keeping the `engine_parallel` ones. Each row records the
+//! host's core count. The acceptance bar for the engine stack is ≥10⁷
+//! simulated requests per wall-clock minute at the 10⁴-function scale.
 //!
 //! With `ENGINE_BENCH_SMOKE` set, the run instead replays a short burst
 //! at the 10³ scale and **fails** (non-zero exit) if throughput drops
@@ -18,6 +18,7 @@
 
 use criterion::{BenchmarkId, Criterion, Throughput};
 use lass::replay::{run_replay, ReplayConfig};
+use lass_bench::{cores, merge_bench_rows};
 
 /// One replay at `functions` scale; rates scale with the function count
 /// so every scale keeps meaningful per-function traffic.
@@ -62,14 +63,15 @@ fn main() {
     for &(functions, minutes) in &[(1_000usize, 10usize), (10_000, 10), (100_000, 5)] {
         let summary = replay_at(functions, minutes);
         rows.push(format!(
-            "    {{ \"bench\": \"engine/{}fns/{}min\", \"sim_req_per_wall_min\": {:.0}, \
-             \"arrivals\": {}, \"wall_secs\": {:.3}, \"servers_per_site\": {} }}",
+            "{{ \"bench\": \"engine/{}fns/{}min\", \"sim_req_per_wall_min\": {:.0}, \
+             \"arrivals\": {}, \"wall_secs\": {:.3}, \"servers_per_site\": {}, \"cores\": {} }}",
             functions,
             minutes,
             summary.sim_req_per_wall_min,
             summary.arrivals,
             summary.wall_secs,
-            summary.servers_per_site
+            summary.servers_per_site,
+            cores()
         ));
         println!(
             "engine/{functions} fns: {:.2}M sim req/wall-min",
@@ -85,9 +87,8 @@ fn main() {
         );
     }
     group.finish();
-    let json = format!("[\n{}\n]\n", rows.join(",\n"));
     // Land the table at the workspace root whatever cwd cargo gave us.
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engine.json");
-    std::fs::write(path, &json).expect("write BENCH_engine.json");
-    println!("(wrote BENCH_engine.json: {} rows)", rows.len());
+    let n = merge_bench_rows(path, "engine/", rows);
+    println!("(merged BENCH_engine.json: {n} rows)");
 }

@@ -96,6 +96,42 @@ pub fn ms(secs: f64) -> String {
     format!("{:.2}", secs * 1e3)
 }
 
+/// Cores available to this process (1 if unknown). Every committed
+/// bench row records it, so no speedup is read off an oversubscribed
+/// host.
+pub fn cores() -> usize {
+    std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1)
+}
+
+/// Rewrite the JSON array of bench rows at `path`: the rows whose
+/// `bench` name starts with `prefix` are replaced by `rows` (one JSON
+/// object each) and every other row is kept, so the harnesses sharing
+/// one file regenerate independently. Returns the rows written.
+pub fn merge_bench_rows(path: &str, prefix: &str, rows: Vec<String>) -> usize {
+    let old = std::fs::read_to_string(path)
+        .ok()
+        .and_then(|text| serde_json::parse(&text).ok());
+    let old = old.as_ref().and_then(|v| v.as_array());
+    let mut all: Vec<String> = old
+        .into_iter()
+        .flatten()
+        .filter(|row| {
+            !row.as_object()
+                .and_then(|o| o.get("bench"))
+                .and_then(|b| b.as_str())
+                .is_some_and(|name| name.starts_with(prefix))
+        })
+        .map(|row| serde_json::to_string(row).expect("row serializes"))
+        .collect();
+    all.extend(rows);
+    let lines: Vec<String> = all.iter().map(|row| format!("    {row}")).collect();
+    let json = format!("[\n{}\n]\n", lines.join(",\n"));
+    std::fs::write(path, json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+    all.len()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -4,22 +4,15 @@
 //! increasing sequence number), which makes simulations fully deterministic
 //! regardless of calendar internals.
 //!
-//! Two interchangeable backends implement that contract:
-//!
-//! * [`crate::wheel::TimerWheel`] — a hierarchical timer wheel (the
-//!   default): `O(1)` scheduling, cache-friendly buckets, built for
-//!   trace replay with 10⁴–10⁶ in-flight timers.
-//! * [`HeapCalendar`] — the original `BinaryHeap`: simple and obviously
-//!   correct, kept as the differential-testing oracle and selectable as
-//!   the [`EventQueue`] backend with the `heap-calendar` feature.
-//!
-//! A differential proptest (`tests/calendar_differential.rs`) holds the
-//! two to bit-identical pop order over arbitrary schedules, so every
-//! fixed-seed golden in the workspace is insensitive to the choice.
+//! [`EventQueue`] runs on [`crate::calendar::Calendar`], a 4-ary heap of
+//! compact keys over a payload slab. [`HeapCalendar`], the original
+//! `BinaryHeap` calendar, is simple and obviously correct and is kept
+//! only as the differential-testing oracle: a proptest
+//! (`tests/calendar_differential.rs`) holds the two to bit-identical pop
+//! order over arbitrary schedules and cancels.
 
+use crate::calendar::Calendar;
 use crate::time::SimTime;
-#[cfg(not(feature = "heap-calendar"))]
-use crate::wheel::TimerWheel;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::collections::HashSet;
@@ -52,13 +45,12 @@ impl<E> Ord for Scheduled<E> {
     }
 }
 
-/// The binary-heap calendar backend: the reference implementation of
-/// the `(time, seq)` earliest-first contract.
+/// The binary-heap calendar: the reference implementation of the
+/// `(time, seq)` earliest-first contract.
 ///
-/// [`EventQueue`] uses the timer wheel by default; this type remains
-/// `pub` so differential tests can drive both backends with identical
-/// `(at, seq)` streams, and so the `heap-calendar` feature can fall
-/// back to it wholesale.
+/// [`EventQueue`] does not use it; it stays `pub` so the differential
+/// tests can drive it and [`Calendar`] with identical `(at, seq)`
+/// streams.
 #[derive(Debug)]
 pub struct HeapCalendar<E> {
     heap: BinaryHeap<Scheduled<E>>,
@@ -88,7 +80,7 @@ impl<E> HeapCalendar<E> {
     }
 
     /// Cancel a pending event by its insertion `seq` (same contract as
-    /// [`crate::wheel::TimerWheel::cancel`]): the entry becomes a
+    /// [`Calendar::cancel`]): the entry becomes a
     /// tombstone purged lazily by pops/peeks, and `len` drops now. The
     /// `seq` must be pending; a double cancel is absorbed (`false`).
     pub fn cancel(&mut self, seq: u64) -> bool {
@@ -152,10 +144,7 @@ impl<E> HeapCalendar<E> {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    #[cfg(not(feature = "heap-calendar"))]
-    calendar: TimerWheel<E>,
-    #[cfg(feature = "heap-calendar")]
-    calendar: HeapCalendar<E>,
+    calendar: Calendar<E>,
     seq: u64,
     now: SimTime,
 }
@@ -170,10 +159,7 @@ impl<E> EventQueue<E> {
     /// An empty calendar positioned at `t = 0`.
     pub fn new() -> Self {
         Self {
-            #[cfg(not(feature = "heap-calendar"))]
-            calendar: TimerWheel::new(),
-            #[cfg(feature = "heap-calendar")]
-            calendar: HeapCalendar::new(),
+            calendar: Calendar::new(),
             seq: 0,
             now: SimTime::ZERO,
         }
@@ -307,12 +293,25 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "scheduling into the past")]
     fn scheduling_into_past_panics_in_debug() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_secs(2), ());
         q.pop();
         q.schedule(SimTime::from_secs(1), ());
+    }
+
+    #[test]
+    #[cfg(not(debug_assertions))]
+    fn scheduling_into_past_clamps_to_now_in_release() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_secs(2), "a");
+        q.schedule(SimTime::from_secs(3), "c");
+        q.pop();
+        q.schedule(SimTime::from_secs(1), "b");
+        assert_eq!(q.pop(), Some((SimTime::from_secs(2), "b")));
+        assert_eq!(q.pop(), Some((SimTime::from_secs(3), "c")));
     }
 
     #[test]
@@ -349,7 +348,7 @@ mod tests {
     }
 
     #[test]
-    fn heap_calendar_cancel_matches_wheel_semantics() {
+    fn heap_calendar_cancel_matches_calendar_semantics() {
         let mut h = HeapCalendar::new();
         h.insert(SimTime::from_secs(1), 0, "a");
         h.insert(SimTime::from_secs(2), 1, "b");

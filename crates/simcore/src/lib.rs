@@ -29,6 +29,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod arrivals;
+pub mod calendar;
 pub mod chaos;
 pub mod engine;
 pub mod events;
@@ -41,12 +42,12 @@ pub mod rng;
 pub mod router;
 pub mod telemetry;
 pub mod time;
-pub mod wheel;
 
 pub use arrivals::{
     collect_arrivals, ArrivalProcess, ModulatedPoisson, PerMinuteTrace, PiecewiseConstantPoisson,
     ScaledShapeTrace, StaticPoisson,
 };
+pub use calendar::Calendar;
 pub use chaos::{ChaosConfig, ChaosEv, ChaosPolicy, ChaosTarget, ContainerChaos, Fault};
 pub use engine::{
     run_simulation, Completion, EngineConfig, EngineCtx, EngineOutcome, FnStats, FunctionEntry,
@@ -71,4 +72,3 @@ pub use router::{
 };
 pub use telemetry::{ReconcilerSeam, TelemetryConfig, TelemetrySnapshot, UtilizationReconciler};
 pub use time::{SimDuration, SimTime, NANOS_PER_SEC};
-pub use wheel::TimerWheel;

@@ -26,8 +26,8 @@
 //! Simulated time is cut into windows `[T, H)` with
 //! `H = min(T_eff + L, next fault, hard_end)` where `L` is the minimum
 //! site latency (the global lookahead) and `T_eff` skips ahead over idle
-//! gaps to the earliest pending event. Each window runs three strictly
-//! ordered phases:
+//! gaps to the earliest pending event or queued inbox message. Each
+//! window runs three strictly ordered phases:
 //!
 //! 1. **Front-end phase** (main thread): arrivals and due deliveries in
 //!    `[T, H)` are processed from the front-end calendar. Routing
@@ -1211,14 +1211,17 @@ where
                 fe.apply_fault(shards_ref, fault, t.max(t_window));
             }
             // Horizon: earliest pending work anywhere, advanced by the
-            // lookahead, cut at the next fault and the hard end.
+            // lookahead, cut at the next fault and the hard end. Pending
+            // work includes the inbox messages a fault just queued at the
+            // window start: a window that skipped past them would let the
+            // merge schedule their consequences behind the front clock.
             let mut pending = fe.calendar.peek_time();
             for shard in shards_ref {
                 let mut shard = shard.lock().expect("shard lock");
-                pending = match (pending, shard.st.queue.peek_time()) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                };
+                let inbox = shard.st.inbox.front().map(|&(t, _)| t);
+                for t in [shard.st.queue.peek_time(), inbox].into_iter().flatten() {
+                    pending = Some(pending.map_or(t, |p| p.min(t)));
+                }
             }
             let next_fault = faults.get(fi).map(|&(t, _)| t);
             let earliest = match (pending, next_fault) {

@@ -1,17 +1,17 @@
-//! Differential test: the timer-wheel calendar against the binary-heap
-//! oracle.
+//! Differential test: the slab-backed 4-ary heap calendar against the
+//! binary-heap oracle.
 //!
-//! Both backends promise the same observable contract — pop earliest
+//! Both promise the same observable contract — pop earliest
 //! `(time, seq)` first — and every fixed-seed golden in the workspace
-//! leans on it. This harness drives [`TimerWheel`] and [`HeapCalendar`]
+//! leans on it. This harness drives [`Calendar`] and [`HeapCalendar`]
 //! with identical operation sequences (schedules interleaved with pops,
-//! i.e. schedule-during-pop) and requires bit-identical pop streams.
+//! i.e. schedule-during-pop, and cancels) and requires bit-identical pop
+//! streams.
 //!
-//! Offset scales are chosen to exercise every wheel path: zero offsets
-//! (same-instant ties through the ready heap), sub-slot offsets, every
-//! wheel level, and >2⁴⁸ ns offsets that land in the overflow map.
+//! Offsets span zero (same-instant ties) through nanoseconds to >2⁴⁸ ns,
+//! so keys of every magnitude meet in one heap.
 
-use lass_simcore::{HeapCalendar, RequestTable, SimTime, TimerWheel};
+use lass_simcore::{Calendar, HeapCalendar, RequestTable, SimTime};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -36,14 +36,13 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         Just(Op::Pop),
         // Same-instant tie with whatever else lands at `now`.
         Just(Op::Schedule(0)),
-        // Within the current level-0 slot (~4 µs).
+        // A few microseconds: near-ties.
         (1u64..4096).prop_map(Op::Schedule),
-        // Level 0 across slots.
+        // Up to about a quarter millisecond.
         (4096u64..1 << 18).prop_map(Op::Schedule),
-        // Mid levels (microseconds to minutes).
+        // A quarter millisecond to about an hour.
         ((1u64 << 18)..(1 << 42)).prop_map(Op::Schedule),
-        // Top level and the far future: beyond the 2^48 ns horizon
-        // these go through the overflow map.
+        // The far future: days to weeks.
         ((1u64 << 42)..(1 << 52)).prop_map(Op::Schedule),
         (0usize..1 << 16).prop_map(Op::Cancel),
         (0usize..1 << 16, 0u64..1 << 44).prop_map(|(i, d)| Op::Reschedule(i, d)),
@@ -54,8 +53,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
     #[test]
-    fn wheel_matches_heap_oracle(ops in prop::collection::vec(op_strategy(), 1..400)) {
-        let mut wheel = TimerWheel::new();
+    fn calendar_matches_heap_oracle(ops in prop::collection::vec(op_strategy(), 1..400)) {
+        let mut cal = Calendar::new();
         let mut heap = HeapCalendar::new();
         let mut seq = 0u64;
         let mut now = 0u64; // timestamp of the last pop, like EventQueue
@@ -66,16 +65,16 @@ proptest! {
             match op {
                 Op::Schedule(delta) => {
                     let at = SimTime(now.saturating_add(delta));
-                    wheel.insert(at, seq, seq);
+                    cal.insert(at, seq, seq);
                     heap.insert(at, seq, seq);
                     live.push(seq);
                     seq += 1;
                 }
                 Op::Pop => {
-                    prop_assert_eq!(wheel.peek_time(), heap.peek_time());
-                    let (w, h) = (wheel.pop(), heap.pop());
-                    prop_assert_eq!(w, h, "pop diverged after seq {}", seq);
-                    if let Some((t, e)) = w {
+                    prop_assert_eq!(cal.peek_time(), heap.peek_time());
+                    let (c, h) = (cal.pop(), heap.pop());
+                    prop_assert_eq!(c, h, "pop diverged after seq {}", seq);
+                    if let Some((t, e)) = c {
                         now = t.0;
                         live.retain(|&s| s != e);
                     }
@@ -85,9 +84,9 @@ proptest! {
                         continue;
                     }
                     let victim = live.swap_remove(idx % live.len());
-                    prop_assert!(wheel.cancel(victim));
+                    prop_assert!(cal.cancel(victim));
                     prop_assert!(heap.cancel(victim));
-                    prop_assert!(!wheel.cancel(victim), "double cancel absorbed");
+                    prop_assert!(!cal.cancel(victim), "double cancel absorbed");
                     prop_assert!(!heap.cancel(victim), "double cancel absorbed");
                 }
                 Op::Reschedule(idx, delta) => {
@@ -95,22 +94,22 @@ proptest! {
                         continue;
                     }
                     let victim = live.swap_remove(idx % live.len());
-                    prop_assert!(wheel.cancel(victim));
+                    prop_assert!(cal.cancel(victim));
                     prop_assert!(heap.cancel(victim));
                     let at = SimTime(now.saturating_add(delta));
-                    wheel.insert(at, seq, seq);
+                    cal.insert(at, seq, seq);
                     heap.insert(at, seq, seq);
                     live.push(seq);
                     seq += 1;
                 }
             }
-            prop_assert_eq!(wheel.len(), heap.len());
+            prop_assert_eq!(cal.len(), heap.len());
         }
         // Drain the rest: the full residual streams must match too.
         loop {
-            let (w, h) = (wheel.pop(), heap.pop());
-            prop_assert_eq!(w, h);
-            if w.is_none() {
+            let (c, h) = (cal.pop(), heap.pop());
+            prop_assert_eq!(c, h);
+            if c.is_none() {
                 break;
             }
         }
@@ -118,35 +117,34 @@ proptest! {
 }
 
 /// Directed regression: cancelling tied events *while* draining their
-/// instant (tombstones already staged in the wheel's ready heap) keeps
-/// both backends on the same pop stream — the first-response-wins path
+/// instant keeps both calendars on the same pop stream — the first-response-wins path
 /// cancels a loser at exactly the instant the winner's completion pops.
 #[test]
 fn cancel_during_pop_matches_heap_oracle() {
-    let mut wheel = TimerWheel::new();
+    let mut cal = Calendar::new();
     let mut heap = HeapCalendar::new();
     let t = SimTime(1 << 21);
     for seq in 0..8u64 {
-        wheel.insert(t, seq, seq);
+        cal.insert(t, seq, seq);
         heap.insert(t, seq, seq);
     }
-    // Pop one of the tie burst, then cancel two mid-drain: one already
-    // staged (seq 1) and the last of the burst (seq 7).
-    assert_eq!(wheel.pop(), heap.pop());
+    // Pop one of the tie burst, then cancel two mid-drain: the next in
+    // line (seq 1) and the last of the burst (seq 7).
+    assert_eq!(cal.pop(), heap.pop());
     for victim in [1u64, 7] {
-        assert!(wheel.cancel(victim));
+        assert!(cal.cancel(victim));
         assert!(heap.cancel(victim));
     }
-    assert_eq!(wheel.peek_time(), heap.peek_time());
+    assert_eq!(cal.peek_time(), heap.peek_time());
     // Reschedule one victim's payload at the same instant under a new
     // seq, mid-drain: it must still come out after the survivors.
-    wheel.insert(t, 8, 8);
+    cal.insert(t, 8, 8);
     heap.insert(t, 8, 8);
     let mut drained = Vec::new();
     loop {
-        let (w, h) = (wheel.pop(), heap.pop());
-        assert_eq!(w, h);
-        match w {
+        let (c, h) = (cal.pop(), heap.pop());
+        assert_eq!(c, h);
+        match c {
             Some((_, e)) => drained.push(e),
             None => break,
         }
@@ -212,27 +210,152 @@ proptest! {
 }
 
 /// Directed regression: a burst of same-instant events scheduled *while*
-/// draining that instant (the ready-heap path) keeps insertion order.
+/// draining that instant keeps insertion order.
 #[test]
 fn schedule_during_pop_preserves_tie_order() {
-    let mut wheel = TimerWheel::new();
+    let mut cal = Calendar::new();
     let mut heap = HeapCalendar::new();
     let t = SimTime(1 << 21);
     for seq in 0..8u64 {
-        wheel.insert(t, seq, seq);
+        cal.insert(t, seq, seq);
         heap.insert(t, seq, seq);
     }
     for seq in 8u64..16 {
-        assert_eq!(wheel.pop(), heap.pop());
+        assert_eq!(cal.pop(), heap.pop());
         // New work at the very same instant, mid-drain.
-        wheel.insert(t, seq, seq);
+        cal.insert(t, seq, seq);
         heap.insert(t, seq, seq);
     }
     loop {
-        let (w, h) = (wheel.pop(), heap.pop());
-        assert_eq!(w, h);
-        if w.is_none() {
+        let (c, h) = (cal.pop(), heap.pop());
+        assert_eq!(c, h);
+        if c.is_none() {
             break;
         }
     }
+}
+
+/// Pop both calendars to empty, requiring identical streams; returns the
+/// payloads in pop order.
+fn drain_both(cal: &mut Calendar<u64>, heap: &mut HeapCalendar<u64>) -> Vec<u64> {
+    let mut drained = Vec::new();
+    loop {
+        assert_eq!(cal.peek_time(), heap.peek_time());
+        let (c, h) = (cal.pop(), heap.pop());
+        assert_eq!(c, h);
+        match c {
+            Some((_, e)) => drained.push(e),
+            None => return drained,
+        }
+    }
+}
+
+/// Slab churn: every pop frees a slot that a later insert reuses,
+/// thousands of times over. The depth swings between 16 and 128, so
+/// freed slots are handed out in a shifting order, and the scrambled
+/// times give reused slots keys of every rank.
+#[test]
+fn slab_slot_recycling_churn_matches_heap_oracle() {
+    let mut cal = Calendar::new();
+    let mut heap = HeapCalendar::new();
+    let mut seq = 0u64;
+    let mut insert = |cal: &mut Calendar<u64>, heap: &mut HeapCalendar<u64>, now: u64| {
+        let at = SimTime(now + seq.wrapping_mul(104_729) % 5000);
+        cal.insert(at, seq, seq);
+        heap.insert(at, seq, seq);
+        seq += 1;
+    };
+    for _ in 0..16 {
+        insert(&mut cal, &mut heap, 0);
+    }
+    for round in 0..20_000u64 {
+        let (c, h) = (cal.pop(), heap.pop());
+        assert_eq!(c, h, "round {round}");
+        let now = c.expect("depth stays at 16 or more").0 .0;
+        // 112 rounds of two inserts per pop, then 112 of none.
+        if (round / 112).is_multiple_of(2) {
+            insert(&mut cal, &mut heap, now);
+            insert(&mut cal, &mut heap, now);
+        }
+        assert_eq!(cal.len(), heap.len());
+    }
+    drain_both(&mut cal, &mut heap);
+}
+
+/// A cancelled event's slot is recycled by a later insert once the
+/// tombstone is purged. The old seq's tombstone must not follow the
+/// slot: the new event fires, and cancelling it by its own seq works.
+#[test]
+fn recycled_slot_of_cancelled_event_keeps_new_event_live() {
+    let mut cal = Calendar::new();
+    let mut heap = HeapCalendar::new();
+    for seq in 0..3u64 {
+        cal.insert(SimTime(10 * (seq + 1)), seq, seq);
+        heap.insert(SimTime(10 * (seq + 1)), seq, seq);
+    }
+    // Cancel the front event and purge its tombstone with a peek.
+    assert!(cal.cancel(0));
+    assert!(heap.cancel(0));
+    assert_eq!(cal.peek_time(), heap.peek_time());
+    // The next insert reuses the freed slot at a time that beats the
+    // survivors; it must pop, not vanish under seq 0's old tombstone.
+    cal.insert(SimTime(5), 3, 3);
+    heap.insert(SimTime(5), 3, 3);
+    assert_eq!(cal.len(), 3);
+    assert_eq!(cal.pop(), Some((SimTime(5), 3)));
+    assert_eq!(heap.pop(), Some((SimTime(5), 3)));
+    // Recycle the same slot again and cancel the newcomer by its seq.
+    cal.insert(SimTime(15), 4, 4);
+    heap.insert(SimTime(15), 4, 4);
+    assert!(cal.cancel(4));
+    assert!(heap.cancel(4));
+    assert_eq!(drain_both(&mut cal, &mut heap), vec![1, 2]);
+}
+
+/// `peek_time` over a cancelled top: it must report the earliest live
+/// event, and a later insert below the purged tombstone's time must
+/// still take the top.
+#[test]
+fn peek_time_skips_cancelled_top() {
+    let mut cal = Calendar::new();
+    let mut heap = HeapCalendar::new();
+    for (seq, at) in [(0u64, 100u64), (1, 100), (2, 300), (3, 200)] {
+        cal.insert(SimTime(at), seq, seq);
+        heap.insert(SimTime(at), seq, seq);
+    }
+    for victim in [0u64, 1] {
+        assert!(cal.cancel(victim));
+        assert!(heap.cancel(victim));
+    }
+    assert_eq!(cal.peek_time(), Some(SimTime(200)));
+    assert_eq!(heap.peek_time(), Some(SimTime(200)));
+    // Peeking again is idempotent, and len never counted the tombstones.
+    assert_eq!(cal.peek_time(), Some(SimTime(200)));
+    assert_eq!(cal.len(), 2);
+    cal.insert(SimTime(150), 4, 4);
+    heap.insert(SimTime(150), 4, 4);
+    assert_eq!(drain_both(&mut cal, &mut heap), vec![4, 3, 2]);
+}
+
+/// Depth beyond any perfbench workload: 2·10⁵ pending events (scrambled
+/// times, a tenth of them cancelled) drain in the oracle's order.
+#[test]
+fn hundred_thousand_pending_match_heap_oracle() {
+    const N: u64 = 200_000;
+    let mut cal = Calendar::new();
+    let mut heap = HeapCalendar::new();
+    for seq in 0..N {
+        // A multiplicative scramble over ~2^40 ns with plenty of ties.
+        let at = SimTime((seq.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 24) % (1 << 40) / 1000);
+        cal.insert(at, seq, seq);
+        heap.insert(at, seq, seq);
+    }
+    for victim in (0..N).step_by(10) {
+        assert!(cal.cancel(victim));
+        assert!(heap.cancel(victim));
+    }
+    assert_eq!(cal.len(), heap.len());
+    assert!(cal.len() >= 100_000);
+    let drained = drain_both(&mut cal, &mut heap);
+    assert_eq!(drained.len() as u64, N - N / 10);
 }

@@ -3,7 +3,7 @@
 //!
 //! The figure-repro simulations drive a handful of functions through the
 //! full LaSS controller; this module instead stresses the *engine* — the
-//! timer-wheel calendar, the arena request table, and the streaming
+//! event calendar, the arena request table, and the streaming
 //! statistics — with hour-long traces for 10⁴–10⁶ distinct functions,
 //! routed across a federated topology end-to-end.
 //!

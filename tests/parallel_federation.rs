@@ -20,10 +20,10 @@
 //!   identically on every sampled case.
 
 use lass::simcore::{
-    run_federation_parallel, run_simulation, ChaosConfig, ChaosPolicy, ContainerChaos,
-    EngineConfig, EngineOutcome, Fault, FedFunction, FederatedReport, Federation, FnStats,
-    FunctionEntry, PolicyCtx, ReqId, RouterKind, SchedulerPolicy, SimDuration, SimTime, SiteMeta,
-    StaticPoisson,
+    run_federation_parallel, run_simulation, ArrivalProcess, ChaosConfig, ChaosPolicy,
+    ContainerChaos, EngineConfig, EngineOutcome, Fault, FedFunction, FederatedReport, Federation,
+    FnStats, FunctionEntry, HedgeConfig, PolicyCtx, ReqId, RouterKind, SchedulerPolicy,
+    SimDuration, SimRng, SimTime, SiteMeta, StaticPoisson,
 };
 use proptest::prelude::*;
 use std::collections::VecDeque;
@@ -322,6 +322,62 @@ fn parallel_matches_sequential_exactly_under_chaos() {
     );
     // The differential is only meaningful if the faults engaged.
     assert!(par.per_site.iter().map(|s| s.migrated).sum::<usize>() > 0);
+}
+
+/// Arrivals at fixed instants.
+struct Instants(VecDeque<SimTime>);
+
+impl ArrivalProcess for Instants {
+    fn next_after(&mut self, now: SimTime, _rng: &mut SimRng) -> Option<SimTime> {
+        while self.0.front().is_some_and(|&t| t <= now) {
+            self.0.pop_front();
+        }
+        self.0.front().copied()
+    }
+}
+
+/// A partition that heals while every calendar is idle leaves its
+/// `PartitionEnd` in the site's inbox at the window start. The horizon
+/// scan must count it: otherwise the window opens at the next calendar
+/// event, the front end runs past the heal, and the merge then cancels
+/// the hedge sibling of the released response at `heal + latency`,
+/// behind the front clock ("scheduling into the past" in debug builds).
+#[test]
+fn partition_end_at_an_idle_window_start_opens_the_window() {
+    let t = SimTime::from_secs_f64;
+    // One request at 1 s, hedged onto both sites; the 1 s service on s0
+    // finishes inside a 1.5–10 s partition and is held until the heal,
+    // while the 100 s copy on s1 keeps the calendars idle until 101 s. A
+    // second arrival just after that lets the front clock pass the heal.
+    let entries = vec![FunctionEntry {
+        name: "probe".into(),
+        slo_deadline: 0.5,
+        process: Box::new(Instants(VecDeque::from([t(1.0), t(101.007)]))),
+    }];
+    let sites = metas(&[5.0, 5.0])
+        .into_iter()
+        .zip([1.0, 100.0])
+        .map(|(m, service)| (m, FixedServer::new(service)))
+        .collect();
+    let mut fed = Federation::new(sites, RouterKind::RoundRobin.build(), &fed_functions());
+    fed.set_hedge(HedgeConfig::default());
+    let chaos = ChaosConfig {
+        events: vec![
+            (1.5, Fault::PartitionStart { site: 0 }),
+            (10.0, Fault::PartitionEnd { site: 0 }),
+        ],
+        ..ChaosConfig::default()
+    };
+    let cfg = EngineConfig {
+        duration_secs: 150.0,
+        ..engine_cfg(3, Some(1))
+    };
+    let rep = run_federation_parallel(cfg, entries, fed, chaos, 3);
+    let agg = &rep.aggregate_per_fn[0];
+    assert_eq!(agg.arrivals, 2);
+    assert_eq!(agg.completed + rep.outstanding, 2);
+    // The held response won the race at the heal: 9 s after arrival.
+    assert!(agg.response.max().is_some_and(|r| r > 8.9), "{agg:?}");
 }
 
 #[test]

@@ -1,7 +1,8 @@
 //! Memory-regression guard for the million-function replay stack: the
 //! streaming statistics path must hold a *bounded* footprint per
 //! function — O(1) P² markers, never retained samples — and its
-//! steady-state record path must be allocation-free.
+//! steady-state record path must be allocation-free, as must the event
+//! calendar's schedule/pop cycle once it has reached its depth.
 //!
 //! The probe is a counting `#[global_allocator]` (integration tests
 //! compile as standalone binaries, so the allocator swap is scoped to
@@ -9,9 +10,10 @@
 //! the measured region, not absolute numbers, so allocator internals
 //! and test-harness noise cannot trip it.
 
-use lass_simcore::SampleStats;
+use lass_simcore::{EventQueue, SampleStats, SimDuration};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 struct CountingAlloc;
 
@@ -47,11 +49,20 @@ fn bytes() -> usize {
     BYTES.load(Ordering::Relaxed)
 }
 
+/// The counters are process-wide and the harness runs tests on parallel
+/// threads: each test that measures a region holds this lock, so no
+/// other test's allocations land in its deltas.
+fn measuring() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 /// 10⁵ functions' worth of streaming stats: warm them past the lazy
 /// quantile-estimator boot, then assert the steady-state record path
 /// performs zero allocation and retains zero samples.
 #[test]
 fn streaming_stats_footprint_is_bounded_at_100k_functions() {
+    let _measuring = measuring();
     const FUNCTIONS: usize = 100_000;
     let mut stats: Vec<SampleStats> = (0..FUNCTIONS).map(|_| SampleStats::streaming()).collect();
 
@@ -100,6 +111,7 @@ fn streaming_stats_footprint_is_bounded_at_100k_functions() {
 /// the probe must see the difference, or it is not measuring anything.
 #[test]
 fn exact_stats_retain_and_allocate() {
+    let _measuring = measuring();
     let mut s = SampleStats::new();
     let (a0, _) = (allocs(), bytes());
     for k in 0..10_000u32 {
@@ -110,4 +122,46 @@ fn exact_stats_retain_and_allocate() {
         allocs() - a0 > 0,
         "exact stats grew a 10k-sample vec without allocating?"
     );
+}
+
+/// The event calendar reuses its key heap, payload slab and tombstone
+/// set: once a run has reached its peak depth, schedule/pop cycles
+/// (with cancels mixed in) allocate nothing.
+#[test]
+fn event_queue_steady_state_is_allocation_free() {
+    let _measuring = measuring();
+    const DEPTH: u64 = 10_000;
+    let mut q: EventQueue<[u64; 8]> = EventQueue::new();
+    // Scrambled offsets up to ~1 s so keys land all over the heap.
+    let offset =
+        |i: u64| SimDuration((i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 34) % 1_000_000_000);
+    let cycle = |q: &mut EventQueue<[u64; 8]>, i: u64| {
+        let (now, e) = q.pop().expect("queue stays at depth");
+        if i.is_multiple_of(4) {
+            // A timer cancelled before it fires: a tombstone at the
+            // front, purged by the next pop.
+            let tok = q.schedule_cancellable(now, e);
+            assert!(q.cancel(tok));
+        }
+        let at = now + offset(i);
+        q.schedule(at, [i; 8]);
+    };
+    for i in 0..DEPTH {
+        q.schedule(q.now() + offset(i), [i; 8]);
+    }
+    // Warm-up: the free list and the tombstone set reach their working
+    // size.
+    for i in 0..100_000 {
+        cycle(&mut q, i);
+    }
+    let (a0, b0) = (allocs(), bytes());
+    for i in 100_000..400_000 {
+        cycle(&mut q, i);
+    }
+    let (da, db) = (allocs() - a0, bytes() - b0);
+    assert_eq!(
+        da, 0,
+        "steady-state calendar cycles performed {da} allocations ({db} bytes)"
+    );
+    assert_eq!(q.len() as u64, DEPTH);
 }
