@@ -2,7 +2,7 @@
 //!
 //! Prints the functions used in the evaluation with their languages and
 //! standard container sizes, plus the calibrated service-time parameters
-//! this reproduction adds (documented in DESIGN.md).
+//! this reproduction adds (see the README's per-experiment index).
 
 use lass_bench::{header, row};
 use lass_functions::{micro_benchmark, standard_catalog};
@@ -38,6 +38,7 @@ fn main() {
     }
     println!(
         "\n(vCPU / memory columns are Table 1 verbatim; base service time and\n\
-         CPU slack are this reproduction's calibrated constants — see DESIGN.md.)"
+         CPU slack are this reproduction's calibrated constants; see the\n\
+         README's per-experiment index.)"
     );
 }

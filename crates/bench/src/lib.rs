@@ -1,7 +1,7 @@
 //! Shared plumbing for the experiment harnesses.
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the LaSS
-//! paper (see DESIGN.md's per-experiment index). They print the paper's
+//! paper (see the README's per-experiment index). They print the paper's
 //! rows/series to stdout and, with `--json <path>`, also dump
 //! machine-readable results.
 

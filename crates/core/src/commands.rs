@@ -61,11 +61,12 @@ pub struct Plan {
     pub commands: Vec<Command>,
     /// Whether the epoch was planned under overload (fair-share mode).
     pub overloaded: bool,
-    /// Desired CPU (milli) per function, as computed by the models.
-    pub desired_cpu: std::collections::BTreeMap<FnId, f64>,
+    /// Desired CPU (milli) per function, as computed by the models,
+    /// indexed by `FnId`.
+    pub desired_cpu: Vec<f64>,
     /// Adjusted CPU (milli) per function after fair share (equals desired
-    /// when not overloaded).
-    pub adjusted_cpu: std::collections::BTreeMap<FnId, f64>,
+    /// when not overloaded), indexed by `FnId`.
+    pub adjusted_cpu: Vec<f64>,
     /// Total model-solver iterations this epoch (Fig. 5 reporting).
     pub solver_iterations: u32,
 }

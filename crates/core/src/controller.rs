@@ -26,7 +26,6 @@ use crate::reclaim::{deflation_commands, termination_commands, FnSnapshot};
 use crate::registry::FunctionRegistry;
 use lass_cluster::{Cluster, ContainerId, FnId, RequestId};
 use lass_simcore::{SimDuration, SimTime};
-use std::collections::BTreeMap;
 
 /// Outcome of applying a plan to the cluster.
 #[derive(Debug, Default)]
@@ -47,7 +46,11 @@ pub struct LassController {
     cfg: LassConfig,
     registry: FunctionRegistry,
     profiler: lass_functions::ServiceTimeProfiler,
-    trackers: BTreeMap<FnId, Predictor>,
+    /// Arrival-rate predictor per function, indexed by `FnId`.
+    trackers: Vec<Predictor>,
+    /// Fair-share weight per function, indexed by `FnId`. The registry
+    /// is fixed once the controller owns it, so these are computed once.
+    weights: Vec<f64>,
     /// Re-inflate deflated containers when capacity allows (disabled for
     /// the Fig. 4 heterogeneous-model validation).
     reinflate: bool,
@@ -58,26 +61,42 @@ impl LassController {
     /// profiles are loaded from each function's spec (§5, approach 1).
     pub fn new(cfg: LassConfig, registry: FunctionRegistry) -> Self {
         cfg.validate().expect("invalid LassConfig");
-        let mut profiler = lass_functions::ServiceTimeProfiler::new(cfg.profiler_min_samples);
-        let mut trackers = BTreeMap::new();
+        // The model reads a service-time tail only when the SLO also
+        // covers service (`wait_budget_for`), so only then is one learned.
+        let mut profiler = lass_functions::ServiceTimeProfiler::new(
+            cfg.profiler_min_samples,
+            !cfg.slo_on_waiting_only,
+        );
+        let mut trackers = Vec::with_capacity(registry.len());
         for rec in registry.iter() {
             profiler.register(rec.fn_id, rec.spec.service);
-            trackers.insert(
-                rec.fn_id,
-                Predictor::new(
-                    cfg.predictor,
-                    cfg.long_window_secs,
-                    cfg.short_window_secs,
-                    cfg.burst_factor,
-                    cfg.ewma_alpha,
-                ),
-            );
+            trackers.push(Predictor::new(
+                cfg.predictor,
+                cfg.long_window_secs,
+                cfg.short_window_secs,
+                cfg.burst_factor,
+                cfg.ewma_alpha,
+            ));
         }
+        let tree_weights = registry
+            .weight_tree()
+            .effective_weights_among(registry.iter().map(|r| r.fn_id));
+        let weights = registry
+            .iter()
+            .map(|r| {
+                tree_weights
+                    .get(&r.fn_id)
+                    .copied()
+                    .unwrap_or(1.0)
+                    .max(1e-12)
+            })
+            .collect();
         Self {
             cfg,
             registry,
             profiler,
             trackers,
+            weights,
             reinflate: true,
         }
     }
@@ -105,11 +124,11 @@ impl LassController {
     }
 
     /// Feed the per-function arrival counts observed since the last
-    /// monitoring tick (§5: every 5 seconds).
-    pub fn on_monitor_tick(&mut self, now_secs: f64, arrivals: &BTreeMap<FnId, u64>) {
-        for (fn_id, tracker) in &mut self.trackers {
-            let n = arrivals.get(fn_id).copied().unwrap_or(0);
-            tracker.record(now_secs, n);
+    /// monitoring tick (§5: every 5 seconds), indexed by `FnId`; a
+    /// function past the end of `arrivals` saw none.
+    pub fn on_monitor_tick(&mut self, now_secs: f64, arrivals: &[u64]) {
+        for (i, tracker) in self.trackers.iter_mut().enumerate() {
+            tracker.record(now_secs, arrivals.get(i).copied().unwrap_or(0));
         }
     }
 
@@ -124,7 +143,7 @@ impl LassController {
     /// and a short-window override during bursts, §5).
     pub fn estimated_rate(&mut self, fn_id: FnId, now_secs: f64) -> f64 {
         self.trackers
-            .get_mut(&fn_id)
+            .get_mut(fn_id.0 as usize)
             .map_or(0.0, |t| t.predict(now_secs))
     }
 
@@ -135,28 +154,29 @@ impl LassController {
         if !self.cfg.autoscale {
             return Plan::default();
         }
-        // 1. Rate estimates (sequential: mutates EWMA state).
-        let fn_ids: Vec<FnId> = self.registry.iter().map(|r| r.fn_id).collect();
-        let rates: BTreeMap<FnId, f64> = fn_ids
-            .iter()
-            .map(|&f| (f, self.estimated_rate(f, now_secs)))
+        // 1. Rate estimates (sequential: mutates EWMA state). Every
+        //    per-function vector below is indexed by `FnId`.
+        let rates: Vec<f64> = self
+            .trackers
+            .iter_mut()
+            .map(|t| t.predict(now_secs))
             .collect();
 
         // 2. Model solves, in turn on this thread: each is pure and
         //    microsecond-scale, cheaper than spawning threads per epoch.
         let cfg = &self.cfg;
         let profiler = &self.profiler;
-        let registry = &self.registry;
         let reinflate = self.reinflate;
-        let desired: BTreeMap<FnId, DesiredAllocation> = fn_ids
+        let desired: Vec<DesiredAllocation> = self
+            .registry
             .iter()
-            .map(|&fn_id| {
-                let rec = registry.get(fn_id).expect("registered");
+            .zip(&rates)
+            .map(|(rec, &lambda)| {
+                let fn_id = rec.fn_id;
                 let std_cpu = f64::from(rec.spec.standard_cpu.0);
                 if let ScalerKind::ConcurrencyTarget { target } = cfg.scaler {
                     // Knative-style heuristic: Little's-law concurrency
                     // divided by the per-container target.
-                    let lambda = rates[&fn_id];
                     let mean_s = profiler
                         .estimate(fn_id, 0.0)
                         .map_or(rec.spec.service.base_time, |e| e.mean);
@@ -165,22 +185,19 @@ impl LassController {
                     } else {
                         ((lambda * mean_s / target).ceil() as u32).max(1)
                     };
-                    return (
+                    return DesiredAllocation {
                         fn_id,
-                        DesiredAllocation {
-                            fn_id,
-                            count,
-                            cpu: f64::from(count) * std_cpu,
-                            additional: count,
-                            hetero: false,
-                            solver_iterations: 1,
-                        },
-                    );
+                        count,
+                        cpu: f64::from(count) * std_cpu,
+                        additional: count,
+                        hetero: false,
+                        solver_iterations: 1,
+                    };
                 }
-                let d = desired_allocation(
+                desired_allocation(
                     cluster,
                     fn_id,
-                    rates[&fn_id],
+                    lambda,
                     rec.slo_deadline,
                     std_cpu,
                     profiler,
@@ -199,39 +216,33 @@ impl LassController {
                         solver_iterations: 0,
                     }
                 })
-                .clamp_to_solver_cap(cfg.max_containers_per_fn, std_cpu);
-                (fn_id, d)
+                .clamp_to_solver_cap(cfg.max_containers_per_fn, std_cpu)
             })
             .collect();
-        let solver_iterations = desired.values().map(|d| d.solver_iterations).sum();
+        let solver_iterations = desired.iter().map(|d| d.solver_iterations).sum();
 
         // 3. Overload detection & fair share (on CPU-milli).
         let capacity = f64::from(cluster.total_cpu_capacity().0);
-        let requests: Vec<ShareRequest> = {
-            let weights = self
-                .registry
-                .weight_tree()
-                .effective_weights_among(fn_ids.iter().copied());
-            fn_ids
-                .iter()
-                .map(|&f| ShareRequest {
-                    fn_id: f,
-                    weight: weights.get(&f).copied().unwrap_or(1.0).max(1e-12),
-                    desired: desired[&f].cpu,
-                })
-                .collect()
-        };
+        let requests: Vec<ShareRequest> = desired
+            .iter()
+            .zip(&self.weights)
+            .map(|(d, &weight)| ShareRequest {
+                fn_id: d.fn_id,
+                weight,
+                desired: d.cpu,
+            })
+            .collect();
         let overloaded = is_overloaded(&requests, capacity);
-        let adjusted: BTreeMap<FnId, f64> = if overloaded {
+        let adjusted: Vec<f64> = if overloaded {
             fair_share(&requests, capacity)
         } else {
-            requests.iter().map(|r| (r.fn_id, r.desired)).collect()
+            requests.iter().map(|r| r.desired).collect()
         };
 
         // 4. Per-function commands.
         let mut commands = Vec::new();
-        for &fn_id in &fn_ids {
-            let rec = self.registry.get(fn_id).expect("registered");
+        for ((rec, d), &adjusted_cpu) in self.registry.iter().zip(&desired).zip(&adjusted) {
+            let fn_id = rec.fn_id;
             let snapshot = FnSnapshot {
                 fn_id,
                 standard_cpu: rec.spec.standard_cpu,
@@ -240,8 +251,8 @@ impl LassController {
                     .fn_containers(fn_id)
                     .map(|c| (c.id(), c.cpu(), c.is_marked_for_termination()))
                     .collect(),
-                desired_count: desired[&fn_id].count,
-                adjusted_cpu: adjusted[&fn_id],
+                desired_count: d.count,
+                adjusted_cpu,
             };
             if overloaded {
                 match self.cfg.reclamation {
@@ -253,7 +264,7 @@ impl LassController {
                     }
                 }
             } else {
-                commands.extend(self.normal_mode_commands(&snapshot, &desired[&fn_id]));
+                commands.extend(self.normal_mode_commands(&snapshot, d));
             }
         }
 
@@ -270,7 +281,7 @@ impl LassController {
         Plan {
             commands,
             overloaded,
-            desired_cpu: desired.iter().map(|(f, d)| (*f, d.cpu)).collect(),
+            desired_cpu: desired.iter().map(|d| d.cpu).collect(),
             adjusted_cpu: adjusted,
             solver_iterations,
         }
@@ -464,8 +475,10 @@ impl LassController {
         let mut over_budget: std::collections::BTreeMap<FnId, f64> = plan
             .adjusted_cpu
             .iter()
-            .filter(|&(&f, _)| f != requester)
-            .map(|(&f, &adj)| (f, f64::from(cluster.fn_cpu(f).0) - adj))
+            .enumerate()
+            .map(|(i, &adj)| (FnId(i as u32), adj))
+            .filter(|&(f, _)| f != requester)
+            .map(|(f, adj)| (f, f64::from(cluster.fn_cpu(f).0) - adj))
             .filter(|&(_, o)| o > 0.0)
             .collect();
 
@@ -596,8 +609,8 @@ mod tests {
         let tick = ctl.cfg().monitor_interval_secs;
         let mut t = from_secs + tick;
         while t <= to_secs + 1e-9 {
-            let mut m = BTreeMap::new();
-            m.insert(fn_id, (rate * tick).round() as u64);
+            let mut m = vec![0; fn_id.0 as usize + 1];
+            m[fn_id.0 as usize] = (rate * tick).round() as u64;
             ctl.on_monitor_tick(t, &m);
             t += tick;
         }
@@ -706,8 +719,8 @@ mod tests {
         // Phase 1: only MobileNet runs; it grows past its fair share.
         for t in 1..=24 {
             let now = f64::from(t) * 5.0;
-            let mut m = BTreeMap::new();
-            m.insert(mn, 50); // 10 req/s at mu=4 -> ~8000+ milli desired
+            let mut m = [0; 2];
+            m[mn.0 as usize] = 50; // 10 req/s at mu=4 -> ~8000+ milli desired
             ctl.on_monitor_tick(now, &m);
         }
         let p1 = ctl.plan_epoch(&cluster, 120.0);
@@ -724,9 +737,9 @@ mod tests {
         // standard-size creates must reclaim space by deflating MobileNet.
         for t in 25..=48 {
             let now = f64::from(t) * 5.0;
-            let mut m = BTreeMap::new();
-            m.insert(ba, 1400); // 280 req/s
-            m.insert(mn, 50);
+            let mut m = [0; 2];
+            m[ba.0 as usize] = 1400; // 280 req/s
+            m[mn.0 as usize] = 50;
             ctl.on_monitor_tick(now, &m);
         }
         let p2 = ctl.plan_epoch(&cluster, 240.0);
@@ -735,14 +748,15 @@ mod tests {
             "demand must exceed capacity: {:?}",
             p2.desired_cpu
         );
-        let total: f64 = p2.adjusted_cpu.values().sum();
+        let total: f64 = p2.adjusted_cpu.iter().sum();
         assert!(total <= 12_000.0 + 1e-6);
         for f in [ba, mn] {
-            let floor = 6000.0f64.min(p2.desired_cpu[&f]);
+            let i = f.0 as usize;
+            let floor = 6000.0f64.min(p2.desired_cpu[i]);
             assert!(
-                p2.adjusted_cpu[&f] + 1e-6 >= floor,
+                p2.adjusted_cpu[i] + 1e-6 >= floor,
                 "{f}: adjusted {} < floor {floor}",
-                p2.adjusted_cpu[&f]
+                p2.adjusted_cpu[i]
             );
         }
         let out = ctl.apply(&mut cluster, &p2, SimTime::from_secs(240));
@@ -758,10 +772,10 @@ mod tests {
         }
         // MobileNet keeps at least its fair-share-adjusted capacity.
         assert!(
-            f64::from(cluster.fn_cpu(mn).0) + 1e-6 >= p2.adjusted_cpu[&mn] - 2000.0,
+            f64::from(cluster.fn_cpu(mn).0) + 1e-6 >= p2.adjusted_cpu[mn.0 as usize] - 2000.0,
             "MobileNet kept {} of adjusted {}",
             cluster.fn_cpu(mn),
-            p2.adjusted_cpu[&mn]
+            p2.adjusted_cpu[mn.0 as usize]
         );
         // BinaryAlert got room for its standard-size containers.
         assert!(
@@ -786,9 +800,9 @@ mod tests {
         );
         for t in 1..=24 {
             let now = f64::from(t) * 5.0;
-            let mut m = BTreeMap::new();
-            m.insert(ids[0], 1400);
-            m.insert(ids[1], 60);
+            let mut m = [0; 2];
+            m[ids[0].0 as usize] = 1400;
+            m[ids[1].0 as usize] = 60;
             ctl.on_monitor_tick(now, &m);
         }
         let plan = ctl.plan_epoch(&cluster, 120.0);
@@ -797,6 +811,35 @@ mod tests {
         cluster.check_invariants();
         for c in cluster.all_containers() {
             assert!(!c.is_deflated(), "termination policy never deflates");
+        }
+    }
+
+    #[test]
+    fn service_tail_is_learned_only_when_the_slo_covers_service() {
+        // The function runs at twice its profiled mean, so a learned p99
+        // and the offline one differ by 2x.
+        let offline = micro_benchmark(0.1).service.service_percentile(0.0, 0.99);
+        let learned = 0.2 * 100.0f64.ln();
+        for waiting_only in [true, false] {
+            let mut cfg = LassConfig::default();
+            cfg.slo_on_waiting_only = waiting_only;
+            let (mut ctl, ids) =
+                controller_with(cfg, vec![(micro_benchmark(0.1), 0.5, 1.0, UserId(0))]);
+            let mut rng = lass_simcore::SimRng::from_seed(21);
+            for _ in 0..5000 {
+                ctl.record_service(ids[0], 0.0, rng.exp(5.0));
+            }
+            let est = ctl.profiler().estimate(ids[0], 0.0).unwrap();
+            assert!(est.online);
+            if waiting_only {
+                assert_eq!(est.p99, offline, "no tail is tracked");
+            } else {
+                assert!(
+                    (est.p99 - learned).abs() / learned < 0.2,
+                    "learned p99 {}",
+                    est.p99
+                );
+            }
         }
     }
 
@@ -823,10 +866,9 @@ mod tests {
         ctl.apply(&mut cluster, &p, SimTime::from_secs(200));
         let small = cluster.fn_container_count(f);
         // 10x burst for one short window.
-        let mut m = BTreeMap::new();
-        m.insert(f, 250); // 50/s over 5s
+        let mut m = [0; 1];
+        m[f.0 as usize] = 250; // 50/s over 5s
         ctl.on_monitor_tick(205.0, &m);
-        m.insert(f, 250);
         ctl.on_monitor_tick(210.0, &m);
         let p = ctl.plan_epoch(&cluster, 210.0);
         let creates = p

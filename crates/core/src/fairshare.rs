@@ -20,7 +20,6 @@
 //! containers is the reclamation policies' job.
 
 use lass_cluster::FnId;
-use std::collections::BTreeMap;
 
 /// One function's fair-share inputs.
 #[derive(Debug, Clone, Copy)]
@@ -34,47 +33,45 @@ pub struct ShareRequest {
     pub desired: f64,
 }
 
-fn normalized_weights(requests: &[ShareRequest]) -> BTreeMap<FnId, f64> {
+fn normalized_weights(requests: &[ShareRequest]) -> Vec<f64> {
     let total: f64 = requests.iter().map(|r| r.weight).sum();
     assert!(total > 0.0, "weights must sum to a positive value");
-    requests
-        .iter()
-        .map(|r| (r.fn_id, r.weight / total))
-        .collect()
+    requests.iter().map(|r| r.weight / total).collect()
 }
 
-/// The guaranteed minimum share of each function (Eq. 7): its weight
-/// fraction of the total capacity.
-pub fn guaranteed_shares(requests: &[ShareRequest], capacity: f64) -> BTreeMap<FnId, f64> {
+/// The guaranteed minimum share of each request (Eq. 7): its weight
+/// fraction of the total capacity. Aligned with `requests`.
+pub fn guaranteed_shares(requests: &[ShareRequest], capacity: f64) -> Vec<f64> {
     normalized_weights(requests)
         .into_iter()
-        .map(|(f, w)| (f, w * capacity))
+        .map(|w| w * capacity)
         .collect()
 }
 
-/// The paper's single-pass algorithm (Eq. 7–8), verbatim.
-pub fn fair_share_paper(requests: &[ShareRequest], capacity: f64) -> BTreeMap<FnId, f64> {
+/// The paper's single-pass algorithm (Eq. 7–8), verbatim. The result is
+/// aligned with `requests`.
+pub fn fair_share_paper(requests: &[ShareRequest], capacity: f64) -> Vec<f64> {
     assert!(capacity >= 0.0);
     let guar = guaranteed_shares(requests, capacity);
     let weights = normalized_weights(requests);
 
     // Well-behaved functions get their desire.
-    let mut adjusted = BTreeMap::new();
+    let mut adjusted = vec![0.0; requests.len()];
     let mut well_behaved_total = 0.0;
-    let mut overloaded: Vec<FnId> = Vec::new();
-    for r in requests {
-        if r.desired <= guar[&r.fn_id] {
-            adjusted.insert(r.fn_id, r.desired);
+    let mut overloaded: Vec<usize> = Vec::new();
+    for (i, r) in requests.iter().enumerate() {
+        if r.desired <= guar[i] {
+            adjusted[i] = r.desired;
             well_behaved_total += r.desired;
         } else {
-            overloaded.push(r.fn_id);
+            overloaded.push(i);
         }
     }
     // Remaining capacity split by weight among overloaded functions (Eq 8).
     let remaining = (capacity - well_behaved_total).max(0.0);
-    let over_weight: f64 = overloaded.iter().map(|f| weights[f]).sum();
-    for f in overloaded {
-        adjusted.insert(f, remaining * weights[&f] / over_weight);
+    let over_weight: f64 = overloaded.iter().map(|&i| weights[i]).sum();
+    for i in overloaded {
+        adjusted[i] = remaining * weights[i] / over_weight;
     }
     adjusted
 }
@@ -82,6 +79,7 @@ pub fn fair_share_paper(requests: &[ShareRequest], capacity: f64) -> BTreeMap<Fn
 /// Water-filling fair share: like [`fair_share_paper`] but iterated so no
 /// function receives more than its desire; freed capacity cascades to the
 /// still-constrained functions by weight. Terminates in at most `n` rounds.
+/// The result is aligned with `requests`.
 ///
 /// ```
 /// use lass_core::fairshare::{fair_share, ShareRequest};
@@ -93,60 +91,49 @@ pub fn fair_share_paper(requests: &[ShareRequest], capacity: f64) -> BTreeMap<Fn
 ///     ShareRequest { fn_id: FnId(1), weight: 1.0, desired: 50_000.0 },
 /// ];
 /// let adjusted = fair_share(&requests, 12_000.0);
-/// assert_eq!(adjusted[&FnId(0)], 2000.0);      // well-behaved: full desire
-/// assert_eq!(adjusted[&FnId(1)], 10_000.0);    // the rest, >= its 6000 guarantee
+/// assert_eq!(adjusted[0], 2000.0);      // well-behaved: full desire
+/// assert_eq!(adjusted[1], 10_000.0);    // the rest, >= its 6000 guarantee
 /// ```
-pub fn fair_share(requests: &[ShareRequest], capacity: f64) -> BTreeMap<FnId, f64> {
+pub fn fair_share(requests: &[ShareRequest], capacity: f64) -> Vec<f64> {
     assert!(capacity >= 0.0);
     let weights = normalized_weights(requests);
-    let desired: BTreeMap<FnId, f64> = requests.iter().map(|r| (r.fn_id, r.desired)).collect();
-
-    let mut adjusted: BTreeMap<FnId, f64> = BTreeMap::new();
-    let mut satisfied: BTreeMap<FnId, bool> = requests.iter().map(|r| (r.fn_id, false)).collect();
+    // Requests left unsatisfied (or starved of capacity) keep 0.
+    let mut adjusted = vec![0.0; requests.len()];
+    let mut satisfied = vec![false; requests.len()];
     let mut remaining = capacity;
 
     loop {
         // Weights of the still-unsatisfied set.
-        let active_weight: f64 = satisfied
+        let active_weight: f64 = weights
             .iter()
+            .zip(&satisfied)
             .filter(|&(_, done)| !done)
-            .map(|(f, _)| weights[f])
+            .map(|(w, _)| w)
             .sum();
         if active_weight <= 0.0 || remaining <= 0.0 {
-            // Give zero to anyone left (no capacity remains).
-            for (f, done) in &satisfied {
-                if !done {
-                    adjusted.insert(*f, 0.0);
-                }
-            }
             break;
         }
         // Tentative proportional split of the remaining capacity.
-        let mut newly_satisfied = Vec::new();
-        for (f, done) in &satisfied {
-            if *done {
-                continue;
-            }
-            let share = remaining * weights[f] / active_weight;
-            if desired[f] <= share {
-                newly_satisfied.push(*f);
-            }
-        }
+        let newly_satisfied: Vec<usize> = (0..requests.len())
+            .filter(|&i| {
+                !satisfied[i] && requests[i].desired <= remaining * weights[i] / active_weight
+            })
+            .collect();
         if newly_satisfied.is_empty() {
             // Everyone active is constrained: final proportional split.
-            for (f, done) in &satisfied {
-                if !*done {
-                    adjusted.insert(*f, remaining * weights[f] / active_weight);
+            for i in 0..requests.len() {
+                if !satisfied[i] {
+                    adjusted[i] = remaining * weights[i] / active_weight;
                 }
             }
             break;
         }
-        for f in newly_satisfied {
-            adjusted.insert(f, desired[&f]);
-            remaining -= desired[&f];
-            satisfied.insert(f, true);
+        for i in newly_satisfied {
+            adjusted[i] = requests[i].desired;
+            remaining -= requests[i].desired;
+            satisfied[i] = true;
         }
-        if satisfied.values().all(|&d| d) {
+        if satisfied.iter().all(|&d| d) {
             break;
         }
     }
@@ -176,8 +163,8 @@ mod tests {
         let rs = [req(0, 1.0, 3000.0), req(1, 1.0, 4000.0)];
         assert!(!is_overloaded(&rs, 12000.0));
         let adj = fair_share(&rs, 12000.0);
-        assert_eq!(adj[&FnId(0)], 3000.0);
-        assert_eq!(adj[&FnId(1)], 4000.0);
+        assert_eq!(adj[0], 3000.0);
+        assert_eq!(adj[1], 4000.0);
     }
 
     #[test]
@@ -186,8 +173,8 @@ mod tests {
         let rs = [req(0, 1.0, 10_000.0), req(1, 1.0, 9_000.0)];
         for algo in [fair_share, fair_share_paper] {
             let adj = algo(&rs, 12_000.0);
-            assert!((adj[&FnId(0)] - 6000.0).abs() < 1e-9);
-            assert!((adj[&FnId(1)] - 6000.0).abs() < 1e-9);
+            assert!((adj[0] - 6000.0).abs() < 1e-9);
+            assert!((adj[1] - 6000.0).abs() < 1e-9);
         }
     }
 
@@ -196,8 +183,8 @@ mod tests {
         let rs = [req(0, 1.0, 10_000.0), req(1, 2.0, 10_000.0)];
         for algo in [fair_share, fair_share_paper] {
             let adj = algo(&rs, 12_000.0);
-            assert!((adj[&FnId(0)] - 4000.0).abs() < 1e-9);
-            assert!((adj[&FnId(1)] - 8000.0).abs() < 1e-9);
+            assert!((adj[0] - 4000.0).abs() < 1e-9);
+            assert!((adj[1] - 8000.0).abs() < 1e-9);
         }
     }
 
@@ -207,10 +194,10 @@ mod tests {
         let rs = [req(0, 1.0, 2000.0), req(1, 1.0, 50_000.0)];
         for algo in [fair_share, fair_share_paper] {
             let adj = algo(&rs, 12_000.0);
-            assert_eq!(adj[&FnId(0)], 2000.0);
+            assert_eq!(adj[0], 2000.0);
             // f1 gets the remainder, which exceeds its guaranteed 6000.
-            assert!((adj[&FnId(1)] - 10_000.0).abs() < 1e-9);
-            assert!(adj[&FnId(1)] >= 6000.0);
+            assert!((adj[1] - 10_000.0).abs() < 1e-9);
+            assert!(adj[1] >= 6000.0);
         }
     }
 
@@ -227,25 +214,25 @@ mod tests {
             req(2, 1.0, 50_000.0),
         ];
         let paper = fair_share_paper(&rs, 12_000.0);
-        assert!(paper[&FnId(1)] > 6000.0, "paper overshoots: {paper:?}");
+        assert!(paper[1] > 6000.0, "paper overshoots: {paper:?}");
         let wf = fair_share(&rs, 12_000.0);
         assert!(
-            (wf[&FnId(1)] - 6000.0).abs() < 1e-9,
+            (wf[1] - 6000.0).abs() < 1e-9,
             "water-filling caps at desire"
         );
-        assert!(wf[&FnId(2)] > paper[&FnId(2)], "the overshoot goes to f2");
+        assert!(wf[2] > paper[2], "the overshoot goes to f2");
     }
 
     #[test]
     fn water_filling_exhausts_capacity_when_demand_exceeds_it() {
         let rs = [req(0, 1.0, 5000.0), req(1, 1.0, 9000.0), req(2, 2.0, 100.0)];
         let adj = fair_share(&rs, 12_000.0);
-        let total: f64 = adj.values().sum();
+        let total: f64 = adj.iter().sum();
         assert!(total <= 12_000.0 + 1e-6);
         // Demand (14100) > capacity, so allocation should use it all.
         assert!((total - 12_000.0).abs() < 1e-6, "total={total}");
         // And f2's tiny desire is fully met.
-        assert_eq!(adj[&FnId(2)], 100.0);
+        assert_eq!(adj[2], 100.0);
     }
 
     #[test]
@@ -258,17 +245,17 @@ mod tests {
                     let rs = [req(0, w0, d0), req(1, 1.0, d1)];
                     let adj = fair_share(&rs, capacity);
                     let guar = guaranteed_shares(&rs, capacity);
-                    for r in &rs {
-                        let a = adj[&r.fn_id];
+                    for (i, r) in rs.iter().enumerate() {
+                        let a = adj[i];
                         assert!(a <= r.desired + 1e-9, "over-grant");
                         // Lemma: min(desire, guaranteed) is always granted.
-                        let floor = r.desired.min(guar[&r.fn_id]);
+                        let floor = r.desired.min(guar[i]);
                         assert!(
                             a + 1e-9 >= floor,
                             "starved: got {a}, floor {floor} (d0={d0} d1={d1} w0={w0})"
                         );
                     }
-                    let total: f64 = adj.values().sum();
+                    let total: f64 = adj.iter().sum();
                     assert!(total <= capacity + 1e-6);
                 }
             }
@@ -279,16 +266,16 @@ mod tests {
     fn zero_capacity_yields_zero_allocations() {
         let rs = [req(0, 1.0, 500.0), req(1, 1.0, 700.0)];
         let adj = fair_share(&rs, 0.0);
-        assert_eq!(adj[&FnId(0)], 0.0);
-        assert_eq!(adj[&FnId(1)], 0.0);
+        assert_eq!(adj[0], 0.0);
+        assert_eq!(adj[1], 0.0);
     }
 
     #[test]
     fn zero_desire_is_well_behaved() {
         let rs = [req(0, 1.0, 0.0), req(1, 1.0, 50_000.0)];
         let adj = fair_share(&rs, 12_000.0);
-        assert_eq!(adj[&FnId(0)], 0.0);
-        assert!((adj[&FnId(1)] - 12_000.0).abs() < 1e-9);
+        assert_eq!(adj[0], 0.0);
+        assert!((adj[1] - 12_000.0).abs() < 1e-9);
     }
 
     #[test]

@@ -158,7 +158,7 @@ mod tests {
     use lass_simcore::SimTime;
 
     fn profiler_with(fn_id: FnId, base: f64) -> ServiceTimeProfiler {
-        let mut p = ServiceTimeProfiler::new(50);
+        let mut p = ServiceTimeProfiler::new(50, false);
         p.register(fn_id, ServiceModel::exponential(base, 0.7));
         p
     }
@@ -214,7 +214,7 @@ mod tests {
     #[test]
     fn unknown_function_errors() {
         let cl = big_cluster();
-        let p = ServiceTimeProfiler::new(50);
+        let p = ServiceTimeProfiler::new(50, false);
         let err = desired_allocation(
             &cl,
             FnId(7),

@@ -27,9 +27,10 @@ pub struct FunctionRecord {
 /// The set of functions hosted on the cluster, plus user weights.
 #[derive(Debug, Clone, Default)]
 pub struct FunctionRegistry {
-    fns: BTreeMap<FnId, FunctionRecord>,
+    /// Records indexed by `FnId`: ids are assigned sequentially from 0
+    /// and never removed.
+    fns: Vec<FunctionRecord>,
     users: BTreeMap<UserId, f64>,
-    next: u32,
 }
 
 impl FunctionRegistry {
@@ -57,30 +58,26 @@ impl FunctionRegistry {
             "invalid SLO"
         );
         assert!(weight > 0.0 && weight.is_finite(), "invalid weight");
-        let fn_id = FnId(self.next);
-        self.next += 1;
+        let fn_id = FnId(self.fns.len() as u32);
         self.users.entry(user).or_insert(1.0);
-        self.fns.insert(
+        self.fns.push(FunctionRecord {
             fn_id,
-            FunctionRecord {
-                fn_id,
-                spec,
-                slo_deadline,
-                weight,
-                user,
-            },
-        );
+            spec,
+            slo_deadline,
+            weight,
+            user,
+        });
         fn_id
     }
 
     /// Look up a function.
     pub fn get(&self, fn_id: FnId) -> Option<&FunctionRecord> {
-        self.fns.get(&fn_id)
+        self.fns.get(fn_id.0 as usize)
     }
 
     /// All registered functions in id order.
     pub fn iter(&self) -> impl Iterator<Item = &FunctionRecord> {
-        self.fns.values()
+        self.fns.iter()
     }
 
     /// Number of registered functions.
@@ -97,7 +94,7 @@ impl FunctionRegistry {
     /// other, functions weighted within their user (§5).
     pub fn weight_tree(&self) -> WeightTree {
         let mut by_user: BTreeMap<UserId, Vec<(FnId, f64)>> = BTreeMap::new();
-        for rec in self.fns.values() {
+        for rec in &self.fns {
             by_user
                 .entry(rec.user)
                 .or_default()

@@ -509,14 +509,11 @@ impl LassPolicy {
     fn on_monitor(&mut self, ctx: &mut impl PolicyCtx<Ev>, now: SimTime) {
         let now_secs = now.as_secs_f64();
         let window = ctx.take_window_counts();
-        let mut counts = BTreeMap::new();
-        for (i, rt) in self.fns.iter_mut().enumerate() {
-            let n = window[i];
-            counts.insert(FnId(i as u32), n);
+        for (rt, &n) in self.fns.iter_mut().zip(&window) {
             rt.rate_timeline
                 .push(now, n as f64 / self.cfg.monitor_interval_secs);
         }
-        self.controller.on_monitor_tick(now_secs, &counts);
+        self.controller.on_monitor_tick(now_secs, &window);
     }
 
     fn on_epoch(&mut self, ctx: &mut impl PolicyCtx<Ev>, now: SimTime) {

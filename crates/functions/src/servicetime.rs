@@ -62,19 +62,35 @@ impl ServiceModel {
 
     /// General constructor.
     pub fn new(base_time: f64, demand_fraction: f64, distribution: ServiceDistribution) -> Self {
-        assert!(base_time > 0.0 && base_time.is_finite(), "bad base time");
-        assert!(
-            demand_fraction > 0.0 && demand_fraction <= 1.0,
-            "demand fraction must be in (0, 1]"
-        );
-        if let ServiceDistribution::LogNormal { cv } = distribution {
-            assert!(cv > 0.0 && cv.is_finite(), "bad CV");
-        }
-        Self {
+        let model = Self {
             base_time,
             demand_fraction,
             distribution,
+        };
+        if let Err(e) = model.validate() {
+            panic!("{e}");
         }
+        model
+    }
+
+    /// Check the parameters [`ServiceModel::new`] insists on; a model
+    /// deserialized from a scenario bypasses the constructor.
+    pub fn validate(&self) -> Result<(), String> {
+        if !(self.base_time > 0.0 && self.base_time.is_finite()) {
+            return Err(format!("bad base time {}", self.base_time));
+        }
+        if !(self.demand_fraction > 0.0 && self.demand_fraction <= 1.0) {
+            return Err(format!(
+                "demand fraction must be in (0, 1], got {}",
+                self.demand_fraction
+            ));
+        }
+        if let ServiceDistribution::LogNormal { cv } = self.distribution {
+            if !(cv > 0.0 && cv.is_finite()) {
+                return Err(format!("bad CV {cv}"));
+            }
+        }
+        Ok(())
     }
 
     /// Multiplicative slowdown at deflation ratio `d ∈ [0, 1)`:

@@ -60,11 +60,18 @@ impl ArrivalProcess for StaticPoisson {
 /// instants and stays constant in between (the paper's "discrete change"
 /// generator). Thanks to memorylessness, the sampler simply restarts the
 /// exponential draw at each segment boundary it crosses.
+///
+/// Arrivals only move forward, so the process keeps a cursor on the
+/// segment its last draw ended in: a draw reads the rate and the segment
+/// end in O(1) and steps the cursor past each boundary it crosses. A
+/// `now` before the cursor's segment rewinds it.
 #[derive(Debug, Clone)]
 pub struct PiecewiseConstantPoisson {
     /// `(segment start, rate)` — must be sorted by start, first at t=0.
     segments: Vec<(SimTime, f64)>,
     end: SimTime,
+    /// Index of the segment containing the last instant drawn from.
+    cursor: usize,
 }
 
 impl PiecewiseConstantPoisson {
@@ -84,7 +91,11 @@ impl PiecewiseConstantPoisson {
             );
         }
         assert!(segments.iter().all(|&(_, r)| r >= 0.0 && r.is_finite()));
-        Self { segments, end }
+        Self {
+            segments,
+            end,
+            cursor: 0,
+        }
     }
 
     /// The rate in force at instant `t`.
@@ -96,27 +107,30 @@ impl PiecewiseConstantPoisson {
         };
         self.segments[idx].1
     }
-
-    /// End of the segment containing `t` (or the process horizon).
-    fn segment_end(&self, t: SimTime) -> SimTime {
-        for &(s, _) in &self.segments {
-            if s > t {
-                return s.min(self.end);
-            }
-        }
-        self.end
-    }
 }
 
 impl ArrivalProcess for PiecewiseConstantPoisson {
     fn next_after(&mut self, now: SimTime, rng: &mut SimRng) -> Option<SimTime> {
+        if now < self.segments[self.cursor].0 {
+            self.cursor = 0;
+        }
         let mut t = now;
         loop {
             if t >= self.end {
                 return None;
             }
-            let rate = self.rate_at(t);
-            let seg_end = self.segment_end(t);
+            while self
+                .segments
+                .get(self.cursor + 1)
+                .is_some_and(|&(s, _)| s <= t)
+            {
+                self.cursor += 1;
+            }
+            let rate = self.segments[self.cursor].1;
+            let seg_end = self
+                .segments
+                .get(self.cursor + 1)
+                .map_or(self.end, |&(s, _)| s.min(self.end));
             if rate <= 0.0 {
                 t = seg_end;
                 continue;

@@ -474,12 +474,22 @@ impl FunctionRef {
     /// Materialize the spec.
     pub fn resolve(&self) -> Result<FunctionSpec, String> {
         match self {
-            FunctionRef::Custom(spec) => Ok(spec.clone()),
+            FunctionRef::Custom(spec) => {
+                spec.service
+                    .validate()
+                    .map_err(|e| format!("function {:?}: {e}", spec.name))?;
+                Ok(spec.clone())
+            }
             FunctionRef::Catalog(name) => {
                 if let Some(ms) = name.strip_prefix("micro_benchmark:") {
                     let ms: f64 = ms
                         .parse()
                         .map_err(|_| format!("bad micro_benchmark service time: {name}"))?;
+                    if !(ms > 0.0 && ms.is_finite()) {
+                        return Err(format!(
+                            "function {name:?}: service time must be positive and finite, got {ms} ms"
+                        ));
+                    }
                     return Ok(micro_benchmark(ms / 1e3));
                 }
                 match name.as_str() {
@@ -529,6 +539,24 @@ pub struct FunctionEntry {
 
 fn one() -> f64 {
     1.0
+}
+
+impl FunctionEntry {
+    /// Check the entry's numbers: what the function registry and the
+    /// workload generator would otherwise reject with a panic.
+    fn validate(&self) -> Result<(), String> {
+        let positive = |what: &str, v: f64| {
+            if v > 0.0 && v.is_finite() {
+                Ok(())
+            } else {
+                Err(format!("{what} must be positive and finite, got {v}"))
+            }
+        };
+        positive("slo_ms", self.slo_ms)?;
+        positive("weight", self.weight)?;
+        positive("user_weight", self.user_weight)?;
+        self.workload.validate()
+    }
 }
 
 /// A complete simulation scenario.
@@ -653,7 +681,6 @@ impl Scenario {
                     spec.class = class;
                 }
                 entry
-                    .workload
                     .validate()
                     .map_err(|e| format!("function {:?}: {e}", spec.name))?;
                 let mut setup =
