@@ -227,7 +227,6 @@ impl LassController {
             .iter()
             .zip(&self.weights)
             .map(|(d, &weight)| ShareRequest {
-                fn_id: d.fn_id,
                 weight,
                 desired: d.cpu,
             })

@@ -19,13 +19,10 @@
 //! All quantities are in fractional CPU-milli (`f64`) — rounding to whole
 //! containers is the reclamation policies' job.
 
-use lass_cluster::FnId;
-
-/// One function's fair-share inputs.
+/// One function's fair-share inputs. The allocation functions return one
+/// value per request, in request order.
 #[derive(Debug, Clone, Copy)]
 pub struct ShareRequest {
-    /// The function.
-    pub fn_id: FnId,
     /// Effective weight fraction (see `WeightTree::effective_weights`);
     /// requests' weights need not sum to 1 — they are renormalized.
     pub weight: f64,
@@ -83,12 +80,11 @@ pub fn fair_share_paper(requests: &[ShareRequest], capacity: f64) -> Vec<f64> {
 ///
 /// ```
 /// use lass_core::fairshare::{fair_share, ShareRequest};
-/// use lass_cluster::FnId;
 ///
 /// // Two equal-weight functions on 12 vCPU: one modest, one greedy.
 /// let requests = [
-///     ShareRequest { fn_id: FnId(0), weight: 1.0, desired: 2000.0 },
-///     ShareRequest { fn_id: FnId(1), weight: 1.0, desired: 50_000.0 },
+///     ShareRequest { weight: 1.0, desired: 2000.0 },
+///     ShareRequest { weight: 1.0, desired: 50_000.0 },
 /// ];
 /// let adjusted = fair_share(&requests, 12_000.0);
 /// assert_eq!(adjusted[0], 2000.0);      // well-behaved: full desire
@@ -150,17 +146,13 @@ pub fn is_overloaded(requests: &[ShareRequest], capacity: f64) -> bool {
 mod tests {
     use super::*;
 
-    fn req(id: u32, weight: f64, desired: f64) -> ShareRequest {
-        ShareRequest {
-            fn_id: FnId(id),
-            weight,
-            desired,
-        }
+    fn req(weight: f64, desired: f64) -> ShareRequest {
+        ShareRequest { weight, desired }
     }
 
     #[test]
     fn no_overload_everyone_gets_desire() {
-        let rs = [req(0, 1.0, 3000.0), req(1, 1.0, 4000.0)];
+        let rs = [req(1.0, 3000.0), req(1.0, 4000.0)];
         assert!(!is_overloaded(&rs, 12000.0));
         let adj = fair_share(&rs, 12000.0);
         assert_eq!(adj[0], 3000.0);
@@ -170,7 +162,7 @@ mod tests {
     #[test]
     fn lemma1_all_overloaded_get_exactly_guaranteed() {
         // Both want more than their guaranteed share -> each gets w_i/Σw·C.
-        let rs = [req(0, 1.0, 10_000.0), req(1, 1.0, 9_000.0)];
+        let rs = [req(1.0, 10_000.0), req(1.0, 9_000.0)];
         for algo in [fair_share, fair_share_paper] {
             let adj = algo(&rs, 12_000.0);
             assert!((adj[0] - 6000.0).abs() < 1e-9);
@@ -180,7 +172,7 @@ mod tests {
 
     #[test]
     fn lemma1_weighted() {
-        let rs = [req(0, 1.0, 10_000.0), req(1, 2.0, 10_000.0)];
+        let rs = [req(1.0, 10_000.0), req(2.0, 10_000.0)];
         for algo in [fair_share, fair_share_paper] {
             let adj = algo(&rs, 12_000.0);
             assert!((adj[0] - 4000.0).abs() < 1e-9);
@@ -191,7 +183,7 @@ mod tests {
     #[test]
     fn lemma2_partial_overload_grants_at_least_guaranteed() {
         // f0 well-behaved (desire 2000 <= guar 6000); f1 overloaded.
-        let rs = [req(0, 1.0, 2000.0), req(1, 1.0, 50_000.0)];
+        let rs = [req(1.0, 2000.0), req(1.0, 50_000.0)];
         for algo in [fair_share, fair_share_paper] {
             let adj = algo(&rs, 12_000.0);
             assert_eq!(adj[0], 2000.0);
@@ -208,11 +200,7 @@ mod tests {
         // so remaining = 11000 is split 5:1 between the overloaded {f1, f2}.
         // The paper's Eq 8 then grants f1 ≈ 9166 — more than its 6000
         // desire; water-filling caps f1 at 6000 and passes the rest to f2.
-        let rs = [
-            req(0, 10.0, 1000.0),
-            req(1, 5.0, 6000.0),
-            req(2, 1.0, 50_000.0),
-        ];
+        let rs = [req(10.0, 1000.0), req(5.0, 6000.0), req(1.0, 50_000.0)];
         let paper = fair_share_paper(&rs, 12_000.0);
         assert!(paper[1] > 6000.0, "paper overshoots: {paper:?}");
         let wf = fair_share(&rs, 12_000.0);
@@ -225,7 +213,7 @@ mod tests {
 
     #[test]
     fn water_filling_exhausts_capacity_when_demand_exceeds_it() {
-        let rs = [req(0, 1.0, 5000.0), req(1, 1.0, 9000.0), req(2, 2.0, 100.0)];
+        let rs = [req(1.0, 5000.0), req(1.0, 9000.0), req(2.0, 100.0)];
         let adj = fair_share(&rs, 12_000.0);
         let total: f64 = adj.iter().sum();
         assert!(total <= 12_000.0 + 1e-6);
@@ -242,7 +230,7 @@ mod tests {
         for &d0 in &[100.0, 3000.0, 8000.0, 20_000.0] {
             for &d1 in &[100.0, 6000.0, 30_000.0] {
                 for &w0 in &[0.5, 1.0, 3.0] {
-                    let rs = [req(0, w0, d0), req(1, 1.0, d1)];
+                    let rs = [req(w0, d0), req(1.0, d1)];
                     let adj = fair_share(&rs, capacity);
                     let guar = guaranteed_shares(&rs, capacity);
                     for (i, r) in rs.iter().enumerate() {
@@ -264,7 +252,7 @@ mod tests {
 
     #[test]
     fn zero_capacity_yields_zero_allocations() {
-        let rs = [req(0, 1.0, 500.0), req(1, 1.0, 700.0)];
+        let rs = [req(1.0, 500.0), req(1.0, 700.0)];
         let adj = fair_share(&rs, 0.0);
         assert_eq!(adj[0], 0.0);
         assert_eq!(adj[1], 0.0);
@@ -272,7 +260,7 @@ mod tests {
 
     #[test]
     fn zero_desire_is_well_behaved() {
-        let rs = [req(0, 1.0, 0.0), req(1, 1.0, 50_000.0)];
+        let rs = [req(1.0, 0.0), req(1.0, 50_000.0)];
         let adj = fair_share(&rs, 12_000.0);
         assert_eq!(adj[0], 0.0);
         assert!((adj[1] - 12_000.0).abs() < 1e-9);
@@ -281,7 +269,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "weights must sum")]
     fn zero_weights_rejected() {
-        let rs = [req(0, 0.0, 1.0)];
+        let rs = [req(0.0, 1.0)];
         fair_share(&rs, 10.0);
     }
 }
