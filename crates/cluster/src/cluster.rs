@@ -69,7 +69,7 @@ pub struct WrrSlot {
     /// Whether the container is warm and not serving anything.
     pub idle: bool,
     /// Whether the container has finished booting (idle or busy) — the
-    /// affinity census predicate.
+    /// warm-census predicate.
     pub warm: bool,
 }
 
@@ -518,10 +518,10 @@ impl Cluster {
 
     /// Number of *warm* containers of a function: booted (past their
     /// cold start) and not terminated — the fleet that could serve a
-    /// request right now without paying a cold start. The affinity
-    /// router's per-site census, answered in O(1) from the maintained
-    /// count (the federation sums this over every function at every
-    /// routing decision).
+    /// request right now without paying a cold start. The per-site warm
+    /// census the routers' cold-start penalty reads, answered in O(1)
+    /// from the maintained count (the federation sums this over every
+    /// function at every routing decision).
     pub fn fn_warm_count(&self, fn_id: FnId) -> u64 {
         self.fns.get(fn_id.0 as usize).map_or(0, |e| e.warm)
     }

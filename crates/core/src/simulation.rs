@@ -582,8 +582,8 @@ impl lass_simcore::ContainerChaos for LassPolicy {
         (self.crashes - before) as u32
     }
 
-    /// Warm-container census for the affinity router: the function's
-    /// booted fleet (cold-starting containers excluded).
+    /// Warm-container census for the routers' cold-start penalty: the
+    /// function's booted fleet (cold-starting containers excluded).
     fn warm_containers(&self, fn_idx: u32) -> u64 {
         self.cluster.fn_warm_count(FnId(fn_idx))
     }

@@ -288,7 +288,8 @@ impl ChaosConfig {
 
 /// The per-site scheduler's introspection seam: how the federation
 /// reaches *inside* a scheduler — to crash its containers (chaos) and
-/// to census its warm fleet (affinity routing telemetry).
+/// to census its warm fleet (the routing telemetry behind the cold-start
+/// penalty and the forecast's server count).
 ///
 /// The default implementations ignore the request (a scheduler with no
 /// container fleet, like a test stub, has nothing to crash or census).
@@ -308,8 +309,9 @@ pub trait ContainerChaos: SchedulerPolicy {
     }
 
     /// Warm (booted, non-terminated) containers currently held for
-    /// function `fn_idx` — the affinity router's census. Observe-only:
-    /// implementations must not mutate state or draw randomness.
+    /// function `fn_idx` — the warm census the routers' cold-start
+    /// penalty reads. Observe-only: implementations must not mutate
+    /// state or draw randomness.
     fn warm_containers(&self, _fn_idx: u32) -> u64 {
         0
     }

@@ -152,6 +152,24 @@ impl FnStats {
             service: stats(),
         }
     }
+
+    /// Fold one completion into the statistics.
+    pub(crate) fn record(&mut self, c: &Completion) {
+        self.completed += 1;
+        self.wait.record(c.wait);
+        self.service.record(c.service);
+        self.response.record(c.response);
+        if c.violated_slo {
+            self.slo_violations += 1;
+        }
+    }
+
+    /// Count a request abandoned past its hard time limit: a timeout,
+    /// and an SLO violation.
+    pub(crate) fn time_out(&mut self) {
+        self.timeouts += 1;
+        self.slo_violations += 1;
+    }
 }
 
 impl Serialize for FnStats {

@@ -39,11 +39,36 @@
 //! ([`run_federation_parallel`](crate::parallel::run_federation_parallel)).
 //!
 //! This driver owns its transport: the engine calendar with [`FedEv`],
-//! the scoped site context, and the site-side tallies (in-flight and
-//! live requests, per-site statistics, stalled responses, incarnations,
-//! and the marks of copies that lost a hedge race). Its merge point is
-//! the end of each callback: the requests the callback retired are
+//! the scoped site context, and the site incarnations. Its merge point
+//! is the end of each callback: the requests the callback retired are
 //! settled with the front end's race ledger in the order they retired.
+//!
+//! # The site ledger
+//!
+//! A site's request books — in-flight and live requests, per-function
+//! statistics and arrival windows, responses stalled behind a partition,
+//! chaos crashes, and the marks of copies that must not win a hedge
+//! race — are one ledger, `SiteTally`, which both drivers keep per site
+//! and change through the same operations: admit, release, complete,
+//! time out, lose, cancel, stall, take the arrival window, evacuate,
+//! restart and close. The drivers still differ in four ways, each
+//! following from their transport:
+//!
+//! * A completion's timings come from the engine's request table here,
+//!   and from the ledger's live entry, which holds the front-door
+//!   arrival, in the windowed driver (it has no engine).
+//! * This driver marks a losing copy when its race decides, since the
+//!   race settles inline; a marked copy's timeout or loss then never
+//!   retires the request. The windowed driver learns the verdict only
+//!   at the merge, so it marks a copy when the cancel lands and
+//!   releases it at once.
+//! * On a crash this driver drops each orphan's mark as the orphan
+//!   migrates and keeps the marks of copies already released; the
+//!   windowed driver clears every mark.
+//! * A delivery eaten at the door counts here as an arrival and a
+//!   cancellation at its site, and a hedge clone as hedged at its site;
+//!   the windowed driver books both in the aggregate only, because its
+//!   front end does not touch shard state between barriers.
 //!
 //! # Failure semantics
 //!
@@ -340,85 +365,147 @@ pub enum FedEv<E> {
     },
 }
 
-/// The site-side bookkeeping of one site (its router-facing half lives
-/// in the shared front end).
-pub(crate) struct SiteTally {
-    /// Requests delivered to the site and not yet finished.
+/// The books one site keeps on the requests it holds: the one ledger
+/// of both federation drivers (the router-facing half of a site lives
+/// in the shared front end). `A` is what a driver keeps per live
+/// request to time its completion: nothing in the sequential driver,
+/// whose engine request table holds the arrival, and the front-door
+/// arrival in the windowed driver.
+pub(crate) struct SiteTally<A = ()> {
+    /// Requests delivered to the site and not yet finished; always
+    /// `live.len()` (see [`SiteTally::audit`]).
     pub(crate) in_flight: usize,
     /// Per-function arrival counts since the site's last window take.
     pub(crate) window: Vec<u64>,
     /// Per-function statistics of requests finished at this site.
     pub(crate) per_fn: Vec<FnStats>,
-    /// Live requests held by the site (delivered, not yet finished),
-    /// keyed by request id for deterministic evacuation order.
-    pub(crate) live: BTreeMap<u64, u32>,
+    /// Live requests held by the site (delivered, not yet finished):
+    /// rid → (fn, `A`), keyed by request id for deterministic
+    /// evacuation order.
+    pub(crate) live: BTreeMap<u64, (u32, A)>,
     /// Completions held back by an ongoing partition: `(rid, started)`.
     pub(crate) stalled: Vec<(u64, SimTime)>,
-    /// Site incarnation; bumped on crash to invalidate stale events.
-    pub(crate) epoch: u32,
     /// Containers crashed here by chaos bursts.
     pub(crate) chaos_crashes: u32,
     /// Copies here that must never win: losers of a resolved race and
-    /// copies a retry abandoned. Marked when the race decides, before
-    /// the cancel lands. A marked copy's completion is wasted work (and
-    /// consumes the mark); its timeout or loss never retires the
-    /// request. A copy cancelled while still queued leaves its mark
-    /// behind (it never completes), which is bookkeeping-only.
+    /// copies a retry abandoned. A marked copy's completion is wasted
+    /// work (and consumes the mark). The sequential driver marks a copy
+    /// when the race decides, before the cancel lands, so its timeout
+    /// or loss must not retire the request; the windowed driver marks
+    /// it when the cancel lands and releases it. A copy that migrates,
+    /// or is eaten at the door, takes its mark along. A copy cancelled
+    /// while still queued leaves its mark behind (it never completes),
+    /// which is bookkeeping-only.
     pub(crate) hedge_lost: BTreeSet<u64>,
 }
 
-impl SiteTally {
-    pub(crate) fn new(functions: &[FedFunction]) -> Self {
+impl<A> SiteTally<A> {
+    /// Empty books over the site's per-function statistics.
+    pub(crate) fn new(per_fn: Vec<FnStats>) -> Self {
         Self {
             in_flight: 0,
-            window: vec![0; functions.len()],
-            per_fn: functions
-                .iter()
-                .map(|f| FnStats::empty(f.name.clone(), f.slo_deadline, SampleStats::new))
-                .collect(),
+            window: vec![0; per_fn.len()],
+            per_fn,
             live: BTreeMap::new(),
             stalled: Vec::new(),
-            epoch: 0,
             chaos_crashes: 0,
             hedge_lost: BTreeSet::new(),
         }
     }
 
-    /// Fold one finished request into the site's statistics.
-    fn record_completion(&mut self, c: &Completion) {
-        let f = &mut self.per_fn[c.fn_idx as usize];
-        f.completed += 1;
-        f.wait.record(c.wait);
-        f.service.record(c.service);
-        f.response.record(c.response);
-        if c.violated_slo {
-            f.slo_violations += 1;
-        }
-        self.in_flight = self.in_flight.saturating_sub(1);
+    /// A request reaches the site.
+    pub(crate) fn admit(&mut self, rid: u64, fn_idx: u32, timing: A) {
+        self.in_flight += 1;
+        self.window[fn_idx as usize] += 1;
+        self.per_fn[fn_idx as usize].arrivals += 1;
+        self.live.insert(rid, (fn_idx, timing));
     }
 
-    /// A request left the site without completing (timed out, lost, or
-    /// cancelled): release its books.
-    fn release(&mut self, rid: u64) {
-        self.live.remove(&rid);
-        self.in_flight = self.in_flight.saturating_sub(1);
+    /// The request leaves the site, however it ended; `None` if the
+    /// site no longer holds it.
+    pub(crate) fn release(&mut self, rid: u64) -> Option<(u32, A)> {
+        let entry = self.live.remove(&rid)?;
+        self.in_flight -= 1;
+        Some(entry)
     }
-}
 
-/// The live census of one site's scheduler for routing `fn_idx`.
-fn census<'a, P: ContainerChaos>(
-    sites: &'a [P],
-    tallies: &'a [SiteTally],
-    fn_idx: u32,
-) -> impl FnMut(usize) -> Census + 'a {
-    move |i| {
-        let site = &sites[i];
-        let n_fns = tallies[i].per_fn.len() as u32;
-        Census {
-            warm: site.warm_containers(fn_idx),
-            fleet: (0..n_fns).map(|f| site.warm_containers(f)).sum(),
-            resources: site.resource_snapshot(),
+    /// Per-function arrivals since the last take; resets the windows.
+    pub(crate) fn take_window(&mut self) -> Vec<u64> {
+        self.window.iter_mut().map(std::mem::take).collect()
+    }
+
+    /// The request completed here.
+    pub(crate) fn complete(&mut self, c: &Completion) {
+        self.per_fn[c.fn_idx as usize].record(c);
+    }
+
+    /// The request timed out here.
+    pub(crate) fn time_out(&mut self, rid: u64) -> Option<u32> {
+        let (fn_idx, _) = self.release(rid)?;
+        self.per_fn[fn_idx as usize].time_out();
+        Some(fn_idx)
+    }
+
+    /// The request was lost here.
+    pub(crate) fn lose(&mut self, rid: u64) -> Option<u32> {
+        let (fn_idx, _) = self.release(rid)?;
+        self.per_fn[fn_idx as usize].lost += 1;
+        Some(fn_idx)
+    }
+
+    /// A losing copy's cancel lands: the site drops it, if it still
+    /// holds it.
+    pub(crate) fn cancel(&mut self, rid: u64) -> Option<u32> {
+        let (fn_idx, _) = self.release(rid)?;
+        self.per_fn[fn_idx as usize].cancelled += 1;
+        Some(fn_idx)
+    }
+
+    /// A completion cannot cross the cut link: hold it until the
+    /// partition heals (the stall lands in its response time).
+    pub(crate) fn stall(&mut self, rid: u64, started: SimTime) {
+        if self.live.contains_key(&rid) {
+            self.stalled.push((rid, started));
         }
+    }
+
+    /// The site crashed: hand over every request it held, in request-id
+    /// order, and drop the held-back responses.
+    pub(crate) fn evacuate(&mut self) -> BTreeMap<u64, (u32, A)> {
+        self.in_flight = 0;
+        self.stalled.clear();
+        std::mem::take(&mut self.live)
+    }
+
+    /// A crashed site comes back: its rebuilt scheduler starts with
+    /// fresh arrival windows (it holds nothing since the evacuation).
+    pub(crate) fn restart(&mut self) {
+        self.window.fill(0);
+    }
+
+    /// The ledger's invariant: the in-flight count is the live set's
+    /// size.
+    pub(crate) fn audit(&self) {
+        assert_eq!(
+            self.in_flight,
+            self.live.len(),
+            "site in-flight count disagrees with its live requests"
+        );
+    }
+
+    /// Close the books when the run ends (auditing them in debug
+    /// builds): the site's chaos-crashed containers and the outcome its
+    /// scheduler reports from.
+    pub(crate) fn close(self, duration_secs: f64) -> (u32, EngineOutcome) {
+        if cfg!(debug_assertions) {
+            self.audit();
+        }
+        let outcome = EngineOutcome {
+            per_fn: self.per_fn,
+            outstanding: self.in_flight,
+            duration_secs,
+        };
+        (self.chaos_crashes, outcome)
     }
 }
 
@@ -427,6 +514,8 @@ fn census<'a, P: ContainerChaos>(
 struct SiteCtx<'a, C> {
     inner: &'a mut C,
     site: u32,
+    /// The site's incarnation, stamped on every event it schedules.
+    epoch: u32,
     tally: &'a mut SiteTally,
     front: &'a mut Front,
     /// Shift applied to scheduled times — non-zero only while replaying
@@ -443,7 +532,6 @@ struct SiteCtx<'a, C> {
 impl<C> SiteCtx<'_, C> {
     /// The logical request `rid` left this site without completing.
     fn retire(&mut self, rid: ReqId) {
-        self.tally.release(rid.0);
         self.front.sites[self.site as usize].finished += 1;
         self.retired.push((rid.0, self.site));
     }
@@ -455,7 +543,7 @@ impl<E, C: PolicyCtx<FedEv<E>>> PolicyCtx<E> for SiteCtx<'_, C> {
             at + self.offset,
             FedEv::Site {
                 site: self.site,
-                epoch: self.tally.epoch,
+                epoch: self.epoch,
                 ev,
             },
         );
@@ -479,13 +567,9 @@ impl<E, C: PolicyCtx<FedEv<E>>> PolicyCtx<E> for SiteCtx<'_, C> {
 
     fn complete(&mut self, rid: ReqId, started: SimTime, now: SimTime) -> Option<Completion> {
         if self.front.sites[self.site as usize].partitioned {
-            // The response cannot cross the cut link: hold it until the
-            // partition heals (the stall lands in response time). The
-            // policy sees `None` and skips its own completion
+            // The policy sees `None` and skips its own completion
             // accounting; the request stays live engine-side.
-            if self.tally.live.contains_key(&rid.0) {
-                self.tally.stalled.push((rid.0, started));
-            }
+            self.tally.stall(rid.0, started);
             return None;
         }
         // A copy this federation already abandoned (a retried original,
@@ -499,8 +583,8 @@ impl<E, C: PolicyCtx<FedEv<E>>> PolicyCtx<E> for SiteCtx<'_, C> {
             return None;
         }
         let c = self.inner.complete(rid, started, now)?;
-        self.tally.live.remove(&rid.0);
-        self.tally.record_completion(&c);
+        self.tally.release(rid.0);
+        self.tally.complete(&c);
         self.front.record_completion(self.site as usize, c.service);
         self.retired.push((rid.0, self.site));
         Some(c)
@@ -513,9 +597,7 @@ impl<E, C: PolicyCtx<FedEv<E>>> PolicyCtx<E> for SiteCtx<'_, C> {
             return None;
         }
         let fn_idx = self.inner.abandon(rid)?;
-        let f = &mut self.tally.per_fn[fn_idx as usize];
-        f.timeouts += 1;
-        f.slo_violations += 1;
+        self.tally.time_out(rid.0);
         self.retire(rid);
         Some(fn_idx)
     }
@@ -525,7 +607,7 @@ impl<E, C: PolicyCtx<FedEv<E>>> PolicyCtx<E> for SiteCtx<'_, C> {
             return None;
         }
         let fn_idx = self.inner.lose(rid)?;
-        self.tally.per_fn[fn_idx as usize].lost += 1;
+        self.tally.lose(rid.0);
         self.retire(rid);
         Some(fn_idx)
     }
@@ -537,7 +619,7 @@ impl<E, C: PolicyCtx<FedEv<E>>> PolicyCtx<E> for SiteCtx<'_, C> {
     }
 
     fn take_window_counts(&mut self) -> Vec<u64> {
-        self.tally.window.iter_mut().map(std::mem::take).collect()
+        self.tally.take_window()
     }
 
     fn outstanding(&self) -> usize {
@@ -667,6 +749,9 @@ pub type SiteRebuild<P> = Box<dyn FnMut(usize, u32) -> P + Send>;
 pub struct Federation<P: SchedulerPolicy> {
     pub(crate) sites: Vec<P>,
     pub(crate) tallies: Vec<SiteTally>,
+    /// Site incarnations; a crash bumps one to invalidate the dead
+    /// instance's events.
+    epochs: Vec<u32>,
     /// The router-facing half, shared with the parallel driver.
     pub(crate) front: Front,
     /// Factory that rebuilds a crashed site's scheduler on recovery.
@@ -688,8 +773,12 @@ impl<P: ContainerChaos> Federation<P> {
     ) -> Self {
         assert!(!sites.is_empty(), "federation needs at least one site");
         let (metas, sites): (Vec<SiteMeta>, Vec<P>) = sites.into_iter().unzip();
+        let stats =
+            |f: &FedFunction| FnStats::empty(f.name.clone(), f.slo_deadline, SampleStats::new);
+        let tallies = sites.iter().map(|_| functions.iter().map(stats).collect());
         Self {
-            tallies: sites.iter().map(|_| SiteTally::new(functions)).collect(),
+            tallies: tallies.map(SiteTally::new).collect(),
+            epochs: vec![0; sites.len()],
             sites,
             front: Front::new(metas, router, functions),
             rebuild: None,
@@ -784,6 +873,7 @@ impl<P: ContainerChaos> Federation<P> {
             SiteCtx {
                 inner: ctx,
                 site: i as u32,
+                epoch: self.epochs[i],
                 tally: &mut self.tallies[i],
                 front: &mut self.front,
                 offset: SimDuration::ZERO,
@@ -839,10 +929,7 @@ impl<P: ContainerChaos> Federation<P> {
         site: u32,
         rid: ReqId,
     ) {
-        let tally = &mut self.tallies[site as usize];
-        if let Some(fn_idx) = tally.live.get(&rid.0).copied() {
-            tally.release(rid.0);
-            tally.per_fn[fn_idx as usize].cancelled += 1;
+        if let Some(fn_idx) = self.tallies[site as usize].cancel(rid.0) {
             self.front.sites[site as usize].finished += 1;
             self.front.loser_settled(rid.0, site);
             ctx.note_cancelled(fn_idx);
@@ -904,7 +991,10 @@ impl<P: ContainerChaos> Federation<P> {
     ) {
         let i = site as usize;
         if self.front.door(rid.0, site) {
-            let f = &mut self.tallies[i].per_fn[fn_idx as usize];
+            // The copy never enters the site; its mark goes with it.
+            let tally = &mut self.tallies[i];
+            tally.hedge_lost.remove(&rid.0);
+            let f = &mut tally.per_fn[fn_idx as usize];
             f.arrivals += 1;
             f.cancelled += 1;
             ctx.note_cancelled(fn_idx);
@@ -917,19 +1007,15 @@ impl<P: ContainerChaos> Federation<P> {
             self.migrate(ctx, i, rid, fn_idx, now, false);
             return;
         }
-        let tally = &mut self.tallies[i];
-        tally.in_flight += 1;
-        tally.window[fn_idx as usize] += 1;
-        tally.per_fn[fn_idx as usize].arrivals += 1;
-        tally.live.insert(rid.0, fn_idx);
+        self.tallies[i].admit(rid.0, fn_idx, ());
         let (policy, mut sctx) = self.site_ctx(ctx, i);
         policy.on_arrival(&mut sctx, rid, fn_idx, now);
     }
 
     /// Move a request committed to site `from` onto a surviving site
     /// (or fail it when none is left). `delivered` says whether the
-    /// request had already reached the site (crash orphan) or was still
-    /// in transit (bounced delivery).
+    /// request had already reached the site (crash orphan, its books
+    /// already handed over) or was still in transit (bounced delivery).
     fn migrate(
         &mut self,
         ctx: &mut impl PolicyCtx<FedEv<P::Event>>,
@@ -939,12 +1025,10 @@ impl<P: ContainerChaos> Federation<P> {
         now: SimTime,
         delivered: bool,
     ) {
-        if delivered {
-            self.tallies[from].release(rid.0);
-        }
         // The copy leaves the site, and its mark with it.
         self.tallies[from].hedge_lost.remove(&rid.0);
-        let census = census(&self.sites, &self.tallies, fn_idx);
+        let n_fns = ctx.fn_count();
+        let census = |i| Census::of(&self.sites[i], fn_idx, n_fns);
         match self.front.migrate(rid.0, from, fn_idx, now, census) {
             Migration::Dies => {
                 if delivered {
@@ -1002,9 +1086,9 @@ impl<P: ContainerChaos> SchedulerPolicy for Federation<P> {
             ctx.lose(rid);
             return;
         }
-        let chosen = self
-            .front
-            .pick(fn_idx, now, census(&self.sites, &self.tallies, fn_idx));
+        let n_fns = ctx.fn_count();
+        let census = |i| Census::of(&self.sites[i], fn_idx, n_fns);
+        let chosen = self.front.pick(fn_idx, now, census);
         self.front.commit(chosen, now);
         // The race opens before the primary leaves: a zero-latency
         // primary is delivered inline, and may bounce and migrate, or
@@ -1028,14 +1112,15 @@ impl<P: ContainerChaos> SchedulerPolicy for Federation<P> {
             FedEv::Deliver { site, rid, fn_idx } => self.deliver(ctx, site, rid, fn_idx, now),
             FedEv::Site { site, epoch, ev } => {
                 let i = site as usize;
-                if epoch != self.tallies[i].epoch {
+                if epoch != self.epochs[i] {
                     return; // stale event of a crashed incarnation
                 }
                 let (policy, mut sctx) = self.site_ctx(ctx, i);
                 policy.on_event(&mut sctx, ev, now);
             }
             FedEv::HedgeFire { rid, fn_idx } => {
-                let census = census(&self.sites, &self.tallies, fn_idx);
+                let n_fns = ctx.fn_count();
+                let census = |i| Census::of(&self.sites[i], fn_idx, n_fns);
                 if let Some(fired) = self.front.fire_race(rid.0, fn_idx, now, census) {
                     self.send_clones(ctx, rid, fn_idx, fired.clones, now);
                     self.cancel(ctx, rid.0, fired.cancel, now);
@@ -1044,12 +1129,7 @@ impl<P: ContainerChaos> SchedulerPolicy for Federation<P> {
             FedEv::CancelDeliver { site, rid } => self.cancel_clone_at(ctx, site, rid),
             FedEv::Publish { site } => {
                 let i = site as usize;
-                let policy = &self.sites[i];
-                let n_fns = self.tallies[i].per_fn.len() as u32;
-                let (next, snap) = self.front.publish(i, now, || {
-                    let warm = (0..n_fns).map(|f| policy.warm_containers(f)).collect();
-                    (warm, policy.resource_snapshot())
-                });
+                let (next, snap) = self.front.publish(i, now, &self.sites[i]);
                 ctx.schedule(next, FedEv::Publish { site });
                 if let Some((at, snap)) = snap {
                     ctx.schedule(at, FedEv::SnapshotArrive { site, snap });
@@ -1083,12 +1163,8 @@ impl<P: ContainerChaos> SchedulerPolicy for Federation<P> {
             .zip(self.tallies)
             .map(|(site, tally)| {
                 let utilization = multidim.then(|| site.resource_snapshot().utilization());
-                let site_outcome = EngineOutcome {
-                    per_fn: tally.per_fn,
-                    outstanding: tally.in_flight,
-                    duration_secs: duration,
-                };
-                (tally.chaos_crashes, utilization, site.finish(site_outcome))
+                let (crashes, site_outcome) = tally.close(duration);
+                (crashes, utilization, site.finish(site_outcome))
             });
         self.front
             .finish(parts, outcome.per_fn, outcome.outstanding, duration, 1)
@@ -1111,20 +1187,15 @@ impl<P: ContainerChaos> ChaosTarget for Federation<P> {
                     self.rebuild.is_some(),
                     "site-crash faults require Federation::with_rebuild"
                 );
-                let tally = &mut self.tallies[i];
                 // Invalidate every event the dead incarnation scheduled.
-                tally.epoch += 1;
-                tally.stalled.clear();
-                let orphans: Vec<(u64, u32)> =
-                    std::mem::take(&mut tally.live).into_iter().collect();
-                for (rid, fn_idx) in orphans {
+                self.epochs[i] += 1;
+                // Each orphan takes its own mark along; other marks stay.
+                for (rid, (fn_idx, ())) in self.tallies[i].evacuate() {
                     self.migrate(ctx, i, ReqId(rid), fn_idx, now, true);
                 }
             }
             SiteWork::Rebuild(restarts) => {
-                let tally = &mut self.tallies[i];
-                tally.in_flight = 0;
-                tally.window.iter_mut().for_each(|w| *w = 0);
+                self.tallies[i].restart();
                 let rebuild = self.rebuild.as_mut().expect("checked at SiteDown");
                 self.sites[i] = rebuild(i, restarts);
                 // Replay the fresh policy's start-up (timer setup,
@@ -1148,9 +1219,8 @@ impl<P: ContainerChaos> ChaosTarget for Federation<P> {
                         self.front.sites[i].waste(secs);
                         self.cancel_clone_at(ctx, i as u32, ReqId(rid));
                     } else if let Some(c) = ctx.complete(ReqId(rid), started, now) {
-                        let tally = &mut self.tallies[i];
-                        tally.live.remove(&rid);
-                        tally.record_completion(&c);
+                        self.tallies[i].release(rid);
+                        self.tallies[i].complete(&c);
                         self.front.record_completion(i, c.service);
                         self.retired.push((rid, i as u32));
                     } else if self.front.hedge.is_some() {
@@ -1177,6 +1247,7 @@ mod tests {
     use crate::engine::{run_simulation, EngineConfig, FunctionEntry};
     use crate::front::RouterSite;
     use crate::router::RouterKind;
+    use proptest::prelude::*;
 
     /// A fixed-service-time single-server policy (per site) that records
     /// the instant of the last delivery it saw.
@@ -1717,6 +1788,57 @@ mod tests {
         for site in &rep.per_site {
             for &d in &site.report.desired {
                 assert!(d >= 2, "reconciler sized below the reported fleet");
+            }
+        }
+    }
+
+    proptest! {
+        /// Any order of the ledger's operations keeps its books
+        /// consistent: the in-flight count is the live set's size, and
+        /// every request the site admitted is still live or booked as
+        /// completed, timed out, lost, cancelled or evacuated.
+        #[test]
+        fn ledger_operations_keep_the_books_consistent(
+            ops in prop::collection::vec((0u8..10, 0u64..6, 0u32..2), 0..120),
+        ) {
+            let fns = ["f0", "f1"].map(|n| FnStats::empty(n.into(), 0.1, SampleStats::new));
+            let mut t: SiteTally<SimTime> = SiteTally::new(fns.into());
+            let mut evacuated = 0;
+            let complete = |t: &mut SiteTally<SimTime>, rid| {
+                if let Some((fn_idx, arrival)) = t.release(rid) {
+                    t.complete(&Completion {
+                        fn_idx,
+                        arrival,
+                        wait: 0.0,
+                        service: 0.01,
+                        response: 0.01,
+                        violated_slo: false,
+                    });
+                }
+            };
+            for (op, rid, fn_idx) in ops {
+                match op {
+                    // A site books at most one copy of a request.
+                    0 | 1 if !t.live.contains_key(&rid) => t.admit(rid, fn_idx, SimTime::ZERO),
+                    2 => complete(&mut t, rid),
+                    3 => drop(t.time_out(rid)),
+                    4 => drop(t.lose(rid)),
+                    5 => drop(t.cancel(rid)),
+                    6 => t.stall(rid, SimTime::ZERO),
+                    7 => {
+                        for (rid, _) in std::mem::take(&mut t.stalled) {
+                            complete(&mut t, rid);
+                        }
+                    }
+                    8 => evacuated += t.evacuate().len(),
+                    9 => t.restart(),
+                    _ => {}
+                }
+                t.audit();
+                let admitted: usize = t.per_fn.iter().map(|f| f.arrivals).sum();
+                let ended = |f: &FnStats| f.completed + f.timeouts + f.lost + f.cancelled;
+                let booked: usize = t.per_fn.iter().map(ended).sum();
+                prop_assert_eq!(admitted, booked + t.live.len() + evacuated);
             }
         }
     }

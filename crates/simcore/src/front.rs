@@ -40,7 +40,7 @@
 //! race stays until every loser reached its terminal event, so these
 //! verdicts hold for copies still in flight.
 
-use crate::chaos::Fault;
+use crate::chaos::{ContainerChaos, Fault};
 use crate::engine::FnStats;
 use crate::federation::{
     FedFunction, FederatedReport, HedgeConfig, HedgeTrigger, SiteMeta, SiteReport,
@@ -183,6 +183,18 @@ pub(crate) struct Census {
     pub(crate) fleet: u64,
     /// The site's per-dimension capacity picture.
     pub(crate) resources: ResourceSnapshot,
+}
+
+impl Census {
+    /// The live census of a site's scheduler for routing `fn_idx`, with
+    /// `n_fns` functions registered.
+    pub(crate) fn of(site: &impl ContainerChaos, fn_idx: u32, n_fns: usize) -> Self {
+        Self {
+            warm: site.warm_containers(fn_idx),
+            fleet: (0..n_fns as u32).map(|f| site.warm_containers(f)).sum(),
+            resources: site.resource_snapshot(),
+        }
+    }
 }
 
 /// The site-side work a fault leaves to the driver once the front end
@@ -699,13 +711,13 @@ impl Front {
     /// site's fate, so the schedule is identical across fault histories
     /// and thread counts — and the snapshot with its arrival instant,
     /// unless the site is dead or the snapshot is lost (cut link or
-    /// background loss). `census` yields the site's warm counts per
-    /// function and its resource picture.
+    /// background loss). The snapshot censuses the site's scheduler
+    /// `policy`: its warm counts per function and its resource picture.
     pub(crate) fn publish(
         &mut self,
         i: usize,
         now: SimTime,
-        census: impl FnOnce() -> (Vec<u64>, ResourceSnapshot),
+        policy: &impl ContainerChaos,
     ) -> (SimTime, Option<(SimTime, TelemetrySnapshot)>) {
         let next = self.telemetry.next_publish(i);
         // Drawn before the fate checks so the stream position is the
@@ -718,7 +730,9 @@ impl Front {
         {
             return (next, None);
         }
-        let (warm, resources) = census();
+        let n_fns = self.fn_demands.len() as u32;
+        let warm: Vec<u64> = (0..n_fns).map(|f| policy.warm_containers(f)).collect();
+        let resources = policy.resource_snapshot();
         let t = now.as_secs_f64();
         let servers = site.servers(warm.iter().sum());
         site.observe_health(t);

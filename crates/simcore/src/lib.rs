@@ -66,9 +66,8 @@ pub use parallel::run_federation_parallel;
 pub use reqtable::RequestTable;
 pub use rng::SimRng;
 pub use router::{
-    AffinityRouter, FailureAwareRouter, LatencyAwareRouter, LeastLoadedRouter, PlannerRouter,
-    ResourceSnapshot, RoundRobinRouter, RouterConfig, RouterKind, RouterPolicy, SiteState,
-    SloAwareRouter,
+    FailureAwareRouter, LatencyAwareRouter, LeastLoadedRouter, PlannerRouter, ResourceSnapshot,
+    RoundRobinRouter, RouterConfig, RouterKind, RouterPolicy, SiteState, SloAwareRouter,
 };
 pub use telemetry::{ReconcilerSeam, TelemetryConfig, TelemetrySnapshot, UtilizationReconciler};
 pub use time::{SimDuration, SimTime, NANOS_PER_SEC};

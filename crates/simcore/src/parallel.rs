@@ -19,7 +19,10 @@
 //! shards with their inboxes and outcome logs, the window loop and the
 //! deterministic merge. The merge hands each terminal outcome to the
 //! front end's race ledger in merge order, so a hedge race has the same
-//! winner at every thread count.
+//! winner at every thread count. Each shard keeps its site's request
+//! books in the same ledger as the sequential driver, `SiteTally`; the
+//! [`federation`](crate::federation) module docs list the differences
+//! that remain.
 //!
 //! # Execution model
 //!
@@ -91,17 +94,15 @@
 
 use crate::arrivals::ArrivalProcess;
 use crate::chaos::{ChaosConfig, ContainerChaos, Fault};
-use crate::engine::{
-    Completion, EngineConfig, EngineOutcome, FnStats, FunctionEntry, PolicyCtx, ReqId,
-};
+use crate::engine::{Completion, EngineConfig, FnStats, FunctionEntry, PolicyCtx, ReqId};
 use crate::events::EventQueue;
-use crate::federation::{FederatedReport, Federation, SiteRebuild};
+use crate::federation::{FederatedReport, Federation, SiteRebuild, SiteTally};
 use crate::front::{Cancel, Census, Front, HedgeStep, Migration, SiteWork};
 use crate::metrics::SampleStats;
 use crate::rng::SimRng;
 use crate::telemetry::TelemetrySnapshot;
 use crate::time::{SimDuration, SimTime};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread::Thread;
@@ -140,11 +141,7 @@ enum Msg {
 enum LogKind {
     Completed {
         rid: u64,
-        fn_idx: u32,
-        wait: f64,
-        service: f64,
-        response: f64,
-        violated: bool,
+        c: Completion,
     },
     Timeout {
         rid: u64,
@@ -182,25 +179,13 @@ struct ShardState<E> {
     queue: EventQueue<E>,
     /// Current-window messages from the front-end, time-sorted.
     inbox: VecDeque<(SimTime, Msg)>,
-    /// Live requests held by the site: rid → (fn, arrival), keyed by
-    /// request id for deterministic crash-evacuation order.
-    live: BTreeMap<u64, (u32, SimTime)>,
-    /// Completions held back by an ongoing partition: `(rid, started)`.
-    stalled: Vec<(u64, SimTime)>,
-    /// Hedge clones released by a [`Msg::Cancel`]: the site policy is
-    /// not told, so a clone already in service runs to the end, and its
+    /// The site's books; a live request keeps its front-door arrival.
+    /// A [`Msg::Cancel`] marks the copy it releases: the site policy is
+    /// not told, so a copy already in service runs to the end, and its
     /// completion is wasted work.
-    hedge_lost: BTreeSet<u64>,
+    tally: SiteTally<SimTime>,
     /// Whether the router↔site link is currently cut (shard's view).
     partitioned: bool,
-    /// Requests delivered and not yet finished.
-    in_flight: usize,
-    /// Per-function arrival counts since the last window take.
-    window: Vec<u64>,
-    /// Per-function statistics of requests finished at this site.
-    per_fn: Vec<FnStats>,
-    /// Containers crashed here by chaos bursts.
-    chaos_crashes: u32,
     /// Outcomes recorded this window, drained by the merge phase.
     log: Vec<LogEntry>,
     /// Lazily created per-site service streams, labelled
@@ -236,51 +221,32 @@ struct LocalCtx<'a, E> {
 
 impl<E> ShardState<E> {
     /// The service of `rid` that began at `started` ends at `now`: log
-    /// wasted work for a released hedge clone; otherwise compute the
-    /// request's timings, fold them into the site statistics, and log
-    /// the completion for the merge phase (which feeds the front end).
+    /// wasted work for a released hedge clone; otherwise time the
+    /// request from its arrival, book it, and log the completion for
+    /// the merge phase (which feeds the front end).
     fn end_service(&mut self, rid: u64, started: SimTime, now: SimTime) -> Option<Completion> {
-        if self.hedge_lost.remove(&rid) {
+        if self.tally.hedge_lost.remove(&rid) {
             let service = now.saturating_since(started).as_secs_f64();
-            self.log.push(LogEntry {
-                t: now,
-                kind: LogKind::Wasted { service },
-            });
+            self.log(now, LogKind::Wasted { service });
             return None;
         }
-        let (fn_idx, arrival) = self.live.remove(&rid)?;
+        let (fn_idx, arrival) = self.tally.release(rid)?;
         let wait = started.saturating_since(arrival).as_secs_f64();
-        let service = now.saturating_since(started).as_secs_f64();
-        let response = now.saturating_since(arrival).as_secs_f64();
-        let f = &mut self.per_fn[fn_idx as usize];
-        let violated_slo = wait > f.slo_deadline;
-        f.completed += 1;
-        f.wait.record(wait);
-        f.service.record(service);
-        f.response.record(response);
-        if violated_slo {
-            f.slo_violations += 1;
-        }
-        self.in_flight = self.in_flight.saturating_sub(1);
-        self.log.push(LogEntry {
-            t: now,
-            kind: LogKind::Completed {
-                rid,
-                fn_idx,
-                wait,
-                service,
-                response,
-                violated: violated_slo,
-            },
-        });
-        Some(Completion {
+        let c = Completion {
             fn_idx,
             arrival,
             wait,
-            service,
-            response,
-            violated_slo,
-        })
+            service: now.saturating_since(started).as_secs_f64(),
+            response: now.saturating_since(arrival).as_secs_f64(),
+            violated_slo: wait > self.tally.per_fn[fn_idx as usize].slo_deadline,
+        };
+        self.tally.complete(&c);
+        self.log(now, LogKind::Completed { rid, c });
+        Some(c)
+    }
+
+    fn log(&mut self, t: SimTime, kind: LogKind) {
+        self.log.push(LogEntry { t, kind });
     }
 }
 
@@ -305,61 +271,43 @@ impl<E> PolicyCtx<E> for LocalCtx<'_, E> {
     }
 
     fn request_info(&self, rid: ReqId) -> Option<(u32, SimTime)> {
-        self.st.live.get(&rid.0).copied()
+        self.st.tally.live.get(&rid.0).copied()
     }
 
     fn complete(&mut self, rid: ReqId, started: SimTime, now: SimTime) -> Option<Completion> {
         if self.st.partitioned {
-            // The response cannot cross the cut link: hold it until the
-            // partition heals (the stall lands in response time).
-            if self.st.live.contains_key(&rid.0) {
-                self.st.stalled.push((rid.0, started));
-            }
+            self.st.tally.stall(rid.0, started);
             return None;
         }
         self.st.end_service(rid.0, started, now)
     }
 
     fn abandon(&mut self, rid: ReqId) -> Option<u32> {
-        let (fn_idx, _) = self.st.live.remove(&rid.0)?;
-        let f = &mut self.st.per_fn[fn_idx as usize];
-        f.timeouts += 1;
-        f.slo_violations += 1;
-        self.st.in_flight = self.st.in_flight.saturating_sub(1);
-        self.st.log.push(LogEntry {
-            t: self.now,
-            kind: LogKind::Timeout { rid: rid.0, fn_idx },
-        });
+        let fn_idx = self.st.tally.time_out(rid.0)?;
+        self.st
+            .log(self.now, LogKind::Timeout { rid: rid.0, fn_idx });
         Some(fn_idx)
     }
 
     fn lose(&mut self, rid: ReqId) -> Option<u32> {
-        let (fn_idx, _) = self.st.live.remove(&rid.0)?;
-        self.st.per_fn[fn_idx as usize].lost += 1;
-        self.st.in_flight = self.st.in_flight.saturating_sub(1);
-        self.st.log.push(LogEntry {
-            t: self.now,
-            kind: LogKind::Lost { rid: rid.0, fn_idx },
-        });
+        let fn_idx = self.st.tally.lose(rid.0)?;
+        self.st.log(self.now, LogKind::Lost { rid: rid.0, fn_idx });
         Some(fn_idx)
     }
 
     fn rerun(&mut self, rid: ReqId) -> Option<u32> {
-        let &(fn_idx, _) = self.st.live.get(&rid.0)?;
-        self.st.per_fn[fn_idx as usize].reruns += 1;
-        self.st.log.push(LogEntry {
-            t: self.now,
-            kind: LogKind::Rerun { fn_idx },
-        });
+        let &(fn_idx, _) = self.st.tally.live.get(&rid.0)?;
+        self.st.tally.per_fn[fn_idx as usize].reruns += 1;
+        self.st.log(self.now, LogKind::Rerun { fn_idx });
         Some(fn_idx)
     }
 
     fn take_window_counts(&mut self) -> Vec<u64> {
-        self.st.window.iter_mut().map(std::mem::take).collect()
+        self.st.tally.take_window()
     }
 
     fn outstanding(&self) -> usize {
-        self.st.in_flight
+        self.st.tally.in_flight
     }
 }
 
@@ -395,10 +343,7 @@ fn pump_shard<P: ContainerChaos>(shard: &mut Shard<P>, horizon: SimTime) {
                     fn_idx,
                     arrival,
                 } => {
-                    ctx.st.in_flight += 1;
-                    ctx.st.window[fn_idx as usize] += 1;
-                    ctx.st.per_fn[fn_idx as usize].arrivals += 1;
-                    ctx.st.live.insert(rid, (fn_idx, arrival));
+                    ctx.st.tally.admit(rid, fn_idx, arrival);
                     policy.on_arrival(&mut ctx, ReqId(rid), fn_idx, t);
                 }
                 Msg::PartitionStart => {
@@ -408,27 +353,22 @@ fn pump_shard<P: ContainerChaos>(shard: &mut Shard<P>, horizon: SimTime) {
                     ctx.st.partitioned = false;
                     // Release the responses the cut link held back; the
                     // stall lands in their response time.
-                    let stalled = std::mem::take(&mut ctx.st.stalled);
+                    let stalled = std::mem::take(&mut ctx.st.tally.stalled);
                     for (rid, started) in stalled {
                         ctx.st.end_service(rid, started, t);
                     }
                 }
                 Msg::Burst { count } => {
                     let crashed = policy.crash_containers(&mut ctx, count, t);
-                    ctx.st.chaos_crashes += crashed;
+                    ctx.st.tally.chaos_crashes += crashed;
                 }
                 Msg::Directive { desired } => {
                     policy.apply_desired_fleet(&mut ctx, desired, t);
                 }
                 Msg::Cancel { rid } => {
-                    if let Some((fn_idx, _)) = ctx.st.live.remove(&rid) {
-                        ctx.st.hedge_lost.insert(rid);
-                        ctx.st.in_flight = ctx.st.in_flight.saturating_sub(1);
-                        ctx.st.per_fn[fn_idx as usize].cancelled += 1;
-                        ctx.st.log.push(LogEntry {
-                            t,
-                            kind: LogKind::Cancelled { rid, fn_idx },
-                        });
+                    if let Some(fn_idx) = ctx.st.tally.cancel(rid) {
+                        ctx.st.tally.hedge_lost.insert(rid);
+                        ctx.st.log(t, LogKind::Cancelled { rid, fn_idx });
                     }
                 }
             }
@@ -691,13 +631,7 @@ fn census<P: ContainerChaos>(
 ) -> impl FnMut(usize) -> Census + '_ {
     move |i| {
         let shard = shards[i].lock().expect("shard lock");
-        Census {
-            warm: shard.policy.warm_containers(fn_idx),
-            fleet: (0..shard.st.per_fn.len())
-                .map(|f| shard.policy.warm_containers(f as u32))
-                .sum(),
-            resources: shard.policy.resource_snapshot(),
-        }
+        Census::of(&shard.policy, fn_idx, shard.st.fn_count)
     }
 }
 
@@ -789,14 +723,14 @@ impl<P: ContainerChaos> Frontend<P> {
                 self.agg[fn_idx as usize].cancelled += 1;
                 if delivered {
                     let mut shard = shards[from].lock().expect("shard lock");
-                    shard.st.per_fn[fn_idx as usize].cancelled += 1;
+                    shard.st.tally.per_fn[fn_idx as usize].cancelled += 1;
                 }
             }
             Migration::Fails(cancel) => {
                 // Nowhere to go: the request is failed (engine-level lost).
                 if delivered {
                     let mut shard = shards[from].lock().expect("shard lock");
-                    shard.st.per_fn[fn_idx as usize].lost += 1;
+                    shard.st.tally.per_fn[fn_idx as usize].lost += 1;
                 }
                 self.agg[fn_idx as usize].lost += 1;
                 self.lost_total += 1;
@@ -826,16 +760,15 @@ impl<P: ContainerChaos> Frontend<P> {
                     self.rebuild.is_some(),
                     "site-crash faults require Federation::with_rebuild"
                 );
-                let orphans: Vec<(u64, (u32, SimTime))> = {
+                let orphans = {
                     let mut shard = shards[i].lock().expect("shard lock");
                     // Every pending event belongs to the dead
                     // incarnation — the shard advanced exactly to the
                     // fault instant, so the whole calendar is invalid.
                     shard.st.queue.clear();
-                    shard.st.stalled.clear();
-                    shard.st.hedge_lost.clear();
-                    shard.st.in_flight = 0;
-                    std::mem::take(&mut shard.st.live).into_iter().collect()
+                    // Every mark here is of a copy already released.
+                    shard.st.tally.hedge_lost.clear();
+                    shard.st.tally.evacuate()
                 };
                 for (rid, (fn_idx, arrival)) in orphans {
                     self.migrate(shards, i, rid, fn_idx, arrival, now, true);
@@ -845,8 +778,7 @@ impl<P: ContainerChaos> Frontend<P> {
                 let rebuild = self.rebuild.as_mut().expect("checked at SiteDown");
                 let mut shard = shards[i].lock().expect("shard lock");
                 shard.policy = rebuild(i, restarts);
-                shard.st.in_flight = 0;
-                shard.st.window.iter_mut().for_each(|w| *w = 0);
+                shard.st.tally.restart();
                 // Replay the fresh policy's start-up (timer setup,
                 // initial provisioning) shifted to the present.
                 let Shard { policy, st } = &mut *shard;
@@ -922,14 +854,8 @@ impl<P: ContainerChaos> Frontend<P> {
                 }
             }
             FeEv::Publish { site } => {
-                let i = site as usize;
-                let (next, snap) = self.front.publish(i, now, || {
-                    let shard = shards[i].lock().expect("shard lock");
-                    let warm = (0..shard.st.per_fn.len())
-                        .map(|f| shard.policy.warm_containers(f as u32))
-                        .collect();
-                    (warm, shard.policy.resource_snapshot())
-                });
+                let shard = shards[site as usize].lock().expect("shard lock");
+                let (next, snap) = self.front.publish(site as usize, now, &shard.policy);
                 self.calendar.schedule(next, FeEv::Publish { site });
                 if let Some((at, snap)) = snap {
                     self.calendar.schedule(at, FeEv::SnapshotDue { site, snap });
@@ -973,34 +899,20 @@ impl<P: ContainerChaos> Frontend<P> {
             let s = site as usize;
             let timeout = matches!(e.kind, LogKind::Timeout { .. });
             match e.kind {
-                LogKind::Completed {
-                    rid,
-                    fn_idx,
-                    wait,
-                    service,
-                    response,
-                    violated,
-                } => {
+                LogKind::Completed { rid, c } => {
                     if hedging {
                         let Some(cancel) = self.front.settle(rid, site) else {
                             // A loser finished before its cancel landed:
                             // honest wasted work, not a logical completion.
                             self.front.sites[s].finished += 1;
-                            self.front.sites[s].waste(service);
-                            self.agg[fn_idx as usize].cancelled += 1;
+                            self.front.sites[s].waste(c.service);
+                            self.agg[c.fn_idx as usize].cancelled += 1;
                             continue;
                         };
                         self.cancel(rid, cancel, e.t);
                     }
-                    let f = &mut self.agg[fn_idx as usize];
-                    f.completed += 1;
-                    f.wait.record(wait);
-                    f.service.record(service);
-                    f.response.record(response);
-                    if violated {
-                        f.slo_violations += 1;
-                    }
-                    self.front.record_completion(s, service);
+                    self.agg[c.fn_idx as usize].record(&c);
+                    self.front.record_completion(s, c.service);
                 }
                 LogKind::Timeout { rid, fn_idx } | LogKind::Lost { rid, fn_idx } => {
                     self.front.sites[s].finished += 1;
@@ -1013,8 +925,7 @@ impl<P: ContainerChaos> Frontend<P> {
                     }
                     let f = &mut self.agg[fn_idx as usize];
                     if timeout {
-                        f.timeouts += 1;
-                        f.slo_violations += 1;
+                        f.time_out();
                         self.timeouts_total += 1;
                     } else {
                         f.lost += 1;
@@ -1116,14 +1027,8 @@ where
                     site: i as u32,
                     queue: EventQueue::new(),
                     inbox: VecDeque::new(),
-                    live: BTreeMap::new(),
-                    stalled: Vec::new(),
-                    hedge_lost: BTreeSet::new(),
+                    tally: SiteTally::new(tally.per_fn),
                     partitioned: false,
-                    in_flight: 0,
-                    window: tally.window,
-                    per_fn: tally.per_fn,
-                    chaos_crashes: 0,
                     log: Vec::new(),
                     service_rngs: HashMap::new(),
                     seed: cfg.seed,
@@ -1277,22 +1182,14 @@ where
         .saturating_sub(fe.front.completed + fe.timeouts_total + fe.lost_total);
     fe.front.audit_races(outstanding, |rid, site| {
         let shard = shards[site as usize].lock().expect("shard lock");
-        shard.st.live.contains_key(&rid)
+        shard.st.tally.live.contains_key(&rid)
     });
     let multidim = fe.front.multidim;
     let parts = shards.into_iter().map(|shard| {
         let shard = shard.into_inner().expect("shard lock");
         let utilization = multidim.then(|| shard.policy.resource_snapshot().utilization());
-        let site_outcome = EngineOutcome {
-            per_fn: shard.st.per_fn,
-            outstanding: shard.st.in_flight,
-            duration_secs,
-        };
-        (
-            shard.st.chaos_crashes,
-            utilization,
-            shard.policy.finish(site_outcome),
-        )
+        let (crashes, site_outcome) = shard.st.tally.close(duration_secs);
+        (crashes, utilization, shard.policy.finish(site_outcome))
     });
     fe.front
         .finish(parts, fe.agg, outstanding, duration_secs, threads)

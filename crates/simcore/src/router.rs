@@ -31,8 +31,6 @@
 //!   budget, pick the closest; when none qualifies, pick the site
 //!   minimizing predicted percentile response, with hysteresis so the
 //!   herd does not flap between near-equal sites.
-//! * [`AffinityRouter`] — route a function to sites already holding its
-//!   warm containers, spilling by predicted wait when they saturate.
 //! * [`FailureAwareRouter`] — avoid recently-failed (browned-out) sites
 //!   by their downtime EWMA, re-admitting them through a deterministic
 //!   credit trickle as their health score decays.
@@ -146,7 +144,8 @@ pub struct SiteState {
     /// one that recently crashed or partitioned.
     pub flakiness: f64,
     /// Warm (booted, non-terminated) containers the site holds for the
-    /// function being routed — the affinity census.
+    /// function being routed — the warm census the cold-start penalty
+    /// reads.
     pub warm: u64,
     /// The site's per-dimension capacity picture (all-zero = never
     /// reported; with delayed telemetry this is the last *arrived*
@@ -182,8 +181,8 @@ pub struct RouterConfig {
     /// Score edge (milliseconds) a challenger site must have before the
     /// SLO-aware router abandons its previous pick (herd damping).
     pub hysteresis_ms: f64,
-    /// Normalized load beyond which the affinity router considers a
-    /// warm site saturated and spills by predicted wait.
+    /// Normalized load beyond which the latency-aware router considers
+    /// a site saturated and spills to the next-closest one.
     pub spill_load: f64,
     /// Downtime-EWMA score above which the failure-aware router browns
     /// a site out.
@@ -586,78 +585,6 @@ impl RouterPolicy for SloAwareRouter {
     }
 }
 
-/// Warm-container affinity: route a function to sites already holding
-/// its warm containers (no cold start), choosing among them by predicted
-/// percentile response; a warm site whose load passed the spill
-/// threshold no longer counts. When no warm site is eligible the router
-/// spills by predicted wait over all up sites, and degrades to
-/// least-loaded when every forecast is unstable.
-#[derive(Debug)]
-pub struct AffinityRouter {
-    percentile: f64,
-    spill_load: f64,
-    /// Cold-start penalty, seconds (0 disables the census blend).
-    cold: f64,
-    /// Scratch: per-site scores, evaluated once per decision and shared
-    /// by the warm pass and the spill pass.
-    scores: Vec<f64>,
-}
-
-impl AffinityRouter {
-    /// Build from the shared [`RouterConfig`].
-    pub fn new(cfg: &RouterConfig) -> Self {
-        Self {
-            percentile: cfg.percentile,
-            spill_load: cfg.spill_load,
-            cold: cfg.cold_start_penalty_ms / 1e3,
-            scores: Vec::new(),
-        }
-    }
-
-    /// Minimum pre-computed score over `sites` restricted by
-    /// `eligible`; ties prefer the larger warm census, then the lower
-    /// index.
-    fn best_by_score(
-        &self,
-        sites: &[SiteState],
-        mut eligible: impl FnMut(&SiteState) -> bool,
-    ) -> Option<usize> {
-        let mut best: Option<(usize, f64)> = None;
-        for (i, s) in sites.iter().enumerate() {
-            if !s.up || !eligible(s) {
-                continue;
-            }
-            let score = self.scores[i];
-            if !score.is_finite() {
-                continue;
-            }
-            match best {
-                Some((b, bs)) if bs < score || (bs == score && sites[b].warm >= s.warm) => {}
-                _ => best = Some((i, score)),
-            }
-        }
-        best.map(|(i, _)| i)
-    }
-}
-
-impl RouterPolicy for AffinityRouter {
-    fn route(&mut self, _fn_idx: u32, _now: SimTime, sites: &[SiteState]) -> usize {
-        self.scores.clear();
-        self.scores.extend(
-            sites
-                .iter()
-                .map(|s| predicted_score(s, self.percentile, self.cold)),
-        );
-        self.best_by_score(sites, |s| s.warm > 0 && s.load() < self.spill_load)
-            .or_else(|| self.best_by_score(sites, |_| true))
-            .unwrap_or_else(|| least_loaded(sites))
-    }
-
-    fn name(&self) -> &'static str {
-        "affinity"
-    }
-}
-
 /// Failure-aware brown-out avoidance: sites whose downtime EWMA exceeds
 /// the flakiness threshold are excluded from normal (least-loaded)
 /// routing and re-admitted through a deterministic credit trickle —
@@ -836,8 +763,6 @@ pub enum RouterKind {
     LatencyAware,
     /// [`SloAwareRouter`] (model-driven SLO holder).
     SloAware,
-    /// [`AffinityRouter`] (warm-container affinity).
-    Affinity,
     /// [`FailureAwareRouter`] (downtime-EWMA brown-out avoidance).
     FailureAware,
     /// [`PlannerRouter`] (vector-aware placement planner).
@@ -846,21 +771,13 @@ pub enum RouterKind {
 
 impl RouterKind {
     /// Every shipped router, for sweeps and tests.
-    pub const ALL: [RouterKind; 7] = [
+    pub const ALL: [RouterKind; 6] = [
         RouterKind::RoundRobin,
         RouterKind::LeastLoaded,
         RouterKind::LatencyAware,
         RouterKind::SloAware,
-        RouterKind::Affinity,
         RouterKind::FailureAware,
         RouterKind::Planner,
-    ];
-
-    /// The model-driven routers added by the SLO-aware routing layer.
-    pub const MODEL_DRIVEN: [RouterKind; 3] = [
-        RouterKind::SloAware,
-        RouterKind::Affinity,
-        RouterKind::FailureAware,
     ];
 
     /// The JSON spelling.
@@ -870,7 +787,6 @@ impl RouterKind {
             RouterKind::LeastLoaded => "least-loaded",
             RouterKind::LatencyAware => "latency-aware",
             RouterKind::SloAware => "slo-aware",
-            RouterKind::Affinity => "affinity",
             RouterKind::FailureAware => "failure-aware",
             RouterKind::Planner => "planner",
         }
@@ -883,7 +799,6 @@ impl RouterKind {
             "least-loaded" | "least_loaded" => Some(RouterKind::LeastLoaded),
             "latency-aware" | "latency_aware" => Some(RouterKind::LatencyAware),
             "slo-aware" | "slo_aware" | "slo" => Some(RouterKind::SloAware),
-            "affinity" | "warm-affinity" | "warm_affinity" => Some(RouterKind::Affinity),
             "failure-aware" | "failure_aware" => Some(RouterKind::FailureAware),
             "planner" | "placement-planner" | "placement_planner" => Some(RouterKind::Planner),
             _ => None,
@@ -904,7 +819,6 @@ impl RouterKind {
                 spill_load: cfg.spill_load,
             }),
             RouterKind::SloAware => Box::new(SloAwareRouter::new(cfg)),
-            RouterKind::Affinity => Box::new(AffinityRouter::new(cfg)),
             RouterKind::FailureAware => Box::new(FailureAwareRouter::new(cfg)),
             RouterKind::Planner => Box::new(PlannerRouter::new(cfg)),
         }
@@ -923,7 +837,7 @@ impl Deserialize for RouterKind {
             Some(s) => RouterKind::parse(s).ok_or_else(|| {
                 Error::custom(format!(
                     "unknown router {s:?} (expected \"round-robin\", \"least-loaded\", \
-                     \"latency-aware\", \"slo-aware\", \"affinity\", \"failure-aware\", or \"planner\")"
+                     \"latency-aware\", \"slo-aware\", \"failure-aware\", or \"planner\")"
                 ))
             }),
             None => Err(Error::custom("router must be a string")),
@@ -1136,29 +1050,6 @@ mod tests {
     }
 
     #[test]
-    fn affinity_prefers_warm_sites_and_spills_when_saturated() {
-        let cfg = RouterConfig::default();
-        let mut r = AffinityRouter::new(&cfg);
-        // Only the far site holds warm containers: affinity wins over
-        // latency.
-        let mut s = sites(&[(0.002, 4.0, 0), (0.040, 4.0, 1)]);
-        s[1].warm = 3;
-        assert_eq!(r.route(0, SimTime::ZERO, &s), 1);
-        // The warm site saturates: spill to the cold-but-idle site by
-        // predicted wait.
-        s[1].in_flight = 4;
-        assert_eq!(r.route(0, SimTime::ZERO, &s), 0);
-        // Two warm sites: the one with the better predicted response
-        // wins.
-        let mut s = sites(&[(0.002, 4.0, 1), (0.040, 4.0, 1)]);
-        s[0].warm = 1;
-        s[1].warm = 2;
-        s[0].forecast = forecast(35.0, 10.0, 4); // heavy queueing
-        s[1].forecast = forecast(2.0, 10.0, 4);
-        assert_eq!(r.route(0, SimTime::ZERO, &s), 1);
-    }
-
-    #[test]
     fn failure_aware_avoids_flaky_sites_with_trickle_readmission() {
         let cfg = RouterConfig {
             flakiness_threshold: 0.1,
@@ -1200,8 +1091,8 @@ mod tests {
     /// Regression (overload/NaN scoring): degenerate telemetry — an
     /// unstable model, μ̂ = 0 with traffic, extreme magnitudes — must
     /// never produce a NaN score, and a site with a saturated score
-    /// must lose to any site with a finite one in both model-driven
-    /// score passes.
+    /// must lose to any site with a finite one in the SLO-aware
+    /// router's score pass.
     #[test]
     fn saturated_and_degenerate_forecasts_never_win() {
         let degenerate = [
@@ -1234,9 +1125,6 @@ mod tests {
             s[1].forecast = forecast(1.0, 10.0, 2);
             let mut slo = SloAwareRouter::new(&cfg);
             assert_eq!(slo.route(0, SimTime::ZERO, &s), 1);
-            let mut aff = AffinityRouter::new(&RouterConfig::default());
-            s[0].warm = 5; // even warm affinity cannot save a saturated site
-            assert_eq!(aff.route(0, SimTime::ZERO, &s), 1);
         }
         // Saturated everywhere: the explicit least-loaded degradation
         // picks the lower-load site instead of shedding.

@@ -170,7 +170,7 @@ pub struct SiteSpec {
 pub struct TopologySpec {
     /// Which front-end router dispatches arrivals across sites
     /// (`"round-robin"`, `"least-loaded"`, `"latency-aware"`,
-    /// `"slo-aware"`, `"affinity"`, or `"failure-aware"`; default
+    /// `"slo-aware"`, `"failure-aware"`, or `"planner"`; default
     /// round-robin).
     #[serde(default)]
     pub router: RouterKind,

@@ -30,8 +30,9 @@ use std::sync::Arc;
 
 /// A `c`-server FCFS site with exponential service drawn from the
 /// engine's service streams. Its warm census is the number of servers
-/// busy with each function, so the affinity census and the fleet behind
-/// the forecast's server count both move during the run.
+/// busy with each function, so the warm census the cold-start penalty
+/// reads and the fleet behind the forecast's server count both move
+/// during the run.
 struct Pool {
     servers: usize,
     mean: f64,

@@ -166,7 +166,7 @@ proptest! {
     #[test]
     fn stale_routers_respect_views_and_conserve(
         seed in 0u64..500,
-        router_idx in 0usize..6,
+        router_idx in 0usize..5,
         interval_ms in prop_oneof![Just(50.0f64), Just(250.0), Just(1000.0), Just(4000.0)],
         schedule in prop::collection::vec(
             (1.0f64..28.0, 0u8..5, 0u32..3, 1u32..4),
