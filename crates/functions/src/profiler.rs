@@ -10,14 +10,15 @@
 //! deflation-bucket)` and takes over from the offline profile once it has
 //! seen enough samples. The controller reads a service-time tail only to
 //! cut it from the SLO budget when the SLO covers the response time
-//! (`slo_on_waiting_only = false`), so a streaming P² p99 per bucket is
-//! learned only when asked for; otherwise the p99 comes from the offline
-//! profile. State is dense: bucket `fn * 10 + decile` of a flat vector,
-//! since function ids are assigned sequentially from 0.
+//! (`slo_on_waiting_only = false`), so a streaming p99 per bucket (a
+//! [`LatencySketch`], within 2 % of the exact tail) is learned only when
+//! asked for; otherwise the p99 comes from the offline profile. State is
+//! dense: bucket `fn * 10 + decile` of a flat vector, since function ids
+//! are assigned sequentially from 0.
 
 use crate::servicetime::ServiceModel;
 use lass_cluster::FnId;
-use lass_queueing::P2Quantile;
+use lass_queueing::LatencySketch;
 use serde::{Deserialize, Serialize};
 
 /// What the controller needs to know about service times at a given
@@ -55,7 +56,7 @@ pub struct ServiceTimeProfiler {
     online: Vec<OnlineBucket>,
     /// Online p99 per bucket, parallel to `online`; `None` when tails
     /// are not learned.
-    p99: Option<Vec<P2Quantile>>,
+    p99: Option<Vec<LatencySketch>>,
     /// Online estimates are used only after this many samples in a bucket.
     min_samples: usize,
 }
@@ -109,14 +110,14 @@ impl ServiceTimeProfiler {
             let len = (fn_id.0 as usize + 1) * DECILES;
             self.online.resize(len, OnlineBucket::default());
             if let Some(p99) = &mut self.p99 {
-                p99.resize_with(len, || P2Quantile::new(0.99));
+                p99.resize_with(len, LatencySketch::new);
             }
         }
         let b = &mut self.online[i];
         b.count += 1;
         b.mean += (observed - b.mean) / b.count as f64;
         if let Some(p99) = &mut self.p99 {
-            p99[i].observe(observed);
+            p99[i].record(observed);
         }
     }
 
@@ -137,7 +138,7 @@ impl ServiceTimeProfiler {
             if b.count > 0 && b.count >= self.min_samples {
                 let mean = b.mean.max(1e-9);
                 let p99 = match &self.p99 {
-                    Some(p99) => p99[i].estimate(),
+                    Some(p99) => p99[i].quantile(0.99),
                     None => offline.map(|m| m.service_percentile(deflation, 0.99)),
                 };
                 return Some(ServiceEstimate {

@@ -28,8 +28,11 @@
 //! * [`predictor`] — online λ̂/μ̂ telemetry feeding the M/M/c closed forms:
 //!   the waiting-time forecasts behind model-driven (SLO-aware) routing,
 //!   plus the downtime EWMA behind failure-aware routing.
-//! * [`quantile`] — streaming quantile estimation (the P² algorithm) used by
-//!   the online service-time learner, plus exact percentiles over samples.
+//! * [`quantile`] — [`LatencySketch`], a log-bucketed streaming quantile
+//!   sketch after DDSketch (relative accuracy α = 2 %, 160 `u32` buckets,
+//!   a zero count for samples at or below 1 ns), used by the online
+//!   service-time learner and the streaming statistics; plus exact
+//!   percentiles over samples.
 //!
 //! All probabilities are computed with incremental, log-space-safe
 //! recurrences so that the models remain stable for thousands of containers
@@ -56,7 +59,7 @@ pub use predictor::{
     EvaluatedForecast, ForecastCache, HealthEwma, PredictorConfig, SnapshotCache, WaitForecast,
     WaitPredictor,
 };
-pub use quantile::{percentile_of_sorted, ExactPercentiles, P2Quantile};
+pub use quantile::{percentile_of_sorted, ExactPercentiles, LatencySketch};
 pub use solver::{
     required_containers, required_containers_exact, required_containers_for_slo, wait_budget,
     SolverConfig, SolverError, SolverResult,

@@ -4,9 +4,10 @@ use lass_queueing::{
     hetero::{required_additional_containers, HeteroMmc},
     mmc::MmcQueue,
     solver::{required_containers_exact, SolverConfig},
-    ExactPercentiles, P2Quantile,
+    LatencySketch,
 };
 use proptest::prelude::*;
+use serde::Serialize as _;
 
 fn stable_mmc() -> impl Strategy<Value = (f64, f64, u32)> {
     // lambda, mu, c with rho < 0.98 to stay clearly stable.
@@ -227,19 +228,68 @@ proptest! {
         }
     }
 
+    /// Every p50/p95/p99 estimate lies within the sketch's relative
+    /// accuracy of the exact samples bracketing its rank, on data that
+    /// mixes exact zeros with samples inside the window's span.
     #[test]
-    fn p2_tracks_exact_quantile(seed in 0u64..1000, p in 0.05f64..0.95) {
+    fn sketch_quantiles_are_within_alpha_of_exact(
+        seed in 0u64..1000,
+        n in 1usize..3_000,
+        zero_share in 0.0f64..0.6,
+    ) {
         use rand::prelude::*;
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut p2 = P2Quantile::new(p);
-        let mut exact = ExactPercentiles::new();
-        for _ in 0..5_000 {
-            let x: f64 = rng.gen();
-            p2.observe(x);
-            exact.add(x);
+        let mut sketch = LatencySketch::new();
+        let mut s = Vec::with_capacity(n);
+        for _ in 0..n {
+            // Log-uniform over [1e-3, 0.5]: a 500x span, inside the
+            // window's ~600x.
+            let x = if rng.gen::<f64>() < zero_share {
+                0.0
+            } else {
+                1e-3 * 500f64.powf(rng.gen::<f64>())
+            };
+            sketch.record(x);
+            s.push(x);
         }
-        let a = p2.estimate().unwrap();
-        let b = exact.percentile(p).unwrap();
-        prop_assert!((a - b).abs() < 0.05, "p={p} p2={a} exact={b}");
+        s.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let a = LatencySketch::ALPHA;
+        for p in [0.5, 0.95, 0.99] {
+            let rank = p * (n - 1) as f64;
+            let (lo, hi) = (rank.floor() as usize, rank.ceil() as usize);
+            let est = sketch.quantile(p).unwrap();
+            prop_assert!(
+                s[lo] * (1.0 - a) <= est && est <= s[hi] * (1.0 + a),
+                "p={} est={} exact=[{}, {}]", p, est, s[lo], s[hi]
+            );
+        }
+    }
+
+    /// The sketch's state is a function of the sample multiset: any
+    /// order of the same samples serializes identically, window slides
+    /// included.
+    #[test]
+    fn sketch_state_ignores_input_order(
+        samples in prop::collection::vec(prop_oneof![
+            Just(0.0),
+            1e-12f64..1e-9,
+            1e-6f64..1e-2,
+            1e-2f64..1e3,
+        ], 0..400),
+        seed in 0u64..1000,
+    ) {
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut shuffled = samples.clone();
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, rng.gen_range(0..=i));
+        }
+        let (mut a, mut b) = (LatencySketch::new(), LatencySketch::new());
+        samples.iter().for_each(|&x| a.record(x));
+        shuffled.iter().for_each(|&x| b.record(x));
+        prop_assert_eq!(
+            serde_json::to_string(&a.serialize()).unwrap(),
+            serde_json::to_string(&b.serialize()).unwrap()
+        );
     }
 }

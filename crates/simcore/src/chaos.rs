@@ -408,6 +408,9 @@ impl<E, C: PolicyCtx<ChaosEv<E>>> PolicyCtx<E> for InnerCtx<'_, C> {
     fn rerun(&mut self, rid: ReqId) -> Option<u32> {
         self.inner.rerun(rid)
     }
+    fn discard(&mut self, rid: ReqId) {
+        self.inner.discard(rid)
+    }
     fn take_window_counts(&mut self) -> Vec<u64> {
         self.inner.take_window_counts()
     }

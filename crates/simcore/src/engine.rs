@@ -61,10 +61,10 @@ pub struct EngineConfig {
     /// Grace period after the nominal end during which in-flight events
     /// still run (lets the system drain).
     pub drain_secs: f64,
-    /// Collect per-function statistics in streaming (P², O(1)-memory)
-    /// form instead of retaining every sample. Off for the figure-repro
-    /// simulations (their goldens hash exact sample vectors); on for
-    /// trace replay at 10⁴–10⁶ functions.
+    /// Collect per-function statistics in streaming (latency-sketch,
+    /// O(1)-memory) form instead of retaining every sample. Off for the
+    /// figure-repro simulations (their goldens hash exact sample
+    /// vectors); on for trace replay at 10⁴–10⁶ functions.
     pub stream_stats: bool,
     /// Threads for the parallel federated executor
     /// ([`crate::parallel::run_federation_parallel`]), counting the
@@ -291,6 +291,11 @@ pub trait PolicyCtx<E> {
     fn note_hedged(&mut self, _fn_idx: u32) {}
     /// Tally a hedge clone cancelled (its sibling won) for `fn_idx`.
     fn note_cancelled(&mut self, _fn_idx: u32) {}
+    /// The policy dropped a queued copy of `rid` unserved because
+    /// [`PolicyCtx::request_info`] no longer knows it (it was retired
+    /// upstream). A federated site forgets the copy's hedge mark; a
+    /// wrapping context must forward the call.
+    fn discard(&mut self, _rid: ReqId) {}
 }
 
 /// A scheduling policy plugged into the engine.

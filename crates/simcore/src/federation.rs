@@ -51,7 +51,7 @@
 //! race — are one ledger, `SiteTally`, which both drivers keep per site
 //! and change through the same operations: admit, release, complete,
 //! time out, lose, cancel, stall, take the arrival window, evacuate,
-//! restart and close. The drivers still differ in four ways, each
+//! restart and close. The drivers still differ in three ways, each
 //! following from their transport:
 //!
 //! * A completion's timings come from the engine's request table here,
@@ -62,9 +62,6 @@
 //!   retires the request. The windowed driver learns the verdict only
 //!   at the merge, so it marks a copy when the cancel lands and
 //!   releases it at once.
-//! * On a crash this driver drops each orphan's mark as the orphan
-//!   migrates and keeps the marks of copies already released; the
-//!   windowed driver clears every mark.
 //! * A delivery eaten at the door counts here as an arrival and a
 //!   cancellation at its site, and a hedge clone as hedged at its site;
 //!   the windowed driver books both in the aggregate only, because its
@@ -109,7 +106,7 @@ use crate::router::{RouterConfig, RouterPolicy};
 use crate::telemetry::{ReconcilerSeam, TelemetryConfig, TelemetrySnapshot};
 use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Error, Map, Serialize, Value};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Static description of one site handed to [`Federation::new`].
 #[derive(Debug, Clone)]
@@ -333,8 +330,9 @@ pub enum FedEv<E> {
     SnapshotArrive {
         /// Originating site index.
         site: u32,
-        /// The snapshot, as published.
-        snap: TelemetrySnapshot,
+        /// The snapshot, as published (boxed: it is several times the
+        /// size of every other event).
+        snap: Box<TelemetrySnapshot>,
     },
     /// A reconciler directive (desired server count, computed from a
     /// *reported* snapshot) completes its return hop to the site.
@@ -372,9 +370,6 @@ pub enum FedEv<E> {
 /// whose engine request table holds the arrival, and the front-door
 /// arrival in the windowed driver.
 pub(crate) struct SiteTally<A = ()> {
-    /// Requests delivered to the site and not yet finished; always
-    /// `live.len()` (see [`SiteTally::audit`]).
-    pub(crate) in_flight: usize,
     /// Per-function arrival counts since the site's last window take.
     pub(crate) window: Vec<u64>,
     /// Per-function statistics of requests finished at this site.
@@ -388,45 +383,78 @@ pub(crate) struct SiteTally<A = ()> {
     /// Containers crashed here by chaos bursts.
     pub(crate) chaos_crashes: u32,
     /// Copies here that must never win: losers of a resolved race and
-    /// copies a retry abandoned. A marked copy's completion is wasted
-    /// work (and consumes the mark). The sequential driver marks a copy
+    /// copies a retry abandoned, keyed by request id. A marked copy's
+    /// completion is wasted work. The sequential driver marks a copy
     /// when the race decides, before the cancel lands, so its timeout
     /// or loss must not retire the request; the windowed driver marks
-    /// it when the cancel lands and releases it. A copy that migrates,
-    /// or is eaten at the door, takes its mark along. A copy cancelled
-    /// while still queued leaves its mark behind (it never completes),
-    /// which is bookkeeping-only.
-    pub(crate) hedge_lost: BTreeSet<u64>,
+    /// it when the cancel lands and releases it. A mark leaves with its
+    /// copy: when the copy runs out as wasted work, times out, is lost
+    /// or discarded by the scheduler, migrates, is eaten at the door,
+    /// or dies in a crash. Every mark names a live request, except a
+    /// copy still crossing the network and a released copy that the
+    /// scheduler may still run; [`Mark`] says which (see
+    /// [`SiteTally::audit`]).
+    pub(crate) hedge_lost: BTreeMap<u64, Mark>,
+}
+
+/// Where a marked copy (see `SiteTally::hedge_lost`) stands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Mark {
+    /// Still crossing the network to the site.
+    InTransit,
+    /// On the site's books (a live request).
+    Held,
+    /// Off the books (its cancel landed), but the scheduler may still
+    /// hold it.
+    Released,
 }
 
 impl<A> SiteTally<A> {
     /// Empty books over the site's per-function statistics.
     pub(crate) fn new(per_fn: Vec<FnStats>) -> Self {
         Self {
-            in_flight: 0,
             window: vec![0; per_fn.len()],
             per_fn,
             live: BTreeMap::new(),
             stalled: Vec::new(),
             chaos_crashes: 0,
-            hedge_lost: BTreeSet::new(),
+            hedge_lost: BTreeMap::new(),
         }
     }
 
-    /// A request reaches the site.
+    /// A request reaches the site (a marked copy crossing the network
+    /// arrives with its mark).
     pub(crate) fn admit(&mut self, rid: u64, fn_idx: u32, timing: A) {
-        self.in_flight += 1;
         self.window[fn_idx as usize] += 1;
         self.per_fn[fn_idx as usize].arrivals += 1;
         self.live.insert(rid, (fn_idx, timing));
+        if let Some(mark) = self.hedge_lost.get_mut(&rid) {
+            *mark = Mark::Held;
+        }
     }
 
     /// The request leaves the site, however it ended; `None` if the
     /// site no longer holds it.
     pub(crate) fn release(&mut self, rid: u64) -> Option<(u32, A)> {
-        let entry = self.live.remove(&rid)?;
-        self.in_flight -= 1;
-        Some(entry)
+        self.live.remove(&rid)
+    }
+
+    /// Mark the copy of `rid` here as one that must never win, wherever
+    /// it stands.
+    pub(crate) fn mark(&mut self, rid: u64) {
+        let mark = if self.live.contains_key(&rid) {
+            Mark::Held
+        } else {
+            Mark::InTransit
+        };
+        self.hedge_lost.insert(rid, mark);
+    }
+
+    /// The copy of `rid` here left the scheduler without answering
+    /// (ran out as wasted work, timed out, was lost or discarded):
+    /// whether it was marked. Its mark goes with it.
+    pub(crate) fn unmark(&mut self, rid: u64) -> bool {
+        self.hedge_lost.remove(&rid).is_some()
     }
 
     /// Per-function arrivals since the last take; resets the windows.
@@ -453,11 +481,15 @@ impl<A> SiteTally<A> {
         Some(fn_idx)
     }
 
-    /// A losing copy's cancel lands: the site drops it, if it still
-    /// holds it.
+    /// A losing copy's cancel lands: the site drops it from its books,
+    /// if it still holds it. The scheduler is not told, so the copy's
+    /// mark stays until the copy leaves the scheduler.
     pub(crate) fn cancel(&mut self, rid: u64) -> Option<u32> {
         let (fn_idx, _) = self.release(rid)?;
         self.per_fn[fn_idx as usize].cancelled += 1;
+        if let Some(mark) = self.hedge_lost.get_mut(&rid) {
+            *mark = Mark::Released;
+        }
         Some(fn_idx)
     }
 
@@ -470,10 +502,12 @@ impl<A> SiteTally<A> {
     }
 
     /// The site crashed: hand over every request it held, in request-id
-    /// order, and drop the held-back responses.
+    /// order, and drop the held-back responses. Every copy the
+    /// scheduler held dies with it and takes its mark along; a marked
+    /// copy still crossing the network keeps its mark.
     pub(crate) fn evacuate(&mut self) -> BTreeMap<u64, (u32, A)> {
-        self.in_flight = 0;
         self.stalled.clear();
+        self.hedge_lost.retain(|_, mark| *mark == Mark::InTransit);
         std::mem::take(&mut self.live)
     }
 
@@ -483,14 +517,16 @@ impl<A> SiteTally<A> {
         self.window.fill(0);
     }
 
-    /// The ledger's invariant: the in-flight count is the live set's
-    /// size.
+    /// The ledger's invariant: a mark says `Held` exactly when its copy
+    /// is a live request here.
     pub(crate) fn audit(&self) {
-        assert_eq!(
-            self.in_flight,
-            self.live.len(),
-            "site in-flight count disagrees with its live requests"
-        );
+        for (rid, &mark) in &self.hedge_lost {
+            assert_eq!(
+                self.live.contains_key(rid),
+                mark == Mark::Held,
+                "hedge mark {mark:?} of request {rid} disagrees with the live requests"
+            );
+        }
     }
 
     /// Close the books when the run ends (auditing them in debug
@@ -501,8 +537,8 @@ impl<A> SiteTally<A> {
             self.audit();
         }
         let outcome = EngineOutcome {
+            outstanding: self.live.len(),
             per_fn: self.per_fn,
-            outstanding: self.in_flight,
             duration_secs,
         };
         (self.chaos_crashes, outcome)
@@ -576,7 +612,7 @@ impl<E, C: PolicyCtx<FedEv<E>>> PolicyCtx<E> for SiteCtx<'_, C> {
         // or a hedge clone whose sibling already answered) never wins,
         // even while the logical request is still live engine-side: the
         // container ran it to the end for nothing — wasted work.
-        if self.tally.hedge_lost.remove(&rid.0) {
+        if self.tally.unmark(rid.0) {
             let secs = now.saturating_since(started).as_secs_f64();
             self.front.sites[self.site as usize].waste(secs);
             self.front.wasted(rid.0, self.site);
@@ -591,9 +627,10 @@ impl<E, C: PolicyCtx<FedEv<E>>> PolicyCtx<E> for SiteCtx<'_, C> {
     }
 
     // A marked copy (see `SiteTally::hedge_lost`) never retires the
-    // request: it stays on the books until its cancel lands.
+    // request: it stays on the books until its cancel lands, and only
+    // its mark leaves.
     fn abandon(&mut self, rid: ReqId) -> Option<u32> {
-        if self.tally.hedge_lost.contains(&rid.0) {
+        if self.tally.unmark(rid.0) {
             return None;
         }
         let fn_idx = self.inner.abandon(rid)?;
@@ -603,7 +640,7 @@ impl<E, C: PolicyCtx<FedEv<E>>> PolicyCtx<E> for SiteCtx<'_, C> {
     }
 
     fn lose(&mut self, rid: ReqId) -> Option<u32> {
-        if self.tally.hedge_lost.contains(&rid.0) {
+        if self.tally.unmark(rid.0) {
             return None;
         }
         let fn_idx = self.inner.lose(rid)?;
@@ -622,8 +659,12 @@ impl<E, C: PolicyCtx<FedEv<E>>> PolicyCtx<E> for SiteCtx<'_, C> {
         self.tally.take_window()
     }
 
+    fn discard(&mut self, rid: ReqId) {
+        self.tally.unmark(rid.0);
+    }
+
     fn outstanding(&self) -> usize {
-        self.tally.in_flight
+        self.tally.live.len()
     }
 }
 
@@ -801,11 +842,11 @@ impl<P: ContainerChaos> Federation<P> {
         self
     }
 
-    /// Collect per-site per-function statistics in streaming (P²,
-    /// O(1)-memory) form instead of retaining every sample. Pair with
-    /// [`crate::engine::EngineConfig::stream_stats`] when replaying
-    /// traces with very large function populations; call before the run
-    /// starts.
+    /// Collect per-site per-function statistics in streaming
+    /// (latency-sketch, O(1)-memory) form instead of retaining every
+    /// sample. Pair with [`crate::engine::EngineConfig::stream_stats`]
+    /// when replaying traces with very large function populations; call
+    /// before the run starts.
     pub fn with_streaming_stats(mut self) -> Self {
         for tally in &mut self.tallies {
             for f in &mut tally.per_fn {
@@ -952,7 +993,7 @@ impl<P: ContainerChaos> Federation<P> {
             ctx.cancel_scheduled(token);
         }
         for site in cancel.copies {
-            self.tallies[site as usize].hedge_lost.insert(rid);
+            self.tallies[site as usize].mark(rid);
             let latency = self.front.sites[site as usize].meta.latency;
             let rid = ReqId(rid);
             if latency == SimDuration::ZERO {
@@ -993,7 +1034,7 @@ impl<P: ContainerChaos> Federation<P> {
         if self.front.door(rid.0, site) {
             // The copy never enters the site; its mark goes with it.
             let tally = &mut self.tallies[i];
-            tally.hedge_lost.remove(&rid.0);
+            tally.unmark(rid.0);
             let f = &mut tally.per_fn[fn_idx as usize];
             f.arrivals += 1;
             f.cancelled += 1;
@@ -1026,7 +1067,7 @@ impl<P: ContainerChaos> Federation<P> {
         delivered: bool,
     ) {
         // The copy leaves the site, and its mark with it.
-        self.tallies[from].hedge_lost.remove(&rid.0);
+        self.tallies[from].unmark(rid.0);
         let n_fns = ctx.fn_count();
         let census = |i| Census::of(&self.sites[i], fn_idx, n_fns);
         match self.front.migrate(rid.0, from, fn_idx, now, census) {
@@ -1132,11 +1173,12 @@ impl<P: ContainerChaos> SchedulerPolicy for Federation<P> {
                 let (next, snap) = self.front.publish(i, now, &self.sites[i]);
                 ctx.schedule(next, FedEv::Publish { site });
                 if let Some((at, snap)) = snap {
+                    let snap = Box::new(snap);
                     ctx.schedule(at, FedEv::SnapshotArrive { site, snap });
                 }
             }
             FedEv::SnapshotArrive { site, snap } => {
-                if let Some((at, desired)) = self.front.snapshot_arrive(site as usize, snap, now) {
+                if let Some((at, desired)) = self.front.snapshot_arrive(site as usize, *snap, now) {
                     ctx.schedule(at, FedEv::Directive { site, desired });
                 }
             }
@@ -1189,7 +1231,6 @@ impl<P: ContainerChaos> ChaosTarget for Federation<P> {
                 );
                 // Invalidate every event the dead incarnation scheduled.
                 self.epochs[i] += 1;
-                // Each orphan takes its own mark along; other marks stay.
                 for (rid, (fn_idx, ())) in self.tallies[i].evacuate() {
                     self.migrate(ctx, i, ReqId(rid), fn_idx, now, true);
                 }
@@ -1210,7 +1251,7 @@ impl<P: ContainerChaos> ChaosTarget for Federation<P> {
                 // response time now includes the stall.
                 let stalled = std::mem::take(&mut self.tallies[i].stalled);
                 for (rid, started) in stalled {
-                    if self.tallies[i].hedge_lost.remove(&rid) {
+                    if self.tallies[i].unmark(rid) {
                         // The race went against this copy while it was
                         // stalled behind the cut: the held response is
                         // wasted work, and the copy leaves the books as
@@ -1792,19 +1833,32 @@ mod tests {
         }
     }
 
+    /// The telemetry snapshot rides boxed: a federated event stays a
+    /// few words, not the snapshot's 112 bytes.
+    #[test]
+    fn federated_events_stay_small() {
+        assert!(std::mem::size_of::<TelemetrySnapshot>() > 100);
+        assert!(std::mem::size_of::<FedEv<()>>() <= 24);
+    }
+
     proptest! {
         /// Any order of the ledger's operations keeps its books
-        /// consistent: the in-flight count is the live set's size, and
-        /// every request the site admitted is still live or booked as
-        /// completed, timed out, lost, cancelled or evacuated.
+        /// consistent: a hedge mark says `Held` exactly when its copy is
+        /// live, and every request the site admitted is still live or
+        /// booked as completed, timed out, lost, cancelled or evacuated.
+        /// As in both drivers, a marked copy that leaves the scheduler
+        /// takes its mark along instead of retiring the request.
         #[test]
         fn ledger_operations_keep_the_books_consistent(
-            ops in prop::collection::vec((0u8..10, 0u64..6, 0u32..2), 0..120),
+            ops in prop::collection::vec((0u8..12, 0u64..6, 0u32..2), 0..120),
         ) {
             let fns = ["f0", "f1"].map(|n| FnStats::empty(n.into(), 0.1, SampleStats::new));
             let mut t: SiteTally<SimTime> = SiteTally::new(fns.into());
             let mut evacuated = 0;
             let complete = |t: &mut SiteTally<SimTime>, rid| {
+                if t.unmark(rid) {
+                    return;
+                }
                 if let Some((fn_idx, arrival)) = t.release(rid) {
                     t.complete(&Completion {
                         fn_idx,
@@ -1821,8 +1875,8 @@ mod tests {
                     // A site books at most one copy of a request.
                     0 | 1 if !t.live.contains_key(&rid) => t.admit(rid, fn_idx, SimTime::ZERO),
                     2 => complete(&mut t, rid),
-                    3 => drop(t.time_out(rid)),
-                    4 => drop(t.lose(rid)),
+                    3 if !t.unmark(rid) => drop(t.time_out(rid)),
+                    4 if !t.unmark(rid) => drop(t.lose(rid)),
                     5 => drop(t.cancel(rid)),
                     6 => t.stall(rid, SimTime::ZERO),
                     7 => {
@@ -1832,6 +1886,8 @@ mod tests {
                     }
                     8 => evacuated += t.evacuate().len(),
                     9 => t.restart(),
+                    10 => t.mark(rid),
+                    11 => drop(t.unmark(rid)),
                     _ => {}
                 }
                 t.audit();

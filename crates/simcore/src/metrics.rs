@@ -4,53 +4,25 @@
 //!   representations: **exact** (every sample retained; arbitrary
 //!   percentiles, byte-stable serialization — the default, used by the
 //!   figure-repro simulations and all fixed-seed goldens) or
-//!   **streaming** (O(1) memory per instrument; mean/min/max moments
-//!   plus P² marker estimates of p50/p95/p99 — used by trace replay at
-//!   10⁴–10⁶ distinct functions, where retaining samples would grow
-//!   without bound).
+//!   **streaming** (O(1) memory per instrument: the mean plus a
+//!   [`LatencySketch`] — log-bucketed, relative accuracy α = 2 %, 160
+//!   `u32` buckets allocated on the first record, samples at or below
+//!   1 ns counted as zero — that answers p50/p95/p99 and keeps the exact
+//!   min/max; used by trace replay at 10⁴–10⁶ distinct functions, where
+//!   retaining samples would grow without bound).
 //! * [`TimeWeightedGauge`] — integrates a piecewise-constant value over
 //!   simulated time (container counts, allocated CPU, utilization).
 //! * [`TimeSeries`] — timestamped observations for plotting allocation
 //!   timelines (Figs. 6, 8, 9).
 
 use crate::time::SimTime;
-use lass_queueing::P2Quantile;
+use lass_queueing::LatencySketch;
 use serde::{Deserialize, Error, Map, Serialize, Value};
-
-/// The P² marker estimators of a hot streaming instrument. Boxed and
-/// allocated on first record: under a Zipf popularity law most of a
-/// million functions see little or no traffic, and cold instruments
-/// stay a few dozen bytes.
-#[derive(Debug, Clone)]
-struct Quants {
-    p50: P2Quantile,
-    p95: P2Quantile,
-    p99: P2Quantile,
-}
-
-impl Quants {
-    fn new() -> Box<Self> {
-        Box::new(Self {
-            p50: P2Quantile::new(0.5),
-            p95: P2Quantile::new(0.95),
-            p99: P2Quantile::new(0.99),
-        })
-    }
-}
 
 #[derive(Debug, Clone)]
 enum Repr {
-    Exact {
-        samples: Vec<f64>,
-        sorted: bool,
-    },
-    Streaming {
-        count: usize,
-        sum: f64,
-        min: f64,
-        max: f64,
-        quants: Option<Box<Quants>>,
-    },
+    Exact { samples: Vec<f64>, sorted: bool },
+    Streaming { sum: f64, sketch: LatencySketch },
 }
 
 /// Sample statistics: exact (retained samples) or streaming (bounded).
@@ -77,18 +49,15 @@ impl SampleStats {
         }
     }
 
-    /// Empty streaming instrument: O(1) memory; mean/min/max moments and
-    /// P² estimates of p50/p95/p99. [`Self::samples`] returns `&[]` and
+    /// Empty streaming instrument: O(1) memory; the mean, the exact
+    /// min/max and sketched percentiles. [`Self::samples`] returns `&[]` and
     /// [`Self::fraction_within`] `None` — callers that need raw samples
     /// must use the exact representation.
     pub fn streaming() -> Self {
         Self {
             repr: Repr::Streaming {
-                count: 0,
                 sum: 0.0,
-                min: f64::INFINITY,
-                max: f64::NEG_INFINITY,
-                quants: None,
+                sketch: LatencySketch::new(),
             },
         }
     }
@@ -115,21 +84,9 @@ impl SampleStats {
                 samples.push(x);
                 *sorted = false;
             }
-            Repr::Streaming {
-                count,
-                sum,
-                min,
-                max,
-                quants,
-            } => {
-                *count += 1;
+            Repr::Streaming { sum, sketch } => {
                 *sum += x;
-                *min = min.min(x);
-                *max = max.max(x);
-                let q = quants.get_or_insert_with(Quants::new);
-                q.p50.observe(x);
-                q.p95.observe(x);
-                q.p99.observe(x);
+                sketch.record(x);
             }
         }
     }
@@ -138,7 +95,7 @@ impl SampleStats {
     pub fn count(&self) -> usize {
         match &self.repr {
             Repr::Exact { samples, .. } => samples.len(),
-            Repr::Streaming { count, .. } => *count,
+            Repr::Streaming { sketch, .. } => sketch.count(),
         }
     }
 
@@ -157,12 +114,9 @@ impl SampleStats {
                     Some(samples.iter().sum::<f64>() / samples.len() as f64)
                 }
             }
-            Repr::Streaming { count, sum, .. } => {
-                if *count == 0 {
-                    None
-                } else {
-                    Some(sum / *count as f64)
-                }
+            Repr::Streaming { sum, sketch } => {
+                let n = sketch.count();
+                (n > 0).then(|| sum / n as f64)
             }
         }
     }
@@ -171,14 +125,14 @@ impl SampleStats {
     pub fn max(&self) -> Option<f64> {
         match &self.repr {
             Repr::Exact { samples, .. } => samples.iter().copied().reduce(f64::max),
-            Repr::Streaming { count, max, .. } => (*count > 0).then_some(*max),
+            Repr::Streaming { sketch, .. } => sketch.max(),
         }
     }
 
     /// Percentile, `p ∈ [0, 1]`: exact (linear interpolation) for the
-    /// exact representation; for streaming, the P² estimate of the
-    /// nearest tracked marker (p50 / p95 / p99), with `p = 0` / `p = 1`
-    /// served from the tracked min/max.
+    /// exact representation; for streaming, the sketch's estimate
+    /// (within 2 % of the sample at rank `⌊p·(n − 1)⌋`), with `p = 0` /
+    /// `p = 1` served from the tracked min/max.
     pub fn percentile(&mut self, p: f64) -> Option<f64> {
         assert!((0.0..=1.0).contains(&p));
         match &mut self.repr {
@@ -204,32 +158,7 @@ impl SampleStats {
                     s[lo] * (1.0 - w) + s[hi] * w
                 })
             }
-            Repr::Streaming {
-                count,
-                min,
-                max,
-                quants,
-                ..
-            } => {
-                if *count == 0 {
-                    return None;
-                }
-                if p == 0.0 {
-                    return Some(*min);
-                }
-                if p == 1.0 {
-                    return Some(*max);
-                }
-                let q = quants.as_ref()?;
-                let est = if p <= 0.725 {
-                    &q.p50
-                } else if p <= 0.97 {
-                    &q.p95
-                } else {
-                    &q.p99
-                };
-                est.estimate()
-            }
+            Repr::Streaming { sketch, .. } => sketch.quantile(p),
         }
     }
 
@@ -262,7 +191,7 @@ impl SampleStats {
 // Hand-written (de)serialization: the exact representation must keep the
 // `{"samples": [...]}` shape the previous derive emitted — every
 // fixed-seed golden hashes the serialized report bytes. Streaming
-// serializes its summary (the estimators are not round-trippable).
+// serializes its summary (the sketch is not round-trippable).
 impl Serialize for SampleStats {
     fn serialize(&self) -> Value {
         match &self.repr {
@@ -271,32 +200,18 @@ impl Serialize for SampleStats {
                 m.insert("samples".to_string(), samples.serialize());
                 Value::Object(m)
             }
-            Repr::Streaming {
-                count,
-                sum,
-                min,
-                max,
-                quants,
-            } => {
-                let est = |f: fn(&Quants) -> &P2Quantile| -> Value {
-                    quants
-                        .as_ref()
-                        .and_then(|q| f(q).estimate())
-                        .map_or(Value::Null, |v| v.serialize())
-                };
+            Repr::Streaming { sum, sketch } => {
+                let n = sketch.count();
                 let mut m = Map::new();
-                m.insert("count".to_string(), count.serialize());
-                if *count == 0 {
-                    for k in ["max", "mean", "min", "p50", "p95", "p99"] {
-                        m.insert(k.to_string(), Value::Null);
-                    }
-                } else {
-                    m.insert("max".to_string(), max.serialize());
-                    m.insert("mean".to_string(), (sum / *count as f64).serialize());
-                    m.insert("min".to_string(), min.serialize());
-                    m.insert("p50".to_string(), est(|q| &q.p50));
-                    m.insert("p95".to_string(), est(|q| &q.p95));
-                    m.insert("p99".to_string(), est(|q| &q.p99));
+                m.insert("count".to_string(), n.serialize());
+                m.insert("max".to_string(), sketch.max().serialize());
+                m.insert(
+                    "mean".to_string(),
+                    (n > 0).then(|| sum / n as f64).serialize(),
+                );
+                m.insert("min".to_string(), sketch.min().serialize());
+                for (k, p) in [("p50", 0.5), ("p95", 0.95), ("p99", 0.99)] {
+                    m.insert(k.to_string(), sketch.quantile(p).serialize());
                 }
                 Value::Object(m)
             }
@@ -522,10 +437,15 @@ mod tests {
         assert_eq!(s.max(), Some(10_000.0));
         assert_eq!(s.percentile(0.0), Some(1.0));
         assert_eq!(s.percentile(1.0), Some(10_000.0));
-        // P² estimates land near the exact quantiles on a uniform ramp.
-        assert!((s.percentile(0.5).unwrap() - 5000.0).abs() < 250.0);
-        assert!((s.percentile(0.95).unwrap() - 9500.0).abs() < 250.0);
-        assert!((s.percentile(0.99).unwrap() - 9900.0).abs() < 250.0);
+        // Sketched estimates land within 2 % of the exact quantiles.
+        for p in [0.5, 0.95, 0.99] {
+            let exact = (p * 9_999.0f64).floor() + 1.0;
+            let est = s.percentile(p).unwrap();
+            assert!(
+                (est - exact).abs() <= 0.02 * exact,
+                "p{p}: {est} vs {exact}"
+            );
+        }
         // No sample set to count over.
         assert_eq!(s.fraction_within(5000.0), None);
     }

@@ -96,7 +96,7 @@ use crate::arrivals::ArrivalProcess;
 use crate::chaos::{ChaosConfig, ContainerChaos, Fault};
 use crate::engine::{Completion, EngineConfig, FnStats, FunctionEntry, PolicyCtx, ReqId};
 use crate::events::EventQueue;
-use crate::federation::{FederatedReport, Federation, SiteRebuild, SiteTally};
+use crate::federation::{FederatedReport, Federation, Mark, SiteRebuild, SiteTally};
 use crate::front::{Cancel, Census, Front, HedgeStep, Migration, SiteWork};
 use crate::metrics::SampleStats;
 use crate::rng::SimRng;
@@ -225,7 +225,7 @@ impl<E> ShardState<E> {
     /// request from its arrival, book it, and log the completion for
     /// the merge phase (which feeds the front end).
     fn end_service(&mut self, rid: u64, started: SimTime, now: SimTime) -> Option<Completion> {
-        if self.tally.hedge_lost.remove(&rid) {
+        if self.tally.unmark(rid) {
             let service = now.saturating_since(started).as_secs_f64();
             self.log(now, LogKind::Wasted { service });
             return None;
@@ -282,7 +282,12 @@ impl<E> PolicyCtx<E> for LocalCtx<'_, E> {
         self.st.end_service(rid.0, started, now)
     }
 
+    // A released copy (see `SiteTally::hedge_lost`) that times out or is
+    // lost only takes its mark along.
     fn abandon(&mut self, rid: ReqId) -> Option<u32> {
+        if self.st.tally.unmark(rid.0) {
+            return None;
+        }
         let fn_idx = self.st.tally.time_out(rid.0)?;
         self.st
             .log(self.now, LogKind::Timeout { rid: rid.0, fn_idx });
@@ -290,6 +295,9 @@ impl<E> PolicyCtx<E> for LocalCtx<'_, E> {
     }
 
     fn lose(&mut self, rid: ReqId) -> Option<u32> {
+        if self.st.tally.unmark(rid.0) {
+            return None;
+        }
         let fn_idx = self.st.tally.lose(rid.0)?;
         self.st.log(self.now, LogKind::Lost { rid: rid.0, fn_idx });
         Some(fn_idx)
@@ -306,8 +314,12 @@ impl<E> PolicyCtx<E> for LocalCtx<'_, E> {
         self.st.tally.take_window()
     }
 
+    fn discard(&mut self, rid: ReqId) {
+        self.st.tally.unmark(rid.0);
+    }
+
     fn outstanding(&self) -> usize {
-        self.st.tally.in_flight
+        self.st.tally.live.len()
     }
 }
 
@@ -367,7 +379,7 @@ fn pump_shard<P: ContainerChaos>(shard: &mut Shard<P>, horizon: SimTime) {
                 }
                 Msg::Cancel { rid } => {
                     if let Some(fn_idx) = ctx.st.tally.cancel(rid) {
-                        ctx.st.tally.hedge_lost.insert(rid);
+                        ctx.st.tally.hedge_lost.insert(rid, Mark::Released);
                         ctx.st.log(t, LogKind::Cancelled { rid, fn_idx });
                     }
                 }
@@ -575,7 +587,8 @@ enum FeEv {
     /// A published snapshot completes its hop to the router's view.
     SnapshotDue {
         site: u32,
-        snap: TelemetrySnapshot,
+        /// Boxed: several times the size of every other event.
+        snap: Box<TelemetrySnapshot>,
     },
     /// A reconciler directive completes its return hop; forwarded into
     /// the site's inbox as a current-window [`Msg::Directive`].
@@ -766,8 +779,6 @@ impl<P: ContainerChaos> Frontend<P> {
                     // incarnation — the shard advanced exactly to the
                     // fault instant, so the whole calendar is invalid.
                     shard.st.queue.clear();
-                    // Every mark here is of a copy already released.
-                    shard.st.tally.hedge_lost.clear();
                     shard.st.tally.evacuate()
                 };
                 for (rid, (fn_idx, arrival)) in orphans {
@@ -858,11 +869,12 @@ impl<P: ContainerChaos> Frontend<P> {
                 let (next, snap) = self.front.publish(site as usize, now, &shard.policy);
                 self.calendar.schedule(next, FeEv::Publish { site });
                 if let Some((at, snap)) = snap {
+                    let snap = Box::new(snap);
                     self.calendar.schedule(at, FeEv::SnapshotDue { site, snap });
                 }
             }
             FeEv::SnapshotDue { site, snap } => {
-                if let Some((at, desired)) = self.front.snapshot_arrive(site as usize, snap, now) {
+                if let Some((at, desired)) = self.front.snapshot_arrive(site as usize, *snap, now) {
                     self.calendar
                         .schedule(at, FeEv::DirectiveDue { site, desired });
                 }

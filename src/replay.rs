@@ -5,7 +5,10 @@
 //! full LaSS controller; this module instead stresses the *engine* — the
 //! event calendar, the arena request table, and the streaming
 //! statistics — with hour-long traces for 10⁴–10⁶ distinct functions,
-//! routed across a federated topology end-to-end.
+//! routed across a federated topology end-to-end. Streaming statistics
+//! keep one [`LatencySketch`](lass_queueing::LatencySketch) per
+//! instrument (relative accuracy α = 2 %, samples at or below 1 ns
+//! counted as zero), so the summary's quantiles are sketch estimates.
 //!
 //! Two trace sources:
 //!
@@ -257,6 +260,7 @@ impl SchedulerPolicy for CapacityPolicy {
             // A request can leave the queue only by starting service, so
             // lookups fail only for requests retired upstream.
             let Some((fn_idx, _)) = ctx.request_info(next) else {
+                ctx.discard(next);
                 continue;
             };
             self.start(ctx, next, fn_idx, now);

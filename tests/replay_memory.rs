@@ -1,6 +1,6 @@
 //! Memory-regression guard for the million-function replay stack: the
 //! streaming statistics path must hold a *bounded* footprint per
-//! function — O(1) P² markers, never retained samples — and its
+//! function — one fixed-size sketch, never retained samples — and its
 //! steady-state record path must be allocation-free, as must the event
 //! calendar's schedule/pop cycle once it has reached its depth.
 //!
@@ -67,7 +67,7 @@ fn streaming_stats_footprint_is_bounded_at_100k_functions() {
     let mut stats: Vec<SampleStats> = (0..FUNCTIONS).map(|_| SampleStats::streaming()).collect();
 
     // Warm-up: the first few records may allocate (each stat boots its
-    // P² marker block lazily) — that is the *bounded* footprint.
+    // sketch's bucket block lazily) — that is the *bounded* footprint.
     let warm_bytes_before = bytes();
     for (i, s) in stats.iter_mut().enumerate() {
         for k in 0..10u32 {
@@ -75,9 +75,10 @@ fn streaming_stats_footprint_is_bounded_at_100k_functions() {
         }
     }
     let warm_bytes = bytes() - warm_bytes_before;
-    // Bounded footprint: O(1) per function. 1 KiB each is ~10× the real
-    // marker-block size — a retained-sample representation (8 B/sample
-    // growing forever) blows through this within the warm-up alone.
+    // Bounded footprint: O(1) per function. 1 KiB each is above the
+    // sketch's 648-byte bucket block — a retained-sample representation
+    // (8 B/sample growing forever) blows through this within the
+    // warm-up alone.
     assert!(
         warm_bytes < FUNCTIONS * 1024,
         "streaming warm-up allocated {warm_bytes} bytes for {FUNCTIONS} stats"
