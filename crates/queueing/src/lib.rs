@@ -29,8 +29,9 @@
 //!   the waiting-time forecasts behind model-driven (SLO-aware) routing,
 //!   plus the downtime EWMA behind failure-aware routing.
 //! * [`quantile`] — [`LatencySketch`], a log-bucketed streaming quantile
-//!   sketch after DDSketch (relative accuracy α = 2 %, 160 `u32` buckets,
-//!   a zero count for samples at or below 1 ns), used by the online
+//!   sketch after DDSketch (relative accuracy α = 2 %, up to 8 sorted
+//!   buckets then a window of 160 `u32` buckets, an implicit zero count
+//!   for samples at or below 1 ns), used by the online
 //!   service-time learner and the streaming statistics; plus exact
 //!   percentiles over samples.
 //!

@@ -4,8 +4,9 @@
 //! to learn the service time distribution(s) over time") and the trace
 //! replay's per-function statistics need streaming quantiles in bounded
 //! memory: [`LatencySketch`] is a log-bucketed sketch after DDSketch with
-//! relative accuracy α = 2 %, a 160-bucket window, and a zero count for
-//! samples at or below a 1 ns floor. Exact percentiles over stored
+//! relative accuracy α = 2 %, a 160-bucket window (sorted pairs while at
+//! most 8 buckets are in use), and an implicit zero count for samples at
+//! or below a 1 ns floor. Exact percentiles over stored
 //! samples are also provided for the evaluation harnesses (which report
 //! P95 waiting times).
 
@@ -107,58 +108,83 @@ impl ExactPercentiles {
 /// covers `(γ^(i−1), γ^i]` and reports `2γ^i / (γ + 1)`, which is within
 /// `±α` (relative) of every sample in it.
 ///
-/// The counts live in a window of [`Self::BUCKETS`] `u32` buckets,
-/// allocated on the first record and anchored at the largest bucket
-/// seen; a sample below the window folds into its lowest bucket. With
-/// `α = 0.02` the window spans `γ^160 ≈ 600×`, so quantiles are
-/// `α`-accurate for samples above about 1/600 of the largest one. The
-/// state depends only on the multiset of samples, never on their order.
+/// The counts live in a window of [`Self::BUCKETS`] buckets anchored at
+/// the largest bucket seen; a sample below the window folds into its
+/// lowest bucket. With `α = 0.02` the window spans `γ^160 ≈ 600×`, so
+/// quantiles are `α`-accurate for samples above about 1/600 of the
+/// largest one. The state depends only on the multiset of samples,
+/// never on their order.
 ///
-/// Memory is 32 bytes until the first record and 680 bytes after it; an
-/// update is one `ln` and one increment.
+/// The zero count is implicit (the sample count minus the bucket
+/// total), so a sketch that has seen only zeros allocates nothing. The
+/// first 8 distinct buckets are kept as sorted
+/// `(bucket, count)` pairs in one 64-byte block; the next distinct
+/// bucket moves them into the dense window of `u32` counts (644 bytes).
+/// Reads fold sparse pairs below the window exactly as the dense window
+/// does, so either form answers every query alike. The sketch itself is
+/// 40 bytes; an update is one `ln` and one increment, after a scan of
+/// at most 8 pairs while the store is sparse.
 #[derive(Debug, Clone)]
 pub struct LatencySketch {
     count: usize,
     min: f64,
     max: f64,
-    store: Option<Box<Store>>,
+    store: Store,
 }
 
-/// The counts of a sketch that has seen a sample.
+/// The bucket counts of a sketch: none until a sample lands above the
+/// floor, a few sorted pairs while few buckets are in use, then the
+/// dense window.
 #[derive(Debug, Clone)]
-struct Store {
+enum Store {
+    Empty,
+    /// The non-empty buckets as `(bucket, count)` in bucket order; the
+    /// unused tail has count 0. Buckets are kept unfolded, so which
+    /// buckets are distinct — and thus when the store goes dense —
+    /// does not depend on the order of the samples.
+    Sparse(Box<[(i32, u32); LatencySketch::SPARSE]>),
+    Dense(Box<Dense>),
+}
+
+/// The dense window of bucket counts.
+#[derive(Debug, Clone)]
+struct Dense {
     /// `counts[k]` counts bucket `top + 1 − BUCKETS + k`.
     counts: [u32; LatencySketch::BUCKETS],
-    /// Samples at or below the floor.
-    zero: u32,
-    /// The window's highest bucket: the largest bucket seen, or
-    /// `i32::MIN` before the first sample above the floor.
+    /// The window's highest bucket: the largest bucket seen.
     top: i32,
 }
 
 /// `γ = (1 + α) / (1 − α)`, the ratio between adjacent bucket bounds.
 const GAMMA: f64 = (1.0 + LatencySketch::ALPHA) / (1.0 - LatencySketch::ALPHA);
 
-impl Store {
-    fn new() -> Box<Self> {
-        Box::new(Self {
+/// Index of the lowest bucket of the window whose highest is `top`.
+fn bottom_of(top: i32) -> i64 {
+    i64::from(top) + 1 - LatencySketch::BUCKETS as i64
+}
+
+impl Dense {
+    /// A window over full sparse `pairs`, with one more sample in
+    /// `bucket`.
+    #[cold]
+    fn promote(pairs: &[(i32, u32)], bucket: i32) -> Box<Self> {
+        let mut dense = Box::new(Self {
             counts: [0; LatencySketch::BUCKETS],
-            zero: 0,
-            top: i32::MIN,
-        })
+            top: pairs[pairs.len() - 1].0,
+        });
+        for &(b, n) in pairs {
+            dense.add(b, n);
+        }
+        dense.add(bucket, 1);
+        dense
     }
 
-    /// Index of the window's lowest bucket.
-    fn bottom(&self) -> i64 {
-        i64::from(self.top) + 1 - LatencySketch::BUCKETS as i64
-    }
-
-    fn add(&mut self, bucket: i32) {
+    fn add(&mut self, bucket: i32, n: u32) {
         if bucket > self.top {
             self.raise_top(bucket);
         }
-        let k = (i64::from(bucket) - self.bottom()).max(0) as usize;
-        self.counts[k] += 1;
+        let k = (i64::from(bucket) - bottom_of(self.top)).max(0) as usize;
+        self.counts[k] += n;
     }
 
     /// Slide the window up so that `top` is its highest bucket, folding
@@ -175,6 +201,75 @@ impl Store {
     }
 }
 
+impl Store {
+    fn add(&mut self, bucket: i32) {
+        match self {
+            Store::Dense(dense) => dense.add(bucket, 1),
+            Store::Sparse(pairs) => {
+                if !add_sparse(pairs, bucket) {
+                    *self = Store::Dense(Dense::promote(&pairs[..], bucket));
+                }
+            }
+            Store::Empty => {
+                let mut pairs = Box::new([(0, 0); LatencySketch::SPARSE]);
+                pairs[0] = (bucket, 1);
+                *self = Store::Sparse(pairs);
+            }
+        }
+    }
+
+    /// Each non-empty bucket as `(index, count)` in index order, the
+    /// buckets below the window folded into its lowest one.
+    fn buckets(&self) -> Vec<(i64, u32)> {
+        match self {
+            Store::Empty => Vec::new(),
+            Store::Dense(dense) => (bottom_of(dense.top)..)
+                .zip(dense.counts)
+                .filter(|&(_, n)| n > 0)
+                .collect(),
+            Store::Sparse(pairs) => {
+                let used = pairs.iter().take_while(|&&(_, n)| n > 0).count();
+                let bottom = bottom_of(pairs[used - 1].0);
+                let mut out: Vec<(i64, u32)> = Vec::with_capacity(used);
+                for &(bucket, n) in &pairs[..used] {
+                    let bucket = i64::from(bucket).max(bottom);
+                    match out.last_mut() {
+                        Some((last, total)) if *last == bucket => *total += n,
+                        _ => out.push((bucket, n)),
+                    }
+                }
+                out
+            }
+        }
+    }
+}
+
+/// Count one sample in `bucket` among the sorted `pairs`; `false` when
+/// that would need one pair more than they hold.
+fn add_sparse(pairs: &mut [(i32, u32); LatencySketch::SPARSE], bucket: i32) -> bool {
+    const LAST: usize = LatencySketch::SPARSE - 1;
+    for i in 0..=LAST {
+        let (b, n) = pairs[i];
+        if n == 0 {
+            pairs[i] = (bucket, 1);
+            return true;
+        }
+        if b == bucket {
+            pairs[i].1 += 1;
+            return true;
+        }
+        if b > bucket {
+            if pairs[LAST].1 > 0 {
+                return false;
+            }
+            pairs.copy_within(i..LAST, i + 1);
+            pairs[i] = (bucket, 1);
+            return true;
+        }
+    }
+    false
+}
+
 impl Default for LatencySketch {
     fn default() -> Self {
         Self::new()
@@ -186,19 +281,22 @@ impl LatencySketch {
     pub const ALPHA: f64 = 0.02;
     /// Buckets in the window.
     pub const BUCKETS: usize = 160;
+    /// Distinct buckets kept as sorted pairs before the window is
+    /// allocated.
+    const SPARSE: usize = 8;
     /// Samples at or below this value (one nanosecond, for latencies in
     /// seconds) are counted as zero.
     pub const FLOOR: f64 = 1e-9;
 
-    /// An empty sketch. Nothing is allocated until the first record, so
-    /// the many instruments a Zipf-popularity trace leaves cold stay
-    /// 32 bytes each.
+    /// An empty sketch. Nothing is allocated until the first sample
+    /// above the floor, so the many instruments a Zipf-popularity trace
+    /// leaves cold, or sees only zeros in, stay 40 bytes each.
     pub fn new() -> Self {
         Self {
             count: 0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
-            store: None,
+            store: Store::Empty,
         }
     }
 
@@ -209,11 +307,8 @@ impl LatencySketch {
         self.count += 1;
         self.min = self.min.min(x);
         self.max = self.max.max(x);
-        let store = self.store.get_or_insert_with(Store::new);
-        if x <= Self::FLOOR {
-            store.zero += 1;
-        } else {
-            store.add((x.ln() / GAMMA.ln()).ceil() as i32);
+        if x > Self::FLOOR {
+            self.store.add((x.ln() / GAMMA.ln()).ceil() as i32);
         }
     }
 
@@ -232,13 +327,22 @@ impl LatencySketch {
         (self.count > 0).then_some(self.max)
     }
 
+    /// The zero count and the non-empty buckets, folded, in index order.
+    fn counts(&self) -> (u64, Vec<(i64, u32)>) {
+        let buckets = self.store.buckets();
+        let above: u64 = buckets.iter().map(|&(_, n)| u64::from(n)).sum();
+        (self.count as u64 - above, buckets)
+    }
+
     /// Estimate of the `p`-quantile (`p ∈ [0, 1]`; `None` when empty):
     /// the representative value of the bucket holding the sample of rank
     /// `⌊p·(n − 1)⌋`, clamped to `[min, max]`. `p = 0` and `p = 1` return
     /// the exact min and max.
     pub fn quantile(&self, p: f64) -> Option<f64> {
         assert!((0.0..=1.0).contains(&p), "quantile must be in [0, 1]");
-        let store = self.store.as_ref()?;
+        if self.count == 0 {
+            return None;
+        }
         if p == 0.0 {
             return Some(self.min);
         }
@@ -246,20 +350,18 @@ impl LatencySketch {
             return Some(self.max);
         }
         let rank = (p * (self.count - 1) as f64).floor() as u64;
-        let mut seen = u64::from(store.zero);
+        let (mut seen, buckets) = self.counts();
         let est = if rank < seen {
             0.0
         } else {
-            let k = store
-                .counts
+            let &(bucket, _) = buckets
                 .iter()
-                .position(|&c| {
-                    seen += u64::from(c);
+                .find(|&&(_, n)| {
+                    seen += u64::from(n);
                     rank < seen
                 })
                 .expect("the counts sum to the sample count");
-            let bucket = (store.bottom() + k as i64) as f64;
-            2.0 * (bucket * GAMMA.ln()).exp() / (GAMMA + 1.0)
+            2.0 * (bucket as f64 * GAMMA.ln()).exp() / (GAMMA + 1.0)
         };
         Some(est.clamp(self.min, self.max))
     }
@@ -274,16 +376,7 @@ impl Serialize for LatencySketch {
         m.insert("count".to_string(), self.count.serialize());
         m.insert("min".to_string(), self.min().serialize());
         m.insert("max".to_string(), self.max().serialize());
-        let (zero, buckets) = match &self.store {
-            None => (0, Vec::new()),
-            Some(s) => {
-                let buckets: Vec<(i64, u32)> = (s.bottom()..)
-                    .zip(s.counts)
-                    .filter(|&(_, c)| c > 0)
-                    .collect();
-                (s.zero, buckets)
-            }
-        };
+        let (zero, buckets) = self.counts();
         m.insert("zero".to_string(), zero.serialize());
         m.insert("buckets".to_string(), buckets.serialize());
         Value::Object(m)
@@ -293,6 +386,7 @@ impl Serialize for LatencySketch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::Strategy as _;
     use rand::prelude::*;
     use rand_distr::{Distribution, Exp, Normal};
 
@@ -458,6 +552,204 @@ mod tests {
             "folded estimate {low}"
         );
         assert_eq!(s.quantile(1.0), Some(1e3));
+    }
+
+    /// The sketch as it was before the sparse store: an explicit zero
+    /// count and the dense window, allocated on the first record. The
+    /// compact sketch must answer every query exactly as this does.
+    struct DenseOracle {
+        count: usize,
+        min: f64,
+        max: f64,
+        store: Option<Box<OracleStore>>,
+    }
+
+    struct OracleStore {
+        counts: [u32; LatencySketch::BUCKETS],
+        zero: u32,
+        top: i32,
+    }
+
+    impl OracleStore {
+        fn bottom(&self) -> i64 {
+            i64::from(self.top) + 1 - LatencySketch::BUCKETS as i64
+        }
+
+        fn add(&mut self, bucket: i32) {
+            if bucket > self.top {
+                let last = LatencySketch::BUCKETS - 1;
+                let shift = (i64::from(bucket) - i64::from(self.top)).min(last as i64) as usize;
+                let folded: u32 = self.counts[..=shift].iter().sum();
+                self.counts.copy_within(shift + 1.., 1);
+                self.counts[last + 1 - shift..].fill(0);
+                self.counts[0] = folded;
+                self.top = bucket;
+            }
+            let k = (i64::from(bucket) - self.bottom()).max(0) as usize;
+            self.counts[k] += 1;
+        }
+    }
+
+    impl DenseOracle {
+        fn new() -> Self {
+            Self {
+                count: 0,
+                min: f64::INFINITY,
+                max: f64::NEG_INFINITY,
+                store: None,
+            }
+        }
+
+        fn record(&mut self, x: f64) {
+            self.count += 1;
+            self.min = self.min.min(x);
+            self.max = self.max.max(x);
+            let store = self.store.get_or_insert_with(|| {
+                Box::new(OracleStore {
+                    counts: [0; LatencySketch::BUCKETS],
+                    zero: 0,
+                    top: i32::MIN,
+                })
+            });
+            if x <= LatencySketch::FLOOR {
+                store.zero += 1;
+            } else {
+                store.add((x.ln() / GAMMA.ln()).ceil() as i32);
+            }
+        }
+
+        fn quantile(&self, p: f64) -> Option<f64> {
+            let store = self.store.as_ref()?;
+            if p == 0.0 {
+                return Some(self.min);
+            }
+            if p == 1.0 {
+                return Some(self.max);
+            }
+            let rank = (p * (self.count - 1) as f64).floor() as u64;
+            let mut seen = u64::from(store.zero);
+            let est = if rank < seen {
+                0.0
+            } else {
+                let k = store
+                    .counts
+                    .iter()
+                    .position(|&c| {
+                        seen += u64::from(c);
+                        rank < seen
+                    })
+                    .unwrap();
+                let bucket = (store.bottom() + k as i64) as f64;
+                2.0 * (bucket * GAMMA.ln()).exp() / (GAMMA + 1.0)
+            };
+            Some(est.clamp(self.min, self.max))
+        }
+
+        fn serialize(&self) -> Value {
+            let mut m = Map::new();
+            m.insert("count".to_string(), self.count.serialize());
+            let some = |x: f64| (self.count > 0).then_some(x);
+            m.insert("min".to_string(), some(self.min).serialize());
+            m.insert("max".to_string(), some(self.max).serialize());
+            let (zero, buckets) = match &self.store {
+                None => (0, Vec::new()),
+                Some(s) => {
+                    let buckets: Vec<(i64, u32)> = (s.bottom()..)
+                        .zip(s.counts)
+                        .filter(|&(_, c)| c > 0)
+                        .collect();
+                    (s.zero, buckets)
+                }
+            };
+            m.insert("zero".to_string(), zero.serialize());
+            m.insert("buckets".to_string(), buckets.serialize());
+            Value::Object(m)
+        }
+    }
+
+    /// Record `samples` into both sketches, checking after every record
+    /// that they serialize alike and give bit-identical p50/p95/p99.
+    fn assert_matches_oracle(samples: &[f64]) {
+        let (mut sketch, mut oracle) = (LatencySketch::new(), DenseOracle::new());
+        for &x in samples {
+            sketch.record(x);
+            oracle.record(x);
+            let json = |v: Value| serde_json::to_string(&v).unwrap();
+            assert_eq!(json(sketch.serialize()), json(oracle.serialize()));
+            for p in [0.5, 0.95, 0.99] {
+                assert_eq!(
+                    sketch.quantile(p).map(f64::to_bits),
+                    oracle.quantile(p).map(f64::to_bits),
+                    "p{p} after {} samples",
+                    sketch.count()
+                );
+            }
+        }
+    }
+
+    /// The representative value of bucket `i`: a sample that lands in it.
+    fn in_bucket(i: i32) -> f64 {
+        2.0 * (f64::from(i) * GAMMA.ln()).exp() / (GAMMA + 1.0)
+    }
+
+    #[test]
+    fn sparse_store_promotes_on_the_ninth_bucket() {
+        let mut s = LatencySketch::new();
+        s.record(0.0);
+        s.record(LatencySketch::FLOOR / 2.0);
+        assert!(matches!(s.store, Store::Empty));
+        // Eight distinct buckets, recorded out of order, some twice.
+        for i in [-40, -10, -30, -20, -60, -50, -70, -80, -10, -80] {
+            s.record(in_bucket(i));
+        }
+        assert!(matches!(s.store, Store::Sparse(_)));
+        s.record(in_bucket(-35));
+        assert!(matches!(s.store, Store::Dense(_)));
+        let mut samples = vec![0.0, LatencySketch::FLOOR / 2.0];
+        samples.extend([-40, -10, -30, -20, -60, -50, -70, -80, -10, -80, -35].map(in_bucket));
+        assert_matches_oracle(&samples);
+    }
+
+    #[test]
+    fn sparse_reads_fold_buckets_below_the_window() {
+        // Buckets 300 and 400 below the top fold into one at the
+        // window's bottom, in a store that is still sparse.
+        let top = 50;
+        let mut samples = vec![0.0];
+        samples.extend([top - 400, top - 300, top - 300, top, top - 5].map(in_bucket));
+        assert_matches_oracle(&samples);
+        let mut s = LatencySketch::new();
+        samples.iter().for_each(|&x| s.record(x));
+        assert!(matches!(s.store, Store::Sparse(_)));
+        let bottom = i64::from(top) + 1 - LatencySketch::BUCKETS as i64;
+        let v = s.serialize();
+        let buckets = v.as_object().unwrap().get("buckets").unwrap();
+        assert_eq!(
+            serde_json::to_string(buckets).unwrap(),
+            format!("[[{bottom},3],[{},1],[{top},1]]", top - 5)
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The compact sketch serializes like the dense oracle and gives
+        /// the same p50/p95/p99, bit for bit, after every record: on
+        /// zeros, sub-floor samples, a dozen fixed buckets (so runs
+        /// cross the 8 → 9 promotion) and spans far wider than the
+        /// window.
+        #[test]
+        fn compact_sketch_matches_the_dense_oracle(
+            samples in proptest::collection::vec(proptest::prop_oneof![
+                proptest::Just(0.0),
+                1e-12f64..1e-9,
+                (0i32..12).prop_map(|k| in_bucket(-100 + 7 * k)),
+                1e-6f64..1e-2,
+                1e-2f64..1e3,
+            ], 0..60),
+        ) {
+            assert_matches_oracle(&samples);
+        }
     }
 
     #[test]

@@ -465,6 +465,7 @@ impl<T: ChaosTarget> ChaosPolicy<T> {
 impl<T: ChaosTarget> SchedulerPolicy for ChaosPolicy<T> {
     type Event = ChaosEv<T::Event>;
     type Report = T::Report;
+    const READS_SAMPLES: bool = T::READS_SAMPLES;
 
     fn on_start(&mut self, ctx: &mut impl PolicyCtx<Self::Event>) {
         self.target.on_start(&mut InnerCtx { inner: ctx });

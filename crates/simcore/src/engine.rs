@@ -155,10 +155,16 @@ impl FnStats {
 
     /// Fold one completion into the statistics.
     pub(crate) fn record(&mut self, c: &Completion) {
-        self.completed += 1;
+        self.count(c);
         self.wait.record(c.wait);
         self.service.record(c.service);
         self.response.record(c.response);
+    }
+
+    /// Count one completion, and its SLO violation, without recording
+    /// its samples.
+    pub(crate) fn count(&mut self, c: &Completion) {
+        self.completed += 1;
         if c.violated_slo {
             self.slo_violations += 1;
         }
@@ -310,6 +316,14 @@ pub trait SchedulerPolicy {
     type Event;
     /// The report type produced at the end of a run.
     type Report;
+
+    /// Whether [`Self::finish`] reads the `wait`/`service`/`response`
+    /// samples of its [`EngineOutcome`]. A federated site whose policy
+    /// declares `false` still counts its completions and SLO
+    /// violations, but records no samples; the engine's own statistics
+    /// always record. A wrapping policy must forward the value of the
+    /// policy it wraps.
+    const READS_SAMPLES: bool = true;
 
     /// Called once before the pump starts (arrival events are already
     /// scheduled). Set up initial state and recurring timers here.

@@ -51,7 +51,10 @@
 //! race — are one ledger, `SiteTally`, which both drivers keep per site
 //! and change through the same operations: admit, release, complete,
 //! time out, lose, cancel, stall, take the arrival window, evacuate,
-//! restart and close. The drivers still differ in three ways, each
+//! restart and close. A completion's latency samples are recorded
+//! there only when the site's policy reads them
+//! ([`SchedulerPolicy::READS_SAMPLES`]); the counts always are. The
+//! drivers still differ in three ways, each
 //! following from their transport:
 //!
 //! * A completion's timings come from the engine's request table here,
@@ -395,6 +398,9 @@ pub(crate) struct SiteTally<A = ()> {
     /// scheduler may still run; [`Mark`] says which (see
     /// [`SiteTally::audit`]).
     pub(crate) hedge_lost: BTreeMap<u64, Mark>,
+    /// Whether completions record their samples: only when the site's
+    /// policy reads them ([`SchedulerPolicy::READS_SAMPLES`]).
+    pub(crate) samples: bool,
 }
 
 /// Where a marked copy (see `SiteTally::hedge_lost`) stands.
@@ -410,8 +416,9 @@ pub(crate) enum Mark {
 }
 
 impl<A> SiteTally<A> {
-    /// Empty books over the site's per-function statistics.
-    pub(crate) fn new(per_fn: Vec<FnStats>) -> Self {
+    /// Empty books over the site's per-function statistics, recording
+    /// completion samples when `samples` is set.
+    pub(crate) fn new(per_fn: Vec<FnStats>, samples: bool) -> Self {
         Self {
             window: vec![0; per_fn.len()],
             per_fn,
@@ -419,6 +426,7 @@ impl<A> SiteTally<A> {
             stalled: Vec::new(),
             chaos_crashes: 0,
             hedge_lost: BTreeMap::new(),
+            samples,
         }
     }
 
@@ -464,7 +472,12 @@ impl<A> SiteTally<A> {
 
     /// The request completed here.
     pub(crate) fn complete(&mut self, c: &Completion) {
-        self.per_fn[c.fn_idx as usize].record(c);
+        let stats = &mut self.per_fn[c.fn_idx as usize];
+        if self.samples {
+            stats.record(c);
+        } else {
+            stats.count(c);
+        }
     }
 
     /// The request timed out here.
@@ -818,7 +831,9 @@ impl<P: ContainerChaos> Federation<P> {
             |f: &FedFunction| FnStats::empty(f.name.clone(), f.slo_deadline, SampleStats::new);
         let tallies = sites.iter().map(|_| functions.iter().map(stats).collect());
         Self {
-            tallies: tallies.map(SiteTally::new).collect(),
+            tallies: tallies
+                .map(|per_fn| SiteTally::new(per_fn, P::READS_SAMPLES))
+                .collect(),
             epochs: vec![0; sites.len()],
             sites,
             front: Front::new(metas, router, functions),
@@ -846,7 +861,9 @@ impl<P: ContainerChaos> Federation<P> {
     /// (latency-sketch, O(1)-memory) form instead of retaining every
     /// sample. Pair with [`crate::engine::EngineConfig::stream_stats`]
     /// when replaying traces with very large function populations; call
-    /// before the run starts.
+    /// before the run starts. A site policy that declares
+    /// [`SchedulerPolicy::READS_SAMPLES`] `false` gets no samples in
+    /// either form, so its ledger's sketches stay empty and unallocated.
     pub fn with_streaming_stats(mut self) -> Self {
         for tally in &mut self.tallies {
             for f in &mut tally.per_fn {
@@ -1853,7 +1870,7 @@ mod tests {
             ops in prop::collection::vec((0u8..12, 0u64..6, 0u32..2), 0..120),
         ) {
             let fns = ["f0", "f1"].map(|n| FnStats::empty(n.into(), 0.1, SampleStats::new));
-            let mut t: SiteTally<SimTime> = SiteTally::new(fns.into());
+            let mut t: SiteTally<SimTime> = SiteTally::new(fns.into(), true);
             let mut evacuated = 0;
             let complete = |t: &mut SiteTally<SimTime>, rid| {
                 if t.unmark(rid) {

@@ -5,11 +5,14 @@
 //!   percentiles, byte-stable serialization — the default, used by the
 //!   figure-repro simulations and all fixed-seed goldens) or
 //!   **streaming** (O(1) memory per instrument: the mean plus a
-//!   [`LatencySketch`] — log-bucketed, relative accuracy α = 2 %, 160
-//!   `u32` buckets allocated on the first record, samples at or below
-//!   1 ns counted as zero — that answers p50/p95/p99 and keeps the exact
-//!   min/max; used by trace replay at 10⁴–10⁶ distinct functions, where
-//!   retaining samples would grow without bound).
+//!   [`LatencySketch`] — log-bucketed, relative accuracy α = 2 %,
+//!   samples at or below 1 ns counted as zero — that answers
+//!   p50/p95/p99 and keeps the exact min/max; used by trace replay at
+//!   10⁴–10⁶ distinct functions, where retaining samples would grow
+//!   without bound). An instrument is 48 bytes; one that has seen only
+//!   zeros allocates nothing, one with at most 8 distinct buckets a
+//!   64-byte block, and any other a 644-byte window of 160 `u32`
+//!   buckets.
 //! * [`TimeWeightedGauge`] — integrates a piecewise-constant value over
 //!   simulated time (container counts, allocated CPU, utilization).
 //! * [`TimeSeries`] — timestamped observations for plotting allocation
@@ -448,6 +451,15 @@ mod tests {
         }
         // No sample set to count over.
         assert_eq!(s.fraction_within(5000.0), None);
+    }
+
+    /// Trace replay keeps three instruments per function per site and
+    /// in the aggregate: the streaming form must not make them larger
+    /// than the exact one.
+    #[test]
+    fn sample_stats_stay_48_bytes() {
+        assert!(std::mem::size_of::<SampleStats>() <= 48);
+        assert!(std::mem::size_of::<LatencySketch>() <= 40);
     }
 
     #[test]

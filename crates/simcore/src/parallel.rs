@@ -102,7 +102,7 @@ use crate::metrics::SampleStats;
 use crate::rng::SimRng;
 use crate::telemetry::TelemetrySnapshot;
 use crate::time::{SimDuration, SimTime};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread::Thread;
@@ -188,9 +188,12 @@ struct ShardState<E> {
     partitioned: bool,
     /// Outcomes recorded this window, drained by the merge phase.
     log: Vec<LogEntry>,
-    /// Lazily created per-site service streams, labelled
-    /// `"{prefix}s{site}:service:{fn}"`.
-    service_rngs: HashMap<u32, SimRng>,
+    /// Per-site service streams, labelled
+    /// `"{prefix}s{site}:service:{fn}"`, created on a function's first
+    /// draw: `service_slot[fn]` indexes `service_rngs`, and is
+    /// `u32::MAX` until then.
+    service_slot: Vec<u32>,
+    service_rngs: Vec<SimRng>,
     seed: u64,
     prefix: String,
     /// Nominal end of the run.
@@ -264,10 +267,15 @@ impl<E> PolicyCtx<E> for LocalCtx<'_, E> {
     }
 
     fn service_rng(&mut self, fn_idx: u32) -> &mut SimRng {
-        let (seed, site, prefix) = (self.st.seed, self.st.site, &self.st.prefix);
-        self.st.service_rngs.entry(fn_idx).or_insert_with(|| {
-            SimRng::from_seed_label(seed, &format!("{prefix}s{site}:service:{fn_idx}"))
-        })
+        let st = &mut *self.st;
+        let slot = &mut st.service_slot[fn_idx as usize];
+        if *slot == u32::MAX {
+            *slot = st.service_rngs.len() as u32;
+            let label = format!("{}s{}:service:{fn_idx}", st.prefix, st.site);
+            st.service_rngs
+                .push(SimRng::from_seed_label(st.seed, &label));
+        }
+        &mut st.service_rngs[*slot as usize]
     }
 
     fn request_info(&self, rid: ReqId) -> Option<(u32, SimTime)> {
@@ -1039,10 +1047,11 @@ where
                     site: i as u32,
                     queue: EventQueue::new(),
                     inbox: VecDeque::new(),
-                    tally: SiteTally::new(tally.per_fn),
+                    tally: SiteTally::new(tally.per_fn, tally.samples),
                     partitioned: false,
                     log: Vec::new(),
-                    service_rngs: HashMap::new(),
+                    service_slot: vec![u32::MAX; functions.len()],
+                    service_rngs: Vec::new(),
                     seed: cfg.seed,
                     prefix: cfg.rng_label_prefix.clone(),
                     end,

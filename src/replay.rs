@@ -230,6 +230,9 @@ impl CapacityPolicy {
 impl SchedulerPolicy for CapacityPolicy {
     type Event = CapEv;
     type Report = CapacityReport;
+    // The report counts completions itself: the site's ledger need not
+    // record a latency sample.
+    const READS_SAMPLES: bool = false;
 
     fn on_start(&mut self, _ctx: &mut impl PolicyCtx<CapEv>) {}
 

@@ -12,6 +12,7 @@
 
 use lass_simcore::{EventQueue, SampleStats, SimDuration};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
@@ -20,10 +21,22 @@ struct CountingAlloc;
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 static BYTES: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// Bytes allocated by this thread: unlike the process-wide counters,
+    /// blind to the harness starting the next test's thread.
+    static THREAD_BYTES: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_thread_bytes(n: usize) {
+    // `try_with`: a thread that is being torn down may still allocate.
+    let _ = THREAD_BYTES.try_with(|b| b.set(b.get() + n));
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        count_thread_bytes(layout.size());
         System.alloc(layout)
     }
 
@@ -34,6 +47,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         BYTES.fetch_add(new_size, Ordering::Relaxed);
+        count_thread_bytes(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -47,6 +61,10 @@ fn allocs() -> usize {
 
 fn bytes() -> usize {
     BYTES.load(Ordering::Relaxed)
+}
+
+fn thread_bytes() -> usize {
+    THREAD_BYTES.with(Cell::get)
 }
 
 /// The counters are process-wide and the harness runs tests on parallel
@@ -106,6 +124,44 @@ fn streaming_stats_footprint_is_bounded_at_100k_functions() {
     // Estimates stay sane after 3M total records.
     let p95 = stats[0].percentile(0.95).unwrap();
     assert!(p95.is_finite() && p95 >= 0.0);
+}
+
+/// Most instruments of a Zipf-popularity replay see only zeros (the
+/// waits of an idle site) or a few distinct latencies: the former
+/// allocate nothing, the latter one small block of sorted buckets.
+#[test]
+fn sparse_streaming_stats_stay_small() {
+    let _measuring = measuring();
+    const FUNCTIONS: usize = 10_000;
+    let mut stats: Vec<SampleStats> = (0..FUNCTIONS).map(|_| SampleStats::streaming()).collect();
+
+    let b0 = thread_bytes();
+    for s in &mut stats {
+        for _ in 0..50 {
+            s.record(0.0);
+        }
+    }
+    let db = thread_bytes() - b0;
+    assert_eq!(db, 0, "all-zero instruments allocated {db} bytes");
+
+    // Eight distinct buckets each (doubling values are ~17 buckets
+    // apart), recorded many times: at most 128 bytes per instrument.
+    let b0 = thread_bytes();
+    for (i, s) in stats.iter_mut().enumerate() {
+        for k in 0..64u32 {
+            s.record(1e-3 * f64::from(1u32 << (k % 8)) * (1.0 + (i % 7) as f64 * 1e-3));
+        }
+    }
+    let db = thread_bytes() - b0;
+    assert!(
+        db <= FUNCTIONS * 128,
+        "instruments with 8 buckets allocated {} bytes each",
+        db / FUNCTIONS
+    );
+    for s in &stats {
+        assert_eq!(s.count(), 114);
+        assert_eq!(s.retained(), 0);
+    }
 }
 
 /// The exact (golden-pinned) representation *does* retain samples —
