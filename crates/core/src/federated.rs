@@ -31,8 +31,8 @@ use crate::staticalloc::StaticRrPolicy;
 use lass_cluster::{Cluster, FnId, Topology};
 use lass_simcore::{
     run_federation_parallel, run_simulation, ChaosConfig, ChaosPolicy, ContainerChaos,
-    EngineConfig, FedFunction, FederatedReport, Federation, FunctionEntry, HedgeConfig,
-    RouterConfig, RouterKind, SimDuration, SiteMeta, TelemetryConfig,
+    EngineConfig, FedFunction, FederatedReport, Federation, FederationConfig, FunctionEntry,
+    RouterKind, SimDuration, SiteMeta,
 };
 
 /// The report of a federated run: one [`SimReport`] per site plus the
@@ -57,10 +57,7 @@ pub struct FederatedSimulation {
     topology: Topology,
     seed: u64,
     router: RouterKind,
-    router_cfg: RouterConfig,
-    telemetry: TelemetryConfig,
-    reconciler_target: Option<f64>,
-    hedge: Option<HedgeConfig>,
+    federation: FederationConfig,
     policy: SitePolicyKind,
     chaos: ChaosConfig,
     parallel: Option<usize>,
@@ -78,10 +75,7 @@ impl FederatedSimulation {
             topology,
             seed,
             router: RouterKind::default(),
-            router_cfg: RouterConfig::default(),
-            telemetry: TelemetryConfig::default(),
-            reconciler_target: None,
-            hedge: None,
+            federation: FederationConfig::default(),
             policy: SitePolicyKind::default(),
             chaos: ChaosConfig::default(),
             parallel: None,
@@ -96,44 +90,13 @@ impl FederatedSimulation {
         self
     }
 
-    /// Tune the model-driven routers and the per-site telemetry feeding
-    /// them (SLO budget, percentile, EWMA constants — see
-    /// [`RouterConfig`]).
-    pub fn set_router_config(&mut self, cfg: RouterConfig) -> &mut Self {
-        self.router_cfg = cfg;
-        self
-    }
-
-    /// Enable delayed telemetry propagation between sites and the
-    /// router (the scenario `topology.telemetry` block): sites publish
-    /// snapshots on a jittered report interval and routing decisions
-    /// read the last snapshot that *arrived* over the site's network
-    /// latency. The default (zero interval) keeps oracle-fresh routing,
-    /// byte-for-byte identical to the pre-telemetry engine.
-    pub fn set_telemetry(&mut self, telemetry: TelemetryConfig) -> &mut Self {
-        self.telemetry = telemetry;
-        self
-    }
-
-    /// Install the control plane's utilization reconciler: every
-    /// telemetry snapshot that arrives at the router is fed to a
-    /// [`lass_simcore::UtilizationReconciler`] targeting this busy
-    /// fraction, and the resulting desired-fleet directive travels back
-    /// to the site (one latency each way) where the site policy
-    /// reconciles its container fleet toward it. Requires telemetry to
-    /// be enabled (snapshots are the reconciler's only input).
-    pub fn set_reconciler_target(&mut self, target: Option<f64>) -> &mut Self {
-        self.reconciler_target = target;
-        self
-    }
-
-    /// Arm request hedging (the scenario `topology.hedge` block): the
-    /// router dispatches up to `max_clones` extra copies of each
-    /// request per the configured trigger, the first response wins, and
-    /// cancels chase the losers at each site's network latency. `None`
-    /// (the default) keeps the single-dispatch engine byte-identical.
-    pub fn set_hedge(&mut self, hedge: Option<HedgeConfig>) -> &mut Self {
-        self.hedge = hedge;
+    /// Configure the front end: the router and telemetry constants,
+    /// delayed telemetry, hedging, the migration penalty and the
+    /// utilization reconciler (see [`FederationConfig`]). The default is
+    /// oracle routing under the default constants, with none of the
+    /// rest.
+    pub fn set_federation(&mut self, federation: FederationConfig) -> &mut Self {
+        self.federation = federation;
         self
     }
 
@@ -192,23 +155,6 @@ impl FederatedSimulation {
             return Err("federated simulation has no functions".into());
         }
         self.chaos.validate()?;
-        self.router_cfg.validate()?;
-        self.telemetry.validate()?;
-        if let Some(h) = &self.hedge {
-            h.validate()?;
-        }
-        if let Some(rho) = self.reconciler_target {
-            if !(rho.is_finite() && rho > 0.0 && rho < 1.0) {
-                return Err(format!(
-                    "reconciler target utilization must be in (0, 1), got {rho}"
-                ));
-            }
-            if !self.telemetry.enabled() {
-                return Err(
-                    "the reconciler needs telemetry enabled (snapshots are its only input)".into(),
-                );
-            }
-        }
         let site_count = self.topology.len();
         for (at, fault) in &self.chaos.events {
             if fault.site() as usize >= site_count {
@@ -281,9 +227,7 @@ impl FederatedSimulation {
                     .iter()
                     .any(|s| s.spec.class != lass_functions::WorkloadClass::Compute)
         });
-        let router = self.router.build_with(&self.router_cfg);
-        let router_cfg = self.router_cfg;
-        let telemetry = self.telemetry;
+        let router = self.router.build_with(&self.federation.router);
         // Conservative parallelism needs lookahead: a multi-site
         // topology with strictly positive latencies. Anything else
         // degenerates (zero lookahead would force zero-width windows),
@@ -313,10 +257,7 @@ impl FederatedSimulation {
         let launch = Launch {
             seed,
             chaos: self.chaos,
-            router_cfg,
-            telemetry,
-            reconciler_target: self.reconciler_target,
-            hedge: self.hedge,
+            federation: self.federation,
             multidim,
             metas,
             router,
@@ -329,7 +270,7 @@ impl FederatedSimulation {
         // The engine RNG prefix matches the corresponding single-cluster
         // simulation so the degenerate one-site topology replays it
         // exactly (same arrival and service streams).
-        let report = match self.policy {
+        match self.policy {
             SitePolicyKind::Lass => {
                 let setups = setups.clone();
                 let build = move |i: usize, restart: u32| {
@@ -364,8 +305,7 @@ impl FederatedSimulation {
                 },
                 "knative-",
             ),
-        };
-        Ok(report)
+        }
     }
 }
 
@@ -373,10 +313,7 @@ impl FederatedSimulation {
 struct Launch {
     seed: u64,
     chaos: ChaosConfig,
-    router_cfg: RouterConfig,
-    telemetry: TelemetryConfig,
-    reconciler_target: Option<f64>,
-    hedge: Option<HedgeConfig>,
+    federation: FederationConfig,
     multidim: bool,
     metas: Vec<SiteMeta>,
     router: Box<dyn lass_simcore::RouterPolicy + Send>,
@@ -390,8 +327,8 @@ impl Launch {
     /// Assemble the federation (initial policies from `build(i, 0)`, the
     /// same closure installed as the crash-recovery rebuild factory), arm
     /// the chaos wrapper, and pump the engine with RNG streams labelled
-    /// under `prefix`.
-    fn run<P, F>(self, mut build: F, prefix: &str) -> FederatedSimReport
+    /// under `prefix`. Fails on an invalid federation config.
+    fn run<P, F>(self, mut build: F, prefix: &str) -> Result<FederatedSimReport, String>
     where
         P: ContainerChaos<Report = SimReport> + Send,
         P::Event: Send,
@@ -403,21 +340,15 @@ impl Launch {
             .enumerate()
             .map(|(i, meta)| (meta, build(i, 0)))
             .collect();
-        let mut fed =
-            Federation::new(sites, self.router, &self.fed_functions).with_rebuild(Box::new(build));
+        let mut fed = Federation::configured(
+            sites,
+            self.router,
+            &self.fed_functions,
+            self.federation,
+            self.seed,
+        )?
+        .with_rebuild(Box::new(build));
         let chaos = self.chaos;
-        fed.set_migration_penalty(SimDuration::from_secs_f64(chaos.migration_penalty_secs));
-        fed.set_router_config(&self.router_cfg);
-        // A disabled (zero-interval) runtime is inert: the federation
-        // keeps routing on oracle-fresh state and emits no telemetry
-        // events.
-        fed.set_telemetry(self.telemetry, self.seed);
-        if let Some(rho) = self.reconciler_target {
-            fed.set_reconciler(Box::new(lass_simcore::UtilizationReconciler::new(rho)));
-        }
-        if let Some(h) = self.hedge {
-            fed.set_hedge(h);
-        }
         fed.set_multidim(self.multidim);
         let cfg = EngineConfig {
             seed: self.seed,
@@ -427,12 +358,12 @@ impl Launch {
             stream_stats: false,
             parallel_sites: self.parallel,
         };
-        match self.parallel {
+        Ok(match self.parallel {
             // The parallel executor barriers the fault schedule itself,
             // so the federation goes in bare rather than chaos-wrapped.
             Some(_) => run_federation_parallel(cfg, self.entries, fed, chaos, self.seed),
             None => run_simulation(cfg, self.entries, ChaosPolicy::new(fed, chaos, self.seed)),
-        }
+        })
     }
 }
 
@@ -510,10 +441,10 @@ mod tests {
             let mut cfg = LassConfig::default();
             cfg.autoscale = false;
             let mut sim = FederatedSimulation::new(cfg, edge_cloud(), 42);
-            let mut telemetry = TelemetryConfig::default();
-            telemetry.report_interval = SimDuration::from_secs_f64(1.0);
-            sim.set_telemetry(telemetry);
-            sim.set_reconciler_target(target);
+            let mut federation = FederationConfig::default();
+            federation.telemetry.report_interval = SimDuration::from_secs_f64(1.0);
+            federation.reconciler_target = target;
+            sim.set_federation(federation);
             let mut setup = FunctionSetup::new(
                 micro_benchmark(0.1),
                 0.1,

@@ -122,10 +122,6 @@ pub struct ChaosConfig {
     pub burst_mtbf_secs: Option<f64>,
     /// Containers crashed per stochastic burst.
     pub burst_size: u32,
-    /// Extra network latency added to a migrated request's re-delivery,
-    /// on top of the destination site's inbound hop (checkpoint
-    /// transfer, re-admission). Consumed by the federation.
-    pub migration_penalty_secs: f64,
 }
 
 impl Default for ChaosConfig {
@@ -138,7 +134,6 @@ impl Default for ChaosConfig {
             partition_mttr_secs: 15.0,
             burst_mtbf_secs: None,
             burst_size: 1,
-            migration_penalty_secs: 0.0,
         }
     }
 }
@@ -274,9 +269,6 @@ impl ChaosConfig {
                 return Err(format!("{name} must be positive, got {v}"));
             }
         }
-        if !(self.migration_penalty_secs.is_finite() && self.migration_penalty_secs >= 0.0) {
-            return Err("migration_penalty_secs must be finite and non-negative".into());
-        }
         for (at, _) in &self.events {
             if !(at.is_finite() && *at >= 0.0) {
                 return Err(format!("chaos event time must be non-negative, got {at}"));
@@ -318,11 +310,11 @@ pub trait ContainerChaos: SchedulerPolicy {
 
     /// Apply a reconciler directive: resize toward `desired` total warm
     /// containers. This is the receiving end of the
-    /// [`ReconcilerSeam`](crate::telemetry::ReconcilerSeam) round-trip —
-    /// the directive was computed from a *reported* snapshot and arrives
-    /// one network hop later, so by the time it lands the site may
-    /// already have moved on; implementations reconcile toward the
-    /// desired state rather than assuming it. Returns whether the
+    /// [`UtilizationReconciler`](crate::telemetry::UtilizationReconciler)
+    /// round-trip — the directive was computed from a *reported* snapshot
+    /// and arrives one network hop later, so by the time it lands the
+    /// site may already have moved on; implementations reconcile toward
+    /// the desired state rather than assuming it. Returns whether the
     /// directive changed anything. The default ignores it (a scheduler
     /// with no elastic fleet, or one that scales autonomously, has
     /// nothing to reconcile).
@@ -678,9 +670,6 @@ mod tests {
         assert!(cfg.validate().is_err());
         let mut cfg = ChaosConfig::default();
         cfg.site_mttr_secs = -1.0;
-        assert!(cfg.validate().is_err());
-        let mut cfg = ChaosConfig::default();
-        cfg.migration_penalty_secs = f64::NAN;
         assert!(cfg.validate().is_err());
         let mut cfg = ChaosConfig::default();
         cfg.events.push((-2.0, Fault::SiteDown { site: 0 }));

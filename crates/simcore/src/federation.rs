@@ -27,6 +27,15 @@
 //! measured from the front-end arrival instant, the hop is part of the
 //! request's waiting — and therefore response — time.
 //!
+//! # Configuration
+//!
+//! The front end is configured once, by one [`FederationConfig`] handed
+//! to [`Federation::configured`]: the router and telemetry constants,
+//! delayed telemetry, hedging, the migration penalty, and the
+//! utilization reconciler. [`FederationConfig::validate`] is the one
+//! check of all of it; the windowed driver takes the federation as
+//! built, so both drivers run under the same config.
+//!
 //! # The shared front end
 //!
 //! Everything router-facing — per-site commitment counters and fault
@@ -79,7 +88,7 @@
 //! * **Site crash** ([`Fault::SiteDown`]): the site leaves the router's
 //!   view immediately. Its queued and in-service requests are orphaned
 //!   and **migrated** — re-routed among the surviving sites with the
-//!   destination's inbound hop plus a configurable migration penalty,
+//!   destination's inbound hop plus the configured migration penalty,
 //!   all of it visible in the request's waiting/response time. Requests
 //!   still crossing the network when the site died bounce the same way
 //!   at delivery time, so nothing ever lands on a dead site. With no
@@ -106,7 +115,7 @@ use crate::front::{Cancel, Census, Front, HedgeStep, Migration, SiteWork};
 use crate::metrics::SampleStats;
 use crate::rng::SimRng;
 use crate::router::{RouterConfig, RouterPolicy};
-use crate::telemetry::{ReconcilerSeam, TelemetryConfig, TelemetrySnapshot};
+use crate::telemetry::{TelemetryConfig, TelemetrySnapshot};
 use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Error, Map, Serialize, Value};
 use std::collections::BTreeMap;
@@ -157,9 +166,9 @@ pub enum HedgeTrigger {
     PredictedP95OverSlo,
 }
 
-/// Hedged-request configuration for a [`Federation`] (installed with
-/// [`Federation::set_hedge`]; absent = no hedging, byte-identical to
-/// the pre-hedging engine).
+/// Hedged-request configuration for a [`Federation`] (the `hedge` of
+/// its [`FederationConfig`]; absent = no hedging, byte-identical to the
+/// pre-hedging engine).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HedgeConfig {
     /// When clones are dispatched.
@@ -295,6 +304,57 @@ impl Deserialize for HedgeConfig {
             }
         }
         Ok(cfg)
+    }
+}
+
+/// Everything the front end of a [`Federation`] is configured with,
+/// fixed for the whole run: one value from the scenario to the front
+/// end, checked once by [`FederationConfig::validate`]. The default is
+/// oracle routing under the default router constants, no hedging, no
+/// migration penalty and no reconciler.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FederationConfig {
+    /// The router and per-site telemetry constants (SLO budget,
+    /// percentile, λ̂/μ̂/health smoothing).
+    pub router: RouterConfig,
+    /// Delayed telemetry propagation; a zero report interval routes on
+    /// oracle-fresh state.
+    pub telemetry: TelemetryConfig,
+    /// Hedged requests; `None` disables hedging.
+    pub hedge: Option<HedgeConfig>,
+    /// Extra latency added to every migrated request's re-delivery, on
+    /// top of the destination's inbound hop.
+    pub migration_penalty: SimDuration,
+    /// Target utilization of the control plane's
+    /// [`UtilizationReconciler`](crate::telemetry::UtilizationReconciler):
+    /// each snapshot, as it *arrives*, may yield a desired server count
+    /// that travels back to the site at the same latency and lands
+    /// through [`ContainerChaos::apply_desired_fleet`]. Needs telemetry
+    /// (snapshots are its only input).
+    pub reconciler_target: Option<f64>,
+}
+
+impl FederationConfig {
+    /// Check every knob, and the ones that depend on each other.
+    pub fn validate(&self) -> Result<(), String> {
+        self.router.validate()?;
+        self.telemetry.validate()?;
+        if let Some(hedge) = &self.hedge {
+            hedge.validate()?;
+        }
+        if let Some(rho) = self.reconciler_target {
+            if !(rho.is_finite() && rho > 0.0 && rho < 1.0) {
+                return Err(format!(
+                    "reconciler target utilization must be in (0, 1), got {rho}"
+                ));
+            }
+            if !self.telemetry.enabled() {
+                return Err(
+                    "the reconciler needs telemetry enabled (snapshots are its only input)".into(),
+                );
+            }
+        }
+        Ok(())
     }
 }
 
@@ -817,29 +877,46 @@ pub struct Federation<P: SchedulerPolicy> {
 
 impl<P: ContainerChaos> Federation<P> {
     /// Build a federation over `sites` (meta + inner scheduler each),
-    /// fronted by `router`. `functions` carries the per-function names
-    /// and SLO deadlines used for per-site statistics; it must match the
-    /// engine's function registration order.
+    /// fronted by `router`, under the default [`FederationConfig`].
+    /// `functions` carries the per-function names and SLO deadlines used
+    /// for per-site statistics; it must match the engine's function
+    /// registration order.
     pub fn new(
         sites: Vec<(SiteMeta, P)>,
         router: Box<dyn RouterPolicy + Send>,
         functions: &[FedFunction],
     ) -> Self {
+        Self::configured(sites, router, functions, FederationConfig::default(), 0)
+            .expect("the default federation config is valid")
+    }
+
+    /// Build a federation as [`Federation::new`] does, with its front end
+    /// configured by `cfg`. `seed` is the run's master seed: the per-site
+    /// telemetry jitter streams are labelled off it, identically in the
+    /// sequential and parallel drivers.
+    pub fn configured(
+        sites: Vec<(SiteMeta, P)>,
+        router: Box<dyn RouterPolicy + Send>,
+        functions: &[FedFunction],
+        cfg: FederationConfig,
+        seed: u64,
+    ) -> Result<Self, String> {
+        cfg.validate()?;
         assert!(!sites.is_empty(), "federation needs at least one site");
         let (metas, sites): (Vec<SiteMeta>, Vec<P>) = sites.into_iter().unzip();
         let stats =
             |f: &FedFunction| FnStats::empty(f.name.clone(), f.slo_deadline, SampleStats::new);
         let tallies = sites.iter().map(|_| functions.iter().map(stats).collect());
-        Self {
+        Ok(Self {
             tallies: tallies
                 .map(|per_fn| SiteTally::new(per_fn, P::READS_SAMPLES))
                 .collect(),
             epochs: vec![0; sites.len()],
             sites,
-            front: Front::new(metas, router, functions),
+            front: Front::new(metas, router, functions, cfg, seed),
             rebuild: None,
             retired: Vec::new(),
-        }
+        })
     }
 
     /// Opt the run into multi-dimensional accounting: per-site
@@ -875,52 +952,31 @@ impl<P: ContainerChaos> Federation<P> {
         self
     }
 
-    /// Extra latency added to every migrated request's re-delivery.
-    pub fn set_migration_penalty(&mut self, penalty: SimDuration) -> &mut Self {
-        self.front.migration_penalty = penalty;
-        self
-    }
-
-    /// Re-seed the per-site telemetry (λ̂/μ̂ smoothing, flakiness EWMA)
-    /// from a scenario's `router_config` block. Call before the run
-    /// starts — the trackers are rebuilt empty, and every telemetry
-    /// value already folded into the router's scratch view (forecast,
-    /// flakiness, warm census) is cleared with them, so the first
-    /// post-swap decision can never route on mixed-config scores.
-    pub fn set_router_config(&mut self, cfg: &RouterConfig) -> &mut Self {
-        self.front.set_router_config(cfg);
-        self
-    }
-
-    /// Enable delayed telemetry propagation: sites publish snapshots on
-    /// `cfg`'s jittered report interval and the router scores them on
-    /// the last snapshot that arrived. A zero interval keeps today's
-    /// oracle-fresh behavior byte-for-byte. Call before the run starts;
-    /// `seed` is the run's master seed (the per-site jitter streams are
-    /// labelled off it, identically in the sequential and parallel
-    /// drivers).
+    /// Switch on delayed telemetry propagation after [`Federation::new`]
+    /// (`seed` as in [`Federation::configured`]). Kept for the benchmark,
+    /// which builds its federations this way; everything else passes a
+    /// [`FederationConfig`] to [`Federation::configured`]. Call before
+    /// the run starts.
     pub fn set_telemetry(&mut self, cfg: TelemetryConfig, seed: u64) -> &mut Self {
+        let config = FederationConfig {
+            telemetry: cfg,
+            ..self.front.cfg
+        };
+        config.validate().expect("invalid FederationConfig");
         self.front.set_telemetry(cfg, seed);
         self
     }
 
-    /// Enable hedged requests: depending on `cfg.trigger`, arrivals are
-    /// cloned to the best-scored runner-up site(s), the first response
-    /// wins, and the losers are cancelled by messages travelling at the
-    /// losing site's network latency. Call before the run starts.
+    /// Switch on hedged requests after [`Federation::new`]. Kept for the
+    /// benchmark, like [`Federation::set_telemetry`]. Call before the run
+    /// starts.
     pub fn set_hedge(&mut self, cfg: HedgeConfig) -> &mut Self {
-        cfg.validate().expect("invalid HedgeConfig");
-        self.front.hedge = Some(cfg);
-        self
-    }
-
-    /// Install a scaling reconciler: each snapshot, as it *arrives* at
-    /// the control plane, may yield a desired server count that travels
-    /// back to the site at the same latency and lands through
-    /// [`ContainerChaos::apply_desired_fleet`]. No-op while telemetry
-    /// is disabled (there are no snapshots to reconcile against).
-    pub fn set_reconciler(&mut self, reconciler: Box<dyn ReconcilerSeam>) -> &mut Self {
-        self.front.reconciler = Some(reconciler);
+        let config = FederationConfig {
+            hedge: Some(cfg),
+            ..self.front.cfg
+        };
+        config.validate().expect("invalid FederationConfig");
+        self.front.cfg = config;
         self
     }
 
@@ -1025,7 +1081,7 @@ impl<P: ContainerChaos> Federation<P> {
     /// returned — this driver's merge point — in the order they
     /// happened.
     fn settle_retired(&mut self, ctx: &mut impl PolicyCtx<FedEv<P::Event>>, now: SimTime) {
-        if self.retired.is_empty() || self.front.hedge.is_none() {
+        if self.retired.is_empty() || self.front.cfg.hedge.is_none() {
             self.retired.clear();
             return;
         }
@@ -1281,7 +1337,7 @@ impl<P: ContainerChaos> ChaosTarget for Federation<P> {
                         self.tallies[i].complete(&c);
                         self.front.record_completion(i, c.service);
                         self.retired.push((rid, i as u32));
-                    } else if self.front.hedge.is_some() {
+                    } else if self.front.cfg.hedge.is_some() {
                         self.cancel_clone_at(ctx, i as u32, ReqId(rid));
                     }
                 }
@@ -1394,6 +1450,15 @@ mod tests {
     }
 
     fn make_fed(kind: RouterKind, latencies: &[f64], service_secs: f64) -> Federation<OneServer> {
+        make_fed_with(kind, latencies, service_secs, FederationConfig::default())
+    }
+
+    fn make_fed_with(
+        kind: RouterKind,
+        latencies: &[f64],
+        service_secs: f64,
+        cfg: FederationConfig,
+    ) -> Federation<OneServer> {
         let sites = latencies
             .iter()
             .enumerate()
@@ -1413,7 +1478,8 @@ mod tests {
             slo_deadline: 0.5,
             demand: [0.0; 3],
         }];
-        Federation::new(sites, kind.build(), &functions)
+        Federation::configured(sites, kind.build(), &functions, cfg, 11)
+            .expect("valid config")
             .with_rebuild(Box::new(move |_, _| OneServer::new(service_secs)))
     }
 
@@ -1795,34 +1861,60 @@ mod tests {
         assert!(fed.front.sites[1].predictor.forecast(19.0, 1).has_model());
     }
 
-    /// Regression: `set_router_config` restarts the telemetry layer
-    /// wholesale — predictors, forecast caches, health EWMAs, *and* the
-    /// router-facing scratch columns (up/forecast/flakiness/warm), which
-    /// older versions left holding the previous configuration's values.
+    /// One `validate` covers every knob of the front end, and the
+    /// reconciler's dependence on telemetry.
     #[test]
-    fn router_config_reset_covers_full_tally() {
-        let mut fed = make_fed(RouterKind::SloAware, &[0.003, 0.010], 0.05);
-        warm_predictor(&mut fed.front.sites[0], 10.0);
-        fed.front.sites[0].health.observe(0.0, true);
-        fed.front.sites[0].health.observe(20.0, true);
-        assert!(fed.front.sites[0].health.value() > 0.0);
-        fed.front.states[0].in_flight = 9;
-        fed.front.states[0].up = false;
-        fed.front.states[0].flakiness = 0.7;
-        fed.front.states[0].warm = 3;
-        fed.set_router_config(&RouterConfig::default());
-        assert!(
-            !fed.front.sites[0].predictor.forecast(20.0, 1).has_model(),
-            "predictor survived the config reset"
-        );
-        assert_eq!(fed.front.sites[0].health.value(), 0.0);
-        assert_eq!(fed.front.states[0].in_flight, 0);
-        assert!(fed.front.states[0].up);
-        assert_eq!(fed.front.states[0].flakiness, 0.0);
-        assert_eq!(fed.front.states[0].warm, 0);
+    fn federation_config_validation_rejects_bad_knobs() {
+        let ok = FederationConfig::default();
+        assert!(ok.validate().is_ok());
+        let telemetry = TelemetryConfig {
+            report_interval: SimDuration::from_millis(100),
+            ..TelemetryConfig::default()
+        };
+        let bad = [
+            FederationConfig {
+                router: RouterConfig {
+                    percentile: 1.5,
+                    ..RouterConfig::default()
+                },
+                ..ok
+            },
+            FederationConfig {
+                telemetry: TelemetryConfig {
+                    jitter: SimDuration::from_millis(101),
+                    ..telemetry
+                },
+                ..ok
+            },
+            FederationConfig {
+                hedge: Some(HedgeConfig {
+                    max_clones: 0,
+                    ..HedgeConfig::default()
+                }),
+                ..ok
+            },
+            FederationConfig {
+                telemetry,
+                reconciler_target: Some(1.0),
+                ..ok
+            },
+            FederationConfig {
+                reconciler_target: Some(0.5),
+                ..ok
+            },
+        ];
+        for cfg in bad {
+            assert!(cfg.validate().is_err(), "{cfg:?} passed");
+        }
+        let reconciled = FederationConfig {
+            telemetry,
+            reconciler_target: Some(0.5),
+            ..ok
+        };
+        assert!(reconciled.validate().is_ok());
     }
 
-    /// The reconciler seam round-trips: snapshots arrive at the control
+    /// The reconciler round-trips: snapshots arrive at the control
     /// plane, the reconciler sizes the fleet from the *reported* state,
     /// and the directive lands back at the site through
     /// [`ContainerChaos::apply_desired_fleet`] one latency later.
@@ -1834,12 +1926,15 @@ mod tests {
             loss_under_partition: true,
             loss_prob: 0.0,
         };
-        let mut fed = make_fed(RouterKind::RoundRobin, &[0.003, 0.010], 0.05);
-        fed.set_telemetry(telemetry, 11);
         // μ̂ ≈ 20/s at λ ≈ 4/s per site: targeting ρ = 0.2 wants
         // ceil(4 / (20 · 0.2)) = 1 = the reported single server, so
         // nothing fires; ρ = 0.05 wants 4 and every snapshot does.
-        fed.set_reconciler(Box::new(crate::telemetry::UtilizationReconciler::new(0.05)));
+        let cfg = FederationConfig {
+            telemetry,
+            reconciler_target: Some(0.05),
+            ..FederationConfig::default()
+        };
+        let fed = make_fed_with(RouterKind::RoundRobin, &[0.003, 0.010], 0.05, cfg);
         let rep = run_simulation(engine_cfg(11), probe_entry(8.0), fed);
         let landed: usize = rep.per_site.iter().map(|s| s.report.desired.len()).sum();
         assert!(landed > 100, "only {landed} directives reached the sites");

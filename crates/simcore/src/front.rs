@@ -43,11 +43,13 @@
 use crate::chaos::{ContainerChaos, Fault};
 use crate::engine::FnStats;
 use crate::federation::{
-    FedFunction, FederatedReport, HedgeConfig, HedgeTrigger, SiteMeta, SiteReport,
+    FedFunction, FederatedReport, FederationConfig, HedgeTrigger, SiteMeta, SiteReport,
 };
 use crate::metrics::DowntimeClock;
 use crate::router::{predicted_score, ResourceSnapshot, RouterConfig, RouterPolicy, SiteState};
-use crate::telemetry::{ReconcilerSeam, TelemetryConfig, TelemetryRuntime, TelemetrySnapshot};
+use crate::telemetry::{
+    TelemetryConfig, TelemetryRuntime, TelemetrySnapshot, UtilizationReconciler,
+};
 use crate::time::{SimDuration, SimTime};
 use lass_queueing::{EvaluatedForecast, ForecastCache, HealthEwma, WaitPredictor};
 use std::collections::BTreeMap;
@@ -288,17 +290,13 @@ pub(crate) struct Front {
     router: Box<dyn RouterPolicy + Send>,
     /// Scratch router view, refreshed per decision.
     pub(crate) states: Vec<SiteState>,
-    /// The router/telemetry knobs in force (rebuilds a crashed site's
-    /// predictor with the same smoothing constants).
-    router_cfg: RouterConfig,
+    /// The configuration the front end was built under.
+    pub(crate) cfg: FederationConfig,
     /// Delayed-telemetry propagation state; disabled (zero interval)
     /// means oracle routing.
     pub(crate) telemetry: TelemetryRuntime,
-    /// Optional scaling reconciler fed each snapshot as it arrives.
-    pub(crate) reconciler: Option<Box<dyn ReconcilerSeam>>,
-    /// Extra latency added to a migrated request's re-delivery, on top
-    /// of the destination's inbound hop.
-    pub(crate) migration_penalty: SimDuration,
+    /// The scaling reconciler fed each snapshot as it arrives, if any.
+    reconciler: Option<UtilizationReconciler>,
     /// Arrivals dropped because no site was routable.
     pub(crate) unroutable: usize,
     /// Per-function demand vectors in registration order (the planner
@@ -308,8 +306,6 @@ pub(crate) struct Front {
     /// the per-site `utilization` report key and the telemetry resources
     /// column so legacy reports stay byte-identical.
     pub(crate) multidim: bool,
-    /// Hedged-request configuration; `None` disables hedging.
-    pub(crate) hedge: Option<HedgeConfig>,
     /// Logical completions so far: the waste budget's denominator.
     pub(crate) completed: usize,
     /// Open hedge races by logical request id (empty unless hedging).
@@ -317,50 +313,40 @@ pub(crate) struct Front {
 }
 
 impl Front {
+    /// The front end of `metas`, fronted by `router`, under `cfg` (which
+    /// the caller validated); `seed` labels the telemetry streams.
     pub(crate) fn new(
         metas: Vec<SiteMeta>,
         router: Box<dyn RouterPolicy + Send>,
         functions: &[FedFunction],
+        cfg: FederationConfig,
+        seed: u64,
     ) -> Self {
-        let router_cfg = RouterConfig::default();
         let states = metas.iter().map(blank_state).collect();
-        Self {
+        let mut front = Self {
             sites: metas
                 .into_iter()
-                .map(|m| RouterSite::new(m, &router_cfg))
+                .map(|m| RouterSite::new(m, &cfg.router))
                 .collect(),
             router,
             states,
-            router_cfg,
-            telemetry: TelemetryRuntime::disabled(),
-            reconciler: None,
-            migration_penalty: SimDuration::ZERO,
+            cfg,
+            telemetry: TelemetryRuntime::default(),
+            reconciler: cfg.reconciler_target.map(UtilizationReconciler::new),
             unroutable: 0,
             fn_demands: functions.iter().map(|f| f.demand).collect(),
             multidim: false,
-            hedge: None,
             completed: 0,
             races: BTreeMap::new(),
-        }
+        };
+        front.set_telemetry(cfg.telemetry, seed);
+        front
     }
 
-    /// Restart the telemetry layer under `cfg`: predictors, forecast
-    /// caches, health EWMAs, the scratch columns folded from them, and
-    /// the arrived views.
-    pub(crate) fn set_router_config(&mut self, cfg: &RouterConfig) {
-        self.router_cfg = *cfg;
-        for site in &mut self.sites {
-            site.predictor = WaitPredictor::new(cfg.predictor());
-            site.fcache = ForecastCache::new();
-            site.health = HealthEwma::new(cfg.health_tick_secs, cfg.health_alpha);
-        }
-        for (state, site) in self.states.iter_mut().zip(&self.sites) {
-            *state = blank_state(&site.meta);
-        }
-        self.telemetry.reset_views();
-    }
-
+    /// Run under telemetry `cfg` (valid), with streams labelled off
+    /// `seed`.
     pub(crate) fn set_telemetry(&mut self, cfg: TelemetryConfig, seed: u64) {
+        self.cfg.telemetry = cfg;
         let names: Vec<String> = self.sites.iter().map(|s| s.meta.name.clone()).collect();
         self.telemetry = TelemetryRuntime::new(cfg, seed, &names, self.fn_demands.len());
     }
@@ -394,7 +380,7 @@ impl Front {
         let t = now.as_secs_f64();
         let stale = self.telemetry.enabled();
         // The hedge trigger and runner-up ranking score forecasts too.
-        let forecast = self.hedge.is_some() || self.router.reads_forecast();
+        let forecast = self.cfg.hedge.is_some() || self.router.reads_forecast();
         let demand = self
             .fn_demands
             .get(fn_idx as usize)
@@ -484,7 +470,9 @@ impl Front {
     /// retry: the fraction of wasted completions among finished work
     /// must stay under `waste_budget` (`0` = unlimited).
     fn hedge_within_budget(&self) -> bool {
-        let Some(cfg) = self.hedge else { return false };
+        let Some(cfg) = self.cfg.hedge else {
+            return false;
+        };
         if cfg.waste_budget <= 0.0 {
             return true;
         }
@@ -497,8 +485,8 @@ impl Front {
     /// routers use but never touches the router itself, so the primary
     /// decision stream is unperturbed. Assumes the states are fresh.
     fn runner_up(&self, copies: &[u32]) -> Option<usize> {
-        let pct = self.router_cfg.percentile;
-        let cold = self.router_cfg.cold_start_penalty_ms / 1e3;
+        let pct = self.cfg.router.percentile;
+        let cold = self.cfg.router.cold_start_penalty_ms / 1e3;
         let mut best: Option<(f64, usize)> = None;
         for (i, s) in self.states.iter().enumerate() {
             if !s.up || copies.contains(&(i as u32)) {
@@ -523,7 +511,7 @@ impl Front {
         primary: usize,
         now: SimTime,
     ) -> Option<HedgeStep> {
-        let cfg = self.hedge?;
+        let cfg = self.cfg.hedge?;
         let race = Race {
             copies: vec![primary as u32],
             arrival: now,
@@ -533,7 +521,7 @@ impl Front {
             _ if cfg.retry_after_ms > 0.0 => cfg.retry_after_ms,
             HedgeTrigger::DeferredMs(ms) => ms,
             HedgeTrigger::Immediate | HedgeTrigger::PredictedP95OverSlo => {
-                let rc = &self.router_cfg;
+                let rc = &self.cfg.router;
                 let late = cfg.trigger == HedgeTrigger::Immediate
                     || predicted_score(
                         &self.states[primary],
@@ -562,7 +550,7 @@ impl Front {
     /// and return them. A race with one copy and no timer dissolves.
     fn clone_race(&mut self, rid: u64, mut race: Race, now: SimTime) -> Vec<usize> {
         let mut clones = Vec::new();
-        for _ in 0..self.hedge.map_or(0, |cfg| cfg.max_clones) {
+        for _ in 0..self.cfg.hedge.map_or(0, |cfg| cfg.max_clones) {
             let Some(c) = self.runner_up(&race.copies) else {
                 break;
             };
@@ -596,7 +584,7 @@ impl Front {
         }
         self.refresh(fn_idx, now, census);
         let clones = self.clone_race(rid, race, now);
-        let retry = self.hedge.is_some_and(|cfg| cfg.retry_after_ms > 0.0);
+        let retry = self.cfg.hedge.is_some_and(|cfg| cfg.retry_after_ms > 0.0);
         let mut cancel = Cancel::default();
         if let Some(race) = self.races.get_mut(&rid) {
             if retry && race.copies.len() > 1 && race.copies[0] == primary {
@@ -766,8 +754,8 @@ impl Front {
         if self.sites[i].partitioned && self.telemetry.cfg.loss_under_partition {
             return None;
         }
-        let directive = self.reconciler.as_mut().and_then(|rec| {
-            rec.desired_fleet(i, &snap, now)
+        let directive = self.reconciler.and_then(|rec| {
+            rec.desired_fleet(&snap)
                 .map(|desired| (now + self.sites[i].meta.latency, desired))
         });
         self.telemetry.ingest(i, snap, now);
@@ -806,7 +794,7 @@ impl Front {
                 }
                 site.needs_rebuild = false;
                 site.restarts += 1;
-                site.predictor = WaitPredictor::new(self.router_cfg.predictor());
+                site.predictor = WaitPredictor::new(self.cfg.router.predictor());
                 site.fcache = ForecastCache::new();
                 return Some(SiteWork::Rebuild(site.restarts));
             }
@@ -861,7 +849,10 @@ impl Front {
             }
             race.owed.retain(|&s| s != from as u32);
         }
-        Migration::Moves(dest, self.sites[dest].meta.latency + self.migration_penalty)
+        Migration::Moves(
+            dest,
+            self.sites[dest].meta.latency + self.cfg.migration_penalty,
+        )
     }
 
     /// Audit the race ledger at the end of a run (debug builds): a

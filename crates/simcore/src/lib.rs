@@ -55,8 +55,8 @@ pub use engine::{
 };
 pub use events::{EventQueue, HeapCalendar};
 pub use federation::{
-    FedEv, FedFunction, FederatedReport, Federation, HedgeConfig, HedgeTrigger, SiteMeta,
-    SiteReport,
+    FedEv, FedFunction, FederatedReport, Federation, FederationConfig, HedgeConfig, HedgeTrigger,
+    SiteMeta, SiteReport,
 };
 pub use lass_queueing::{
     EvaluatedForecast, ForecastCache, PredictorConfig, SnapshotCache, WaitForecast, WaitPredictor,
@@ -69,5 +69,5 @@ pub use router::{
     FailureAwareRouter, LatencyAwareRouter, LeastLoadedRouter, PlannerRouter, ResourceSnapshot,
     RoundRobinRouter, RouterConfig, RouterKind, RouterPolicy, SiteState, SloAwareRouter,
 };
-pub use telemetry::{ReconcilerSeam, TelemetryConfig, TelemetrySnapshot, UtilizationReconciler};
+pub use telemetry::{TelemetryConfig, TelemetrySnapshot, UtilizationReconciler};
 pub use time::{SimDuration, SimTime, NANOS_PER_SEC};

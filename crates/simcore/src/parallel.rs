@@ -914,7 +914,7 @@ impl<P: ContainerChaos> Frontend<P> {
         }
         // Stable by time: equal instants keep (site, log-index) order.
         merged.sort_by_key(|(_, e)| e.t);
-        let hedging = self.front.hedge.is_some();
+        let hedging = self.front.cfg.hedge.is_some();
         for (site, e) in merged.drain(..) {
             let s = site as usize;
             let timeout = matches!(e.kind, LogKind::Timeout { .. });

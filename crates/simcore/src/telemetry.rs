@@ -28,10 +28,10 @@
 //!   [`SnapshotCache`](lass_queueing::SnapshotCache) — cheaper than the
 //!   oracle path, which re-keys per decision for forecast-reading
 //!   routers.
-//! * [`ReconcilerSeam`] — the scaling side of the same delay: a
-//!   reconciler reads each *reported* snapshot and emits a desired
-//!   server count, which travels back to the site at the same latency
-//!   and is applied through the
+//! * [`UtilizationReconciler`] — the scaling side of the same delay: it
+//!   reads each *reported* snapshot and emits a desired server count,
+//!   which travels back to the site at the same latency and is applied
+//!   through the
 //!   [`ContainerChaos::apply_desired_fleet`](crate::chaos::ContainerChaos::apply_desired_fleet)
 //!   seam — so scaling decisions act on desired-vs-reported state, one
 //!   full round-trip stale, like a real control loop.
@@ -131,26 +131,11 @@ pub struct TelemetrySnapshot {
     pub resources: ResourceSnapshot,
 }
 
-/// The scaling half of the stale-telemetry loop: reads each *reported*
-/// snapshot as it reaches the control plane and may emit a desired
-/// server count, which travels back to the site at the same network
-/// latency and is applied through
-/// [`ContainerChaos::apply_desired_fleet`](crate::chaos::ContainerChaos::apply_desired_fleet).
-/// Implementations must be deterministic — decisions may depend only on
-/// the snapshot and the clock, never on ambient randomness.
-pub trait ReconcilerSeam: Send {
-    /// Desired server count for `site` given its `reported` snapshot,
-    /// or `None` to leave the site alone this round.
-    fn desired_fleet(
-        &mut self,
-        site: usize,
-        reported: &TelemetrySnapshot,
-        now: SimTime,
-    ) -> Option<u32>;
-}
-
-/// A minimal reconciler: size each site's fleet so the *reported*
-/// λ̂/μ̂ would run at the target utilization — `c = ⌈λ̂ / (μ̂ ρ)⌉`,
+/// The scaling half of the stale-telemetry loop, installed by a
+/// federation's
+/// [`reconciler_target`](crate::federation::FederationConfig::reconciler_target):
+/// it sizes each site's fleet so the *reported* λ̂/μ̂ would run at the
+/// target utilization — `c = ⌈λ̂ / (μ̂ ρ)⌉`,
 /// floored at one server. Emits a directive only when the desired count
 /// differs from the reported one, and stays silent before the site has
 /// accumulated a model.
@@ -183,15 +168,10 @@ impl UtilizationReconciler {
             dimension_ceiling: 0.95,
         }
     }
-}
 
-impl ReconcilerSeam for UtilizationReconciler {
-    fn desired_fleet(
-        &mut self,
-        _site: usize,
-        reported: &TelemetrySnapshot,
-        _now: SimTime,
-    ) -> Option<u32> {
+    /// Desired server count for a site given its `reported` snapshot,
+    /// or `None` to leave the site alone this round.
+    pub fn desired_fleet(&self, reported: &TelemetrySnapshot) -> Option<u32> {
         let f = reported.forecast;
         if !f.has_model() {
             return None;
@@ -250,23 +230,20 @@ pub(crate) struct TelemetryRuntime {
 }
 
 impl TelemetryRuntime {
-    /// A disabled runtime (zero interval, no sites) — the default for
-    /// federations built without a telemetry block.
-    pub(crate) fn disabled() -> Self {
-        Self::default()
-    }
-
     /// Build the runtime for `site_names`, with `n_fns` functions, off
-    /// the run's master seed. Panics on an invalid config (the scenario
-    /// layer validates first; direct users get the assert).
+    /// the run's master seed, under a valid `cfg`. A disabled config
+    /// (zero interval) keeps no per-site state: nothing reads it.
     pub(crate) fn new(
         cfg: TelemetryConfig,
         seed: u64,
         site_names: &[String],
         n_fns: usize,
     ) -> Self {
-        if let Err(e) = cfg.validate() {
-            panic!("invalid telemetry config: {e}");
+        if !cfg.enabled() {
+            return Self {
+                cfg,
+                ..Self::default()
+            };
         }
         Self {
             cfg,
@@ -351,22 +328,6 @@ impl TelemetryRuntime {
     /// arrived snapshot marks it back up.
     pub(crate) fn mark_down(&mut self, site: usize) {
         self.views[site].up = false;
-    }
-
-    /// Forget every arrived snapshot (views revert to the cold-start
-    /// state) without touching the publish schedule. Used when the
-    /// router configuration is swapped before a run.
-    pub(crate) fn reset_views(&mut self) {
-        for view in &mut self.views {
-            view.up = true;
-            view.last_published = SimTime::ZERO;
-            view.last_arrival = SimTime::ZERO;
-            view.forecast = EvaluatedForecast::default();
-            view.flakiness = 0.0;
-            view.warm.iter_mut().for_each(|w| *w = 0);
-            view.resources = ResourceSnapshot::default();
-            view.cache.invalidate();
-        }
     }
 }
 
@@ -560,7 +521,7 @@ mod tests {
 
     #[test]
     fn utilization_reconciler_sizes_from_reported_state() {
-        let mut rec = UtilizationReconciler::new(0.5);
+        let rec = UtilizationReconciler::new(0.5);
         let mut snap = TelemetrySnapshot {
             published_at: SimTime::ZERO,
             forecast: WaitForecast {
@@ -573,13 +534,13 @@ mod tests {
             resources: ResourceSnapshot::default(),
         };
         // ⌈9 / (2 · 0.5)⌉ = 9 servers desired vs 3 reported.
-        assert_eq!(rec.desired_fleet(0, &snap, SimTime::ZERO), Some(9));
+        assert_eq!(rec.desired_fleet(&snap), Some(9));
         // Already at the desired size: silent.
         snap.forecast.servers = 9;
-        assert_eq!(rec.desired_fleet(0, &snap, SimTime::ZERO), None);
+        assert_eq!(rec.desired_fleet(&snap), None);
         // No model yet: silent.
         snap.forecast = WaitForecast::default();
-        assert_eq!(rec.desired_fleet(0, &snap, SimTime::ZERO), None);
+        assert_eq!(rec.desired_fleet(&snap), None);
     }
 
     #[test]

@@ -35,9 +35,9 @@ use lass_cluster::FnInterner;
 use lass_functions::{parse_invocations_csv, sample_window, synthesize, TracePattern};
 use lass_simcore::{
     run_federation_parallel, run_simulation, ArrivalProcess, ChaosConfig, ContainerChaos,
-    EngineConfig, EngineOutcome, FedFunction, FederatedReport, Federation, FunctionEntry,
-    HedgeConfig, PerMinuteTrace, PolicyCtx, ReqId, RouterKind, ScaledShapeTrace, SchedulerPolicy,
-    SimDuration, SimRng, SimTime, SiteMeta,
+    EngineConfig, EngineOutcome, FedFunction, FederatedReport, Federation, FederationConfig,
+    FunctionEntry, HedgeConfig, PerMinuteTrace, PolicyCtx, ReqId, RouterKind, ScaledShapeTrace,
+    SchedulerPolicy, SimDuration, SimRng, SimTime, SiteMeta,
 };
 use serde::Serialize;
 use std::collections::VecDeque;
@@ -452,9 +452,6 @@ pub fn run_replay(cfg: &ReplayConfig) -> Result<ReplaySummary, String> {
             cfg.utilization
         ));
     }
-    if let Some(h) = &cfg.hedge {
-        h.validate()?;
-    }
     let workload = match &cfg.csv {
         Some(path) => {
             let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
@@ -503,11 +500,18 @@ pub fn run_replay(cfg: &ReplayConfig) -> Result<ReplaySummary, String> {
             )
         })
         .collect();
-    let mut federation =
-        Federation::new(sites, cfg.router.build(), &workload.functions).with_streaming_stats();
-    if let Some(h) = cfg.hedge {
-        federation.set_hedge(h);
-    }
+    let fed_cfg = FederationConfig {
+        hedge: cfg.hedge,
+        ..FederationConfig::default()
+    };
+    let federation = Federation::configured(
+        sites,
+        cfg.router.build(),
+        &workload.functions,
+        fed_cfg,
+        cfg.seed,
+    )?
+    .with_streaming_stats();
     let engine_cfg = EngineConfig {
         seed: cfg.seed,
         rng_label_prefix: String::new(),

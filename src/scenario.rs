@@ -20,7 +20,8 @@ use lass_functions::{
 };
 use lass_openwhisk::{OwConfig, OwFunctionSetup, OwReport, OwSimulation};
 use lass_simcore::{
-    ChaosConfig, Fault, HedgeConfig, RouterConfig, RouterKind, SimDuration, TelemetryConfig,
+    ChaosConfig, Fault, FederationConfig, HedgeConfig, RouterConfig, RouterKind, SimDuration,
+    TelemetryConfig,
 };
 use serde::{Deserialize, Serialize};
 
@@ -250,41 +251,37 @@ impl Default for TelemetrySpec {
     }
 }
 
-impl TelemetrySpec {
-    fn to_config(&self) -> Result<TelemetryConfig, String> {
-        if !(self.report_interval_ms.is_finite() && self.report_interval_ms >= 0.0) {
-            return Err("topology.telemetry.report_interval_ms must be finite and >= 0".into());
-        }
-        if !(self.jitter_ms.is_finite() && self.jitter_ms >= 0.0) {
-            return Err("topology.telemetry.jitter_ms must be finite and >= 0".into());
-        }
-        let cfg = TelemetryConfig {
-            report_interval: SimDuration::from_secs_f64(self.report_interval_ms / 1e3),
-            jitter: SimDuration::from_secs_f64(self.jitter_ms / 1e3),
-            loss_under_partition: self.loss_under_partition,
-            loss_prob: self.loss_prob,
-        };
-        cfg.validate()?;
-        Ok(cfg)
-    }
-}
-
 impl TopologySpec {
-    /// Check the parallel-execution knob against the topology shape.
-    pub fn validate_parallel(&self) -> Result<(), String> {
-        match self.parallel_sites {
-            Some(0) => Err("topology.parallel_sites must be >= 1 when set".into()),
-            Some(n) if n > 1 && self.sites.iter().any(|s| s.latency_ms <= 0.0) => {
-                // Not an error — the harness falls back to sequential —
-                // but surface it early so scenario authors notice.
-                eprintln!(
-                    "warning: topology.parallel_sites={n} with a zero-latency site: \
-                     no conservative lookahead, running sequentially"
-                );
-                Ok(())
+    /// The front end's [`FederationConfig`]: the router constants,
+    /// telemetry and hedging of this block, and the migration penalty of
+    /// the scenario's `chaos` block. Checks that the millisecond fields
+    /// are durations; everything else is left to
+    /// [`FederationConfig::validate`].
+    pub fn federation(&self, chaos: Option<&ChaosSpec>) -> Result<FederationConfig, String> {
+        let penalty_ms = chaos.map_or(0.0, |c| c.migration_penalty_ms);
+        let t = &self.telemetry;
+        let ms = |name: &str, v: f64| {
+            if v.is_finite() && v >= 0.0 {
+                Ok(SimDuration::from_secs_f64(v / 1e3))
+            } else {
+                Err(format!("{name} must be finite and >= 0, got {v}"))
             }
-            _ => Ok(()),
-        }
+        };
+        Ok(FederationConfig {
+            router: self.router_config,
+            telemetry: TelemetryConfig {
+                report_interval: ms(
+                    "topology.telemetry.report_interval_ms",
+                    t.report_interval_ms,
+                )?,
+                jitter: ms("topology.telemetry.jitter_ms", t.jitter_ms)?,
+                loss_under_partition: t.loss_under_partition,
+                loss_prob: t.loss_prob,
+            },
+            hedge: self.hedge,
+            migration_penalty: ms("chaos.migration_penalty_ms", penalty_ms)?,
+            reconciler_target: None,
+        })
     }
 }
 
@@ -439,7 +436,6 @@ impl ChaosSpec {
             partition_mttr_secs: self.partition_mttr_secs,
             burst_mtbf_secs: self.burst_mtbf_secs,
             burst_size: self.burst_size,
-            migration_penalty_secs: self.migration_penalty_ms / 1e3,
         };
         cfg.validate()?;
         Ok(cfg)
@@ -654,13 +650,10 @@ impl Scenario {
                 )
             }
         };
-        spec.validate_parallel()?;
         let topology = self.build_topology(spec)?;
         let mut sim = FederatedSimulation::new(self.config.clone(), topology, self.seed);
         sim.set_router(spec.router)
-            .set_router_config(spec.router_config)
-            .set_telemetry(spec.telemetry.to_config()?)
-            .set_hedge(spec.hedge)
+            .set_federation(spec.federation(self.chaos.as_ref())?)
             .set_policy(site_policy)
             .set_parallel(spec.parallel_sites);
         if let Some(chaos) = &self.chaos {

@@ -23,7 +23,7 @@ use lass::cluster::{Cluster, CpuMilli, MemMib, PlacementPolicy, Topology};
 use lass::core::{FederatedSimulation, FunctionSetup, LassConfig, SimReport, Simulation};
 use lass::functions::{micro_benchmark, WorkloadSpec};
 use lass::scenario::{Scenario, ScenarioReport};
-use lass::simcore::{ChaosConfig, Fault, RouterKind};
+use lass::simcore::{ChaosConfig, Fault, FederationConfig, RouterKind, SimDuration};
 use proptest::prelude::*;
 
 fn fnv64(s: &str) -> u64 {
@@ -422,11 +422,13 @@ fn failure_aware_routing_cuts_failures_under_chaos_storm() {
         topology.add_site("b", small_cluster(2), 0.008);
         topology.add_site("c", small_cluster(2), 0.015);
         let mut sim = FederatedSimulation::new(LassConfig::default(), topology, 7);
-        sim.set_router(kind);
+        sim.set_router(kind).set_federation(FederationConfig {
+            migration_penalty: SimDuration::from_secs_f64(0.005),
+            ..FederationConfig::default()
+        });
         sim.set_chaos(ChaosConfig {
             site_mtbf_secs: Some(90.0),
             site_mttr_secs: 25.0,
-            migration_penalty_secs: 0.005,
             ..ChaosConfig::default()
         });
         sim.add_function(testbed_setup(45.0, 300.0, 2));

@@ -20,8 +20,8 @@
 
 use lass::simcore::{
     run_federation_parallel, run_simulation, ChaosConfig, ChaosPolicy, ContainerChaos,
-    EngineConfig, EngineOutcome, Fault, FedFunction, FederatedReport, Federation, FnStats,
-    FunctionEntry, HedgeConfig, HedgeTrigger, PolicyCtx, ReqId, RouterKind, RouterPolicy,
+    EngineConfig, EngineOutcome, Fault, FedFunction, FederatedReport, Federation, FederationConfig,
+    FnStats, FunctionEntry, HedgeConfig, HedgeTrigger, PolicyCtx, ReqId, RouterKind, RouterPolicy,
     SchedulerPolicy, SimDuration, SimTime, SiteMeta, SiteState, StaticPoisson,
 };
 use std::collections::VecDeque;
@@ -136,7 +136,10 @@ fn entries() -> Vec<FunctionEntry> {
         .collect()
 }
 
-fn federation(router: Box<dyn RouterPolicy + Send>) -> Federation<Pool> {
+fn federation(
+    router: Box<dyn RouterPolicy + Send>,
+    hedge: Option<HedgeConfig>,
+) -> Federation<Pool> {
     let sites = SITES
         .iter()
         .enumerate()
@@ -149,7 +152,12 @@ fn federation(router: Box<dyn RouterPolicy + Send>) -> Federation<Pool> {
             (meta, Pool::new(servers, MEAN_SERVICE))
         })
         .collect();
-    Federation::new(sites, router, &fed_functions())
+    let cfg = FederationConfig {
+        hedge,
+        ..FederationConfig::default()
+    };
+    Federation::configured(sites, router, &fed_functions(), cfg, 0)
+        .expect("valid config")
         .with_rebuild(Box::new(|i, _| Pool::new(SITES[i].1, MEAN_SERVICE)))
 }
 
@@ -201,9 +209,9 @@ impl RouterPolicy for ReadsForecast {
 fn every_router_declares_its_forecast_reads_soundly() {
     for kind in RouterKind::ALL {
         for threads in [None, Some(2)] {
-            let declared = report_json(&run(federation(kind.build()), threads));
+            let declared = report_json(&run(federation(kind.build(), None), threads));
             let evaluated = report_json(&run(
-                federation(Box::new(ReadsForecast(kind.build()))),
+                federation(Box::new(ReadsForecast(kind.build())), None),
                 threads,
             ));
             assert!(
@@ -255,16 +263,15 @@ impl RouterPolicy for Spy {
 /// Run a spy declaring `reads` and return `(decisions, with_model)`.
 fn spy(reads: bool, hedge: bool, threads: Option<usize>) -> (usize, usize) {
     let seen = Arc::new(Seen::default());
-    let mut fed = federation(Box::new(Spy {
+    let hedge = hedge.then_some(HedgeConfig {
+        trigger: HedgeTrigger::DeferredMs(200.0),
+        ..HedgeConfig::default()
+    });
+    let spy = Spy {
         reads,
         seen: Arc::clone(&seen),
-    }));
-    if hedge {
-        fed.set_hedge(HedgeConfig {
-            trigger: HedgeTrigger::DeferredMs(200.0),
-            ..HedgeConfig::default()
-        });
-    }
+    };
+    let fed = federation(Box::new(spy), hedge);
     run(fed, threads);
     (
         seen.decisions.load(Ordering::Relaxed),

@@ -23,7 +23,9 @@
 use lass::cluster::{Cluster, CpuMilli, MemMib, PlacementPolicy, Topology};
 use lass::core::{FederatedSimReport, FederatedSimulation, FunctionSetup, LassConfig};
 use lass::functions::{micro_benchmark, WorkloadSpec};
-use lass::simcore::{ChaosConfig, Fault, HedgeConfig, HedgeTrigger, RouterKind, SampleStats};
+use lass::simcore::{
+    ChaosConfig, Fault, FederationConfig, HedgeConfig, HedgeTrigger, RouterKind, SampleStats,
+};
 use proptest::prelude::*;
 
 fn small_cluster(nodes: u32) -> Cluster {
@@ -55,8 +57,11 @@ fn three_site_sim(
     topology.add_site("b", small_cluster(2), 0.010);
     topology.add_site("c", small_cluster(2), 0.030);
     let mut sim = FederatedSimulation::new(LassConfig::default(), topology, seed);
-    sim.set_router(RouterKind::LeastLoaded);
-    sim.set_hedge(hedge);
+    sim.set_router(RouterKind::LeastLoaded)
+        .set_federation(FederationConfig {
+            hedge,
+            ..FederationConfig::default()
+        });
     if let Some(c) = chaos {
         sim.set_chaos(c);
     }

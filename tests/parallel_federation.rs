@@ -22,8 +22,8 @@
 use lass::simcore::{
     run_federation_parallel, run_simulation, ArrivalProcess, ChaosConfig, ChaosPolicy,
     ContainerChaos, EngineConfig, EngineOutcome, Fault, FedFunction, FederatedReport, Federation,
-    FnStats, FunctionEntry, HedgeConfig, PolicyCtx, ReqId, RouterKind, SchedulerPolicy,
-    SimDuration, SimRng, SimTime, SiteMeta, StaticPoisson,
+    FederationConfig, FnStats, FunctionEntry, HedgeConfig, PolicyCtx, ReqId, RouterKind,
+    SchedulerPolicy, SimDuration, SimRng, SimTime, SiteMeta, StaticPoisson,
 };
 use proptest::prelude::*;
 use std::collections::VecDeque;
@@ -359,8 +359,13 @@ fn partition_end_at_an_idle_window_start_opens_the_window() {
         .zip([1.0, 100.0])
         .map(|(m, service)| (m, FixedServer::new(service)))
         .collect();
-    let mut fed = Federation::new(sites, RouterKind::RoundRobin.build(), &fed_functions());
-    fed.set_hedge(HedgeConfig::default());
+    let cfg = FederationConfig {
+        hedge: Some(HedgeConfig::default()),
+        ..FederationConfig::default()
+    };
+    let router = RouterKind::RoundRobin.build();
+    let fed =
+        Federation::configured(sites, router, &fed_functions(), cfg, 0).expect("valid config");
     let chaos = ChaosConfig {
         events: vec![
             (1.5, Fault::PartitionStart { site: 0 }),

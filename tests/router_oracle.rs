@@ -21,9 +21,9 @@
 
 use lass::queueing::{MmcQueue, PredictorConfig, WaitPredictor};
 use lass::simcore::{
-    run_simulation, EngineConfig, EngineOutcome, FedFunction, Federation, FunctionEntry, PolicyCtx,
-    ReqId, RouterConfig, RouterKind, SchedulerPolicy, SimDuration, SimRng, SimTime, SiteMeta,
-    StaticPoisson,
+    run_simulation, EngineConfig, EngineOutcome, FedFunction, Federation, FederationConfig,
+    FunctionEntry, PolicyCtx, ReqId, RouterConfig, RouterKind, SchedulerPolicy, SimDuration,
+    SimRng, SimTime, SiteMeta, StaticPoisson,
 };
 use std::collections::VecDeque;
 
@@ -267,12 +267,12 @@ fn run_split(
             McServer::new(servers, mu),
         ),
     ];
-    let mut fed = Federation::new(
-        sites,
-        RouterKind::SloAware.build_with(router_cfg),
-        &functions,
-    );
-    fed.set_router_config(router_cfg);
+    let cfg = FederationConfig {
+        router: *router_cfg,
+        ..FederationConfig::default()
+    };
+    let router = RouterKind::SloAware.build_with(router_cfg);
+    let fed = Federation::configured(sites, router, &functions, cfg, seed).expect("valid config");
     run_simulation(
         EngineConfig {
             seed,

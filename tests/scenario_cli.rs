@@ -151,3 +151,93 @@ fn custom_spec_with_zero_base_time_is_an_error() {
     });
     assert_bad_function(&path, "base time");
 }
+
+/// The hedge-tail scenario with `edit` applied to the object at `key`
+/// (`"topology"` or `"chaos"`).
+fn block_with(
+    name: &str,
+    key: &str,
+    edit: impl FnOnce(&mut serde_json::Map),
+) -> std::path::PathBuf {
+    scenario_with(name, |m| {
+        let Some(serde_json::Value::Object(block)) = m.get_mut(key) else {
+            panic!("hedge-tail has a {key} block");
+        };
+        edit(block);
+    })
+}
+
+fn json(text: &str) -> serde_json::Value {
+    serde_json::from_str(text).expect("JSON")
+}
+
+/// A malformed federation config is an `error:` line that names the
+/// field and exit 1, never a panic inside the front end.
+fn assert_bad_federation(path: &std::path::Path, field: &str) {
+    let (code, stderr) = run(path);
+    assert!(!stderr.contains("panicked"), "panicked: {stderr}");
+    assert_eq!(code, Some(1), "expected exit 1, stderr: {stderr}");
+    assert!(stderr.starts_with("error:"), "no error line: {stderr}");
+    assert!(
+        stderr.contains(field),
+        "error does not name {field}: {stderr}"
+    );
+}
+
+#[test]
+fn zero_hedge_clones_is_an_error() {
+    let path = block_with("hedge-clones", "topology", |t| {
+        t.insert(
+            "hedge".into(),
+            json(r#"{ "trigger": "immediate", "max_clones": 0 }"#),
+        );
+    });
+    assert_bad_federation(&path, "max_clones");
+}
+
+#[test]
+fn telemetry_jitter_beyond_the_interval_is_an_error() {
+    let path = block_with("telemetry-jitter", "topology", |t| {
+        t.insert(
+            "telemetry".into(),
+            json(r#"{ "report_interval_ms": 100, "jitter_ms": 200 }"#),
+        );
+    });
+    assert_bad_federation(&path, "jitter");
+}
+
+#[test]
+fn negative_migration_penalty_is_an_error() {
+    let path = block_with("migration-penalty", "chaos", |c| {
+        c.insert("migration_penalty_ms".into(), number("-1"));
+    });
+    assert_bad_federation(&path, "migration_penalty_ms");
+}
+
+#[test]
+fn out_of_range_router_config_is_an_error() {
+    let path = block_with("router-percentile", "topology", |t| {
+        t.insert("router_config".into(), json(r#"{ "percentile": 1.5 }"#));
+    });
+    assert_bad_federation(&path, "percentile");
+}
+
+/// A zero-latency site leaves the windowed driver no lookahead: the run
+/// falls back to the sequential driver and says so once.
+#[test]
+fn zero_latency_parallel_topology_warns_once() {
+    let path = block_with("parallel-fallback", "topology", |t| {
+        t.insert("parallel_sites".into(), number("4"));
+        let Some(serde_json::Value::Array(sites)) = t.get_mut("sites") else {
+            panic!("hedge-tail has sites");
+        };
+        let Some(serde_json::Value::Object(edge)) = sites.first_mut() else {
+            panic!("hedge-tail's first site is an object");
+        };
+        edge.insert("latency_ms".into(), number("0"));
+    });
+    let (code, stderr) = run(&path);
+    assert_eq!(code, Some(0), "stderr: {stderr}");
+    let warnings = stderr.lines().filter(|l| l.starts_with("warning:")).count();
+    assert_eq!(warnings, 1, "expected one warning line: {stderr}");
+}

@@ -22,7 +22,9 @@ use lass::cluster::{Cluster, CpuMilli, MemMib, PlacementPolicy, Topology};
 use lass::core::{FederatedSimulation, FunctionSetup, LassConfig};
 use lass::functions::{micro_benchmark, WorkloadSpec};
 use lass::scenario::{Scenario, ScenarioReport};
-use lass::simcore::{ChaosConfig, Fault, RouterKind, SimDuration, TelemetryConfig};
+use lass::simcore::{
+    ChaosConfig, Fault, FederationConfig, RouterKind, SimDuration, TelemetryConfig,
+};
 use proptest::prelude::*;
 
 fn fnv64(s: &str) -> u64 {
@@ -143,7 +145,10 @@ fn stale_sim(
     topology.add_site("c", small_cluster(1), 0.025);
     let mut sim = FederatedSimulation::new(LassConfig::default(), topology, seed);
     sim.set_router(router)
-        .set_telemetry(telemetry(interval_ms, interval_ms / 4.0))
+        .set_federation(FederationConfig {
+            telemetry: telemetry(interval_ms, interval_ms / 4.0),
+            ..FederationConfig::default()
+        })
         .set_chaos(chaos)
         .set_parallel(parallel);
     sim.add_function(testbed_setup(25.0, 30.0, 1));
