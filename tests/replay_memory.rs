@@ -6,37 +6,33 @@
 //!
 //! The probe is a counting `#[global_allocator]` (integration tests
 //! compile as standalone binaries, so the allocator swap is scoped to
-//! this file). It is deliberately coarse: we assert on *deltas* around
-//! the measured region, not absolute numbers, so allocator internals
-//! and test-harness noise cannot trip it.
+//! this file) that counts each thread's allocations separately: the
+//! harness runs tests, and starts the next one, on other threads, so
+//! their allocations never land in a measured region. We assert on
+//! *deltas* around the measured region, not absolute numbers.
 
 use lass_simcore::{EventQueue, SampleStats, SimDuration};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-static BYTES: AtomicUsize = AtomicUsize::new(0);
-
 thread_local! {
-    /// Bytes allocated by this thread: unlike the process-wide counters,
-    /// blind to the harness starting the next test's thread.
-    static THREAD_BYTES: Cell<usize> = const { Cell::new(0) };
+    /// Allocations and bytes allocated by this thread.
+    static THREAD_COUNTS: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
 }
 
-fn count_thread_bytes(n: usize) {
+fn count_thread(n: usize) {
     // `try_with`: a thread that is being torn down may still allocate.
-    let _ = THREAD_BYTES.try_with(|b| b.set(b.get() + n));
+    let _ = THREAD_COUNTS.try_with(|c| {
+        let (allocs, bytes) = c.get();
+        c.set((allocs + 1, bytes + n));
+    });
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size(), Ordering::Relaxed);
-        count_thread_bytes(layout.size());
+        count_thread(layout.size());
         System.alloc(layout)
     }
 
@@ -45,9 +41,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(new_size, Ordering::Relaxed);
-        count_thread_bytes(new_size);
+        count_thread(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -55,24 +49,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-fn allocs() -> usize {
-    ALLOCS.load(Ordering::Relaxed)
-}
-
-fn bytes() -> usize {
-    BYTES.load(Ordering::Relaxed)
+/// `(allocations, bytes)` this thread has made so far.
+fn thread_counts() -> (usize, usize) {
+    THREAD_COUNTS.with(Cell::get)
 }
 
 fn thread_bytes() -> usize {
-    THREAD_BYTES.with(Cell::get)
-}
-
-/// The counters are process-wide and the harness runs tests on parallel
-/// threads: each test that measures a region holds this lock, so no
-/// other test's allocations land in its deltas.
-fn measuring() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    thread_counts().1
 }
 
 /// 10⁵ functions' worth of streaming stats: warm them past the lazy
@@ -80,19 +63,18 @@ fn measuring() -> MutexGuard<'static, ()> {
 /// performs zero allocation and retains zero samples.
 #[test]
 fn streaming_stats_footprint_is_bounded_at_100k_functions() {
-    let _measuring = measuring();
     const FUNCTIONS: usize = 100_000;
     let mut stats: Vec<SampleStats> = (0..FUNCTIONS).map(|_| SampleStats::streaming()).collect();
 
     // Warm-up: the first few records may allocate (each stat boots its
     // sketch's bucket block lazily) — that is the *bounded* footprint.
-    let warm_bytes_before = bytes();
+    let warm_bytes_before = thread_bytes();
     for (i, s) in stats.iter_mut().enumerate() {
         for k in 0..10u32 {
             s.record(f64::from(k) + i as f64 * 1e-6);
         }
     }
-    let warm_bytes = bytes() - warm_bytes_before;
+    let warm_bytes = thread_bytes() - warm_bytes_before;
     // Bounded footprint: O(1) per function. 1 KiB each is above the
     // sketch's 648-byte bucket block — a retained-sample representation
     // (8 B/sample growing forever) blows through this within the
@@ -104,13 +86,14 @@ fn streaming_stats_footprint_is_bounded_at_100k_functions() {
 
     // Steady state: recording into warm streaming stats must not touch
     // the allocator at all.
-    let (a0, b0) = (allocs(), bytes());
+    let (a0, b0) = thread_counts();
     for (i, s) in stats.iter_mut().enumerate() {
         for k in 0..20u32 {
             s.record(f64::from(k) * 0.5 + (i % 97) as f64);
         }
     }
-    let (da, db) = (allocs() - a0, bytes() - b0);
+    let (a1, b1) = thread_counts();
+    let (da, db) = (a1 - a0, b1 - b0);
     assert_eq!(
         da, 0,
         "steady-state streaming record performed {da} allocations ({db} bytes)"
@@ -131,7 +114,6 @@ fn streaming_stats_footprint_is_bounded_at_100k_functions() {
 /// allocate nothing, the latter one small block of sorted buckets.
 #[test]
 fn sparse_streaming_stats_stay_small() {
-    let _measuring = measuring();
     const FUNCTIONS: usize = 10_000;
     let mut stats: Vec<SampleStats> = (0..FUNCTIONS).map(|_| SampleStats::streaming()).collect();
 
@@ -168,15 +150,14 @@ fn sparse_streaming_stats_stay_small() {
 /// the probe must see the difference, or it is not measuring anything.
 #[test]
 fn exact_stats_retain_and_allocate() {
-    let _measuring = measuring();
     let mut s = SampleStats::new();
-    let (a0, _) = (allocs(), bytes());
+    let (a0, _) = thread_counts();
     for k in 0..10_000u32 {
         s.record(f64::from(k));
     }
     assert_eq!(s.retained(), 10_000);
     assert!(
-        allocs() - a0 > 0,
+        thread_counts().0 - a0 > 0,
         "exact stats grew a 10k-sample vec without allocating?"
     );
 }
@@ -186,7 +167,6 @@ fn exact_stats_retain_and_allocate() {
 /// (with cancels mixed in) allocate nothing.
 #[test]
 fn event_queue_steady_state_is_allocation_free() {
-    let _measuring = measuring();
     const DEPTH: u64 = 10_000;
     let mut q: EventQueue<[u64; 8]> = EventQueue::new();
     // Scrambled offsets up to ~1 s so keys land all over the heap.
@@ -211,11 +191,12 @@ fn event_queue_steady_state_is_allocation_free() {
     for i in 0..100_000 {
         cycle(&mut q, i);
     }
-    let (a0, b0) = (allocs(), bytes());
+    let (a0, b0) = thread_counts();
     for i in 100_000..400_000 {
         cycle(&mut q, i);
     }
-    let (da, db) = (allocs() - a0, bytes() - b0);
+    let (a1, b1) = thread_counts();
+    let (da, db) = (a1 - a0, b1 - b0);
     assert_eq!(
         da, 0,
         "steady-state calendar cycles performed {da} allocations ({db} bytes)"
