@@ -61,7 +61,6 @@ pub struct FederatedSimulation {
     policy: SitePolicyKind,
     chaos: ChaosConfig,
     parallel: Option<usize>,
-    multidim: Option<bool>,
     setups: Vec<FunctionSetup>,
 }
 
@@ -79,7 +78,6 @@ impl FederatedSimulation {
             policy: SitePolicyKind::default(),
             chaos: ChaosConfig::default(),
             parallel: None,
-            multidim: None,
             setups: Vec::new(),
         }
     }
@@ -126,16 +124,6 @@ impl FederatedSimulation {
     /// telemetry).
     pub fn set_parallel(&mut self, threads: Option<usize>) -> &mut Self {
         self.parallel = threads;
-        self
-    }
-
-    /// Force multi-dimensional resource telemetry on or off. The
-    /// default (unset) derives it: vector snapshots flow whenever any
-    /// deployed function declares a non-compute workload class or the
-    /// front-end router is the vector-aware `planner`. Off keeps sites
-    /// reporting the legacy cpu-only shape byte-for-byte.
-    pub fn set_multidim(&mut self, on: bool) -> &mut Self {
-        self.multidim = Some(on);
         self
     }
 
@@ -217,16 +205,6 @@ impl FederatedSimulation {
             .into_iter()
             .map(|s| s.cluster)
             .collect();
-        // Vector telemetry is opt-in by shape: any non-compute class or
-        // the planner router flips sites to multi-dimensional
-        // reporting; everything else keeps the legacy cpu-only shape.
-        let multidim = self.multidim.unwrap_or_else(|| {
-            self.router == RouterKind::Planner
-                || self
-                    .setups
-                    .iter()
-                    .any(|s| s.spec.class != lass_functions::WorkloadClass::Compute)
-        });
         let router = self.router.build_with(&self.federation.router);
         // Conservative parallelism needs lookahead: a multi-site
         // topology with strictly positive latencies. Anything else
@@ -258,7 +236,6 @@ impl FederatedSimulation {
             seed,
             chaos: self.chaos,
             federation: self.federation,
-            multidim,
             metas,
             router,
             fed_functions,
@@ -314,7 +291,6 @@ struct Launch {
     seed: u64,
     chaos: ChaosConfig,
     federation: FederationConfig,
-    multidim: bool,
     metas: Vec<SiteMeta>,
     router: Box<dyn lass_simcore::RouterPolicy + Send>,
     fed_functions: Vec<FedFunction>,
@@ -340,7 +316,7 @@ impl Launch {
             .enumerate()
             .map(|(i, meta)| (meta, build(i, 0)))
             .collect();
-        let mut fed = Federation::configured(
+        let fed = Federation::configured(
             sites,
             self.router,
             &self.fed_functions,
@@ -349,7 +325,6 @@ impl Launch {
         )?
         .with_rebuild(Box::new(build));
         let chaos = self.chaos;
-        fed.set_multidim(self.multidim);
         let cfg = EngineConfig {
             seed: self.seed,
             rng_label_prefix: prefix.into(),

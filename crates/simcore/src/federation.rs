@@ -772,10 +772,8 @@ pub struct SiteReport<R> {
     /// Service seconds burned by those wasted completions.
     pub wasted_secs: f64,
     /// End-of-run per-dimension utilization `[cpu, mem, bw]` in
-    /// `[0, 1]`, present only for multi-dimensional runs (see
-    /// [`Federation::set_multidim`]) — legacy reports keep their exact
-    /// historical key set.
-    pub utilization: Option<[f64; 3]>,
+    /// `[0, 1]`.
+    pub utilization: [f64; 3],
     /// The inner scheduler's own report, built from the site-local
     /// request statistics.
     pub report: R,
@@ -830,9 +828,7 @@ impl<R: Serialize> Serialize for SiteReport<R> {
             m.insert("wasted_work".into(), self.wasted_work.serialize());
             m.insert("wasted_secs".into(), self.wasted_secs.serialize());
         }
-        if let Some(util) = self.utilization {
-            m.insert("utilization".into(), util.serialize());
-        }
+        m.insert("utilization".into(), self.utilization.serialize());
         m.insert("report".into(), self.report.serialize());
         Value::Object(m)
     }
@@ -917,14 +913,6 @@ impl<P: ContainerChaos> Federation<P> {
             rebuild: None,
             retired: Vec::new(),
         })
-    }
-
-    /// Opt the run into multi-dimensional accounting: per-site
-    /// per-dimension `utilization` appears in the report. Off by
-    /// default so legacy (cpu-only) reports stay byte-identical.
-    pub fn set_multidim(&mut self, on: bool) -> &mut Self {
-        self.front.multidim = on;
-        self
     }
 
     /// Install the factory that rebuilds a crashed site's scheduler on
@@ -1271,13 +1259,12 @@ impl<P: ContainerChaos> SchedulerPolicy for Federation<P> {
             self.tallies[site as usize].live.contains_key(&rid)
         });
         let duration = outcome.duration_secs;
-        let multidim = self.front.multidim;
         let parts = self
             .sites
             .into_iter()
             .zip(self.tallies)
             .map(|(site, tally)| {
-                let utilization = multidim.then(|| site.resource_snapshot().utilization());
+                let utilization = site.resource_snapshot().utilization();
                 let (crashes, site_outcome) = tally.close(duration);
                 (crashes, utilization, site.finish(site_outcome))
             });

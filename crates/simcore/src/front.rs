@@ -302,10 +302,6 @@ pub(crate) struct Front {
     /// Per-function demand vectors in registration order (the planner
     /// router's fit denominators).
     fn_demands: Vec<[f64; 3]>,
-    /// Whether the run opted into multi-dimensional accounting: gates
-    /// the per-site `utilization` report key and the telemetry resources
-    /// column so legacy reports stay byte-identical.
-    pub(crate) multidim: bool,
     /// Logical completions so far: the waste budget's denominator.
     pub(crate) completed: usize,
     /// Open hedge races by logical request id (empty unless hedging).
@@ -335,7 +331,6 @@ impl Front {
             reconciler: cfg.reconciler_target.map(UtilizationReconciler::new),
             unroutable: 0,
             fn_demands: functions.iter().map(|f| f.demand).collect(),
-            multidim: false,
             completed: 0,
             races: BTreeMap::new(),
         };
@@ -720,7 +715,6 @@ impl Front {
         }
         let n_fns = self.fn_demands.len() as u32;
         let warm: Vec<u64> = (0..n_fns).map(|f| policy.warm_containers(f)).collect();
-        let resources = policy.resource_snapshot();
         let t = now.as_secs_f64();
         let servers = site.servers(warm.iter().sum());
         site.observe_health(t);
@@ -729,14 +723,7 @@ impl Front {
             forecast: site.predictor.forecast(t, servers),
             flakiness: site.health.value(),
             warm,
-            // Gated on multidim: legacy reconciler runs must keep seeing
-            // unknown (all-zero) resources, or the dimension ceiling
-            // would perturb their directives.
-            resources: if self.multidim {
-                resources
-            } else {
-                ResourceSnapshot::default()
-            },
+            resources: policy.resource_snapshot(),
         };
         (next, Some((now + site.meta.latency, snap)))
     }
@@ -877,7 +864,7 @@ impl Front {
     /// scheduler's report.
     pub(crate) fn finish<R>(
         self,
-        site_parts: impl IntoIterator<Item = (u32, Option<[f64; 3]>, R)>,
+        site_parts: impl IntoIterator<Item = (u32, [f64; 3], R)>,
         aggregate_per_fn: Vec<FnStats>,
         outstanding: usize,
         duration: f64,

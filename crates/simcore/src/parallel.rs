@@ -1205,10 +1205,9 @@ where
         let shard = shards[site as usize].lock().expect("shard lock");
         shard.st.tally.live.contains_key(&rid)
     });
-    let multidim = fe.front.multidim;
     let parts = shards.into_iter().map(|shard| {
         let shard = shard.into_inner().expect("shard lock");
-        let utilization = multidim.then(|| shard.policy.resource_snapshot().utilization());
+        let utilization = shard.policy.resource_snapshot().utilization();
         let (crashes, site_outcome) = shard.st.tally.close(duration_secs);
         (crashes, utilization, shard.policy.finish(site_outcome))
     });

@@ -132,18 +132,9 @@ fn main() {
                     }
                 }
                 // Per-dimension end-of-run utilization (cpu/mem/bw, in
-                // percent); only multi-dimensional runs report it.
-                let util = site.utilization.map_or_else(
-                    || "-".to_string(),
-                    |u| {
-                        format!(
-                            "{:.0}/{:.0}/{:.0}%",
-                            u[0] * 100.0,
-                            u[1] * 100.0,
-                            u[2] * 100.0
-                        )
-                    },
-                );
+                // percent).
+                let [cpu, mem, bw] = site.utilization.map(|u| u * 100.0);
+                let util = format!("{cpu:.0}/{mem:.0}/{bw:.0}%");
                 println!(
                     "{:>10} {:>9.1} {:>9} {:>9} {:>7} {:>7} {:>6} {:>8.1} {:>6.2} {:>10.1} {:>12}",
                     site.name,

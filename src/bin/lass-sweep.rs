@@ -126,9 +126,8 @@ struct SweepRow {
     /// Clones whose site finished the work after the race was already
     /// decided — the honest cost column of the hedging tail table.
     wasted_work: usize,
-    /// End-of-run cpu allocation fraction, maximum across sites; only
-    /// multi-dimensional runs (a non-compute class or the planner
-    /// router) report the trio, everything else stays `null`.
+    /// End-of-run cpu allocation fraction, maximum across sites; `null`
+    /// for a single-cluster run, which has no sites.
     util_cpu: Option<f64>,
     /// End-of-run memory allocation fraction, maximum across sites.
     util_mem: Option<f64>,
@@ -408,11 +407,10 @@ fn run_cell(sc: &Scenario, key: &SweepRowKey) -> Result<SweepRow, String> {
                 row.migrated += site.migrated;
                 row.failed += site.failed;
                 row.wasted_work += site.wasted_work;
-                if let Some(u) = site.utilization {
-                    row.util_cpu = Some(row.util_cpu.unwrap_or(0.0).max(u[0]));
-                    row.util_mem = Some(row.util_mem.unwrap_or(0.0).max(u[1]));
-                    row.util_bw = Some(row.util_bw.unwrap_or(0.0).max(u[2]));
-                }
+                let u = site.utilization;
+                row.util_cpu = Some(row.util_cpu.unwrap_or(0.0).max(u[0]));
+                row.util_mem = Some(row.util_mem.unwrap_or(0.0).max(u[1]));
+                row.util_bw = Some(row.util_bw.unwrap_or(0.0).max(u[2]));
             }
             row.failed += rep.unroutable;
         }

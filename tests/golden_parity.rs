@@ -358,7 +358,7 @@ fn slo_aware_scenario_matches_pinned_golden() {
     let json = serde_json::to_string(&rep).unwrap();
     assert_eq!(
         fnv64(&json),
-        17219371903003920091,
+        15215775209168999342,
         "slo-aware routing golden drifted"
     );
     // And it replays byte-for-byte.
@@ -497,13 +497,13 @@ fn hedge_tail_races_match_pinned_goldens() {
             "sequential immediate x1",
             immediate,
             None,
-            8279649650500678330,
+            13155786134252456696,
         ),
         (
             "windowed immediate x1",
             immediate,
             Some(2),
-            7315237636587648265,
+            4125735378626080363,
         ),
         (
             "windowed deferred-40ms x1",
@@ -512,7 +512,7 @@ fn hedge_tail_races_match_pinned_goldens() {
                 ..immediate
             },
             Some(2),
-            2092660211541433557,
+            16148191478743698289,
         ),
         (
             "windowed retry-40ms x1",
@@ -521,7 +521,7 @@ fn hedge_tail_races_match_pinned_goldens() {
                 ..immediate
             },
             Some(2),
-            10234382271554990173,
+            11664696189639569034,
         ),
         (
             "windowed immediate x1 w0.1",
@@ -530,7 +530,7 @@ fn hedge_tail_races_match_pinned_goldens() {
                 ..immediate
             },
             Some(2),
-            6261001356266080070,
+            15421284085626460981,
         ),
     ];
     let drifted: Vec<String> = cases
