@@ -385,11 +385,6 @@ impl ForecastCache {
         }
         self.cached
     }
-
-    /// Drop the retained evaluation (the next refresh recomputes).
-    pub fn invalidate(&mut self) {
-        self.key = None;
-    }
 }
 
 /// Value-keyed evaluation cache for *snapshotted* forecasts.
@@ -430,11 +425,6 @@ impl SnapshotCache {
             self.key = Some(key);
         }
         self.cached
-    }
-
-    /// Drop the retained evaluation (the next call recomputes).
-    pub fn invalidate(&mut self) {
-        self.key = None;
     }
 }
 
@@ -787,8 +777,6 @@ mod tests {
         let c = cache.evaluate(cold);
         assert!(!c.has_model());
         assert_eq!(c.mean_wait(), 0.0);
-        cache.invalidate();
-        assert_eq!(cache.key, None);
     }
 
     #[test]
