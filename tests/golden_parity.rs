@@ -368,13 +368,16 @@ fn slo_aware_scenario_matches_pinned_golden() {
 /// Runs a scenario file through the `lass-sim` entry point and returns
 /// the FNV-64 hash of its serialized report.
 fn scenario_file_hash(name: &str) -> u64 {
+    use lass::scenario::ScenarioReport;
     let path = format!("{}/scenarios/{name}", env!("CARGO_MANIFEST_DIR"));
     let text = std::fs::read_to_string(path).expect("scenario file");
     let sc = lass::scenario::Scenario::from_json(&text).expect("valid scenario");
-    let lass::scenario::ScenarioReport::Lass(rep) = sc.run_report().expect("runs") else {
-        panic!("expected a single-cluster report");
+    let json = match sc.run_report().expect("runs") {
+        ScenarioReport::Lass(rep) => serde_json::to_string(&rep),
+        ScenarioReport::Federated(rep) => serde_json::to_string(&rep),
+        ScenarioReport::OpenWhisk(_) => panic!("expected a cluster-policy report"),
     };
-    fnv64(&serde_json::to_string(&rep).unwrap())
+    fnv64(&json.unwrap())
 }
 
 /// Pinned values for the two baseline policies, not only run-to-run
@@ -391,6 +394,23 @@ fn knative_and_static_rr_scenarios_match_pinned_goldens() {
         scenario_file_hash("static-rr.json"),
         3184327130032953232,
         "static-rr golden drifted"
+    );
+}
+
+/// The two baseline policies under chaos on an edge/cloud topology:
+/// container bursts on both sites, a brown-out and its recovery, and an
+/// edge restart. CI pins the same runs in `results/scenarios.sha256`.
+#[test]
+fn baseline_chaos_scenarios_match_pinned_goldens() {
+    assert_eq!(
+        scenario_file_hash("chaos-static-rr.json"),
+        10058601709312910058,
+        "chaos-static-rr golden drifted"
+    );
+    assert_eq!(
+        scenario_file_hash("chaos-knative.json"),
+        1720076527876013750,
+        "chaos-knative golden drifted"
     );
 }
 
