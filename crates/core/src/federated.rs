@@ -25,31 +25,18 @@
 //! stream relabelled per restart so replays stay deterministic.
 
 use crate::config::LassConfig;
-use crate::knative::KnativePolicy;
-use crate::simulation::{FunctionSetup, LassPolicy, SimReport};
-use crate::staticalloc::StaticRrPolicy;
+use crate::simulation::{FunctionSetup, SimReport};
+use crate::site::{engine_config, run_inputs, site_builder};
+use crate::SitePolicyKind;
 use lass_cluster::{Cluster, FnId, Topology};
 use lass_simcore::{
-    run_federation_parallel, run_simulation, ChaosConfig, ChaosPolicy, ContainerChaos,
-    EngineConfig, FedFunction, FederatedReport, Federation, FederationConfig, FunctionEntry,
-    RouterKind, SimDuration, SiteMeta,
+    run_federation_parallel, run_simulation, ChaosConfig, ChaosPolicy, FedFunction,
+    FederatedReport, Federation, FederationConfig, RouterKind, SimDuration, SiteMeta,
 };
 
 /// The report of a federated run: one [`SimReport`] per site plus the
 /// engine's cross-site aggregate statistics.
 pub type FederatedSimReport = FederatedReport<SimReport>;
-
-/// Which scheduler runs on every site of a federated topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SitePolicyKind {
-    /// The LaSS controller (default).
-    #[default]
-    Lass,
-    /// Static allocation with round-robin dispatch.
-    StaticRr,
-    /// The Knative-style concurrency-target autoscaler.
-    Knative,
-}
 
 /// A simulation over a federated [`Topology`].
 pub struct FederatedSimulation {
@@ -152,24 +139,10 @@ impl FederatedSimulation {
                 ));
             }
         }
-        let duration = duration_override.unwrap_or_else(|| {
-            self.setups
-                .iter()
-                .map(|s| s.workload.duration())
-                .fold(0.0f64, f64::max)
-        });
+        let (duration, entries) = run_inputs(&self.setups, duration_override);
         if duration <= 0.0 {
             return Err("simulation needs a positive duration".into());
         }
-        let entries: Vec<FunctionEntry> = self
-            .setups
-            .iter()
-            .map(|s| FunctionEntry {
-                name: s.spec.name.clone(),
-                slo_deadline: s.slo_deadline,
-                process: s.workload.build(),
-            })
-            .collect();
         let fed_functions: Vec<FedFunction> = self
             .setups
             .iter()
@@ -196,9 +169,7 @@ impl FederatedSimulation {
                 capacity_hint: site.cluster.total_cpu_capacity().as_cores(),
             })
             .collect();
-        // Pristine per-site clusters: the build closure doubles as the
-        // chaos layer's rebuild factory, so a crashed site recovers with
-        // its original provisioning.
+        // Pristine per-site clusters.
         let clusters: Vec<Cluster> = self
             .topology
             .into_sites()
@@ -231,113 +202,24 @@ impl FederatedSimulation {
             }
             _ => None,
         };
-        let (cfg, seed, setups) = (self.cfg, self.seed, self.setups);
-        let launch = Launch {
-            seed,
-            chaos: self.chaos,
-            federation: self.federation,
-            metas,
-            router,
-            fed_functions,
-            duration,
-            entries,
-            parallel,
-        };
-
-        // The engine RNG prefix matches the corresponding single-cluster
-        // simulation so the degenerate one-site topology replays it
-        // exactly (same arrival and service streams).
-        match self.policy {
-            SitePolicyKind::Lass => {
-                let setups = setups.clone();
-                let build = move |i: usize, restart: u32| {
-                    // A degenerate one-site topology keeps the plain
-                    // run's crash-stream label so parity holds even with
-                    // failure injection on; multi-site topologies
-                    // decorrelate per site, and every restart of a
-                    // crashed site draws a fresh stream.
-                    let base = if site_count == 1 {
-                        String::new()
-                    } else {
-                        format!("site{i}:")
-                    };
-                    let label = if restart == 0 {
-                        base
-                    } else {
-                        format!("{base}r{restart}:")
-                    };
-                    LassPolicy::new(cfg.clone(), clusters[i].clone(), seed, &setups, &label)
-                };
-                launch.run(build, "")
-            }
-            SitePolicyKind::StaticRr => launch.run(
-                move |i: usize, _restart: u32| {
-                    StaticRrPolicy::new(clusters[i].clone(), setups.clone())
-                },
-                "static-",
-            ),
-            SitePolicyKind::Knative => launch.run(
-                move |i: usize, _restart: u32| {
-                    KnativePolicy::new(cfg.clone(), clusters[i].clone(), setups.clone())
-                },
-                "knative-",
-            ),
-        }
-    }
-}
-
-/// Everything a federated run needs besides the per-site policies.
-struct Launch {
-    seed: u64,
-    chaos: ChaosConfig,
-    federation: FederationConfig,
-    metas: Vec<SiteMeta>,
-    router: Box<dyn lass_simcore::RouterPolicy + Send>,
-    fed_functions: Vec<FedFunction>,
-    duration: f64,
-    entries: Vec<FunctionEntry>,
-    parallel: Option<usize>,
-}
-
-impl Launch {
-    /// Assemble the federation (initial policies from `build(i, 0)`, the
-    /// same closure installed as the crash-recovery rebuild factory), arm
-    /// the chaos wrapper, and pump the engine with RNG streams labelled
-    /// under `prefix`. Fails on an invalid federation config.
-    fn run<P, F>(self, mut build: F, prefix: &str) -> Result<FederatedSimReport, String>
-    where
-        P: ContainerChaos<Report = SimReport> + Send,
-        P::Event: Send,
-        F: FnMut(usize, u32) -> P + Send + 'static,
-    {
-        let sites = self
-            .metas
+        // The build closure doubles as the chaos layer's rebuild
+        // factory, so a crashed site recovers with its original
+        // provisioning.
+        let mut build = site_builder(self.policy, self.cfg, clusters, self.seed, self.setups);
+        let sites = metas
             .into_iter()
             .enumerate()
             .map(|(i, meta)| (meta, build(i, 0)))
             .collect();
-        let fed = Federation::configured(
-            sites,
-            self.router,
-            &self.fed_functions,
-            self.federation,
-            self.seed,
-        )?
-        .with_rebuild(Box::new(build));
-        let chaos = self.chaos;
-        let cfg = EngineConfig {
-            seed: self.seed,
-            rng_label_prefix: prefix.into(),
-            duration_secs: self.duration,
-            drain_secs: 120.0,
-            stream_stats: false,
-            parallel_sites: self.parallel,
-        };
-        Ok(match self.parallel {
+        let fed =
+            Federation::configured(sites, router, &fed_functions, self.federation, self.seed)?
+                .with_rebuild(Box::new(build));
+        let cfg = engine_config(self.policy, self.seed, duration, parallel);
+        Ok(match parallel {
             // The parallel executor barriers the fault schedule itself,
             // so the federation goes in bare rather than chaos-wrapped.
-            Some(_) => run_federation_parallel(cfg, self.entries, fed, chaos, self.seed),
-            None => run_simulation(cfg, self.entries, ChaosPolicy::new(fed, chaos, self.seed)),
+            Some(_) => run_federation_parallel(cfg, entries, fed, self.chaos, self.seed),
+            None => run_simulation(cfg, entries, ChaosPolicy::new(fed, self.chaos, self.seed)),
         })
     }
 }

@@ -27,9 +27,15 @@
 //!   discrete-event engine (`lass_simcore::engine`): end-to-end
 //!   deterministic simulation of a LaSS cluster (the evaluation
 //!   substrate).
+//! * [`site`] — the cluster-site core the three cluster-backed policies
+//!   embed: provisioning, service start and completion, the chaos hooks
+//!   and report assembly, plus [`SitePolicyKind`] to choose a policy.
 //! * [`staticalloc`] — a static-allocation round-robin policy on the same
-//!   engine: the "provisioned-for-peak" baseline, and proof that new
-//!   schedulers are ~100-line plugins.
+//!   core: the "provisioned-for-peak" baseline.
+//! * [`knative`] — a Knative-style concurrency-target autoscaler on the
+//!   same core: the model-free baseline.
+//! * [`federated`] — a topology of cluster sites behind a front-end
+//!   router, any of the three policies on every site.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -46,6 +52,7 @@ pub mod predictor;
 pub mod reclaim;
 pub mod registry;
 pub mod simulation;
+pub mod site;
 pub mod staticalloc;
 pub mod tree;
 
@@ -53,13 +60,12 @@ pub use commands::{Command, Plan};
 pub use config::{DispatchPolicy, LassConfig, ReclamationPolicy, ScalerKind};
 pub use controller::{ApplyOutcome, LassController};
 pub use fairshare::{fair_share, fair_share_paper, guaranteed_shares, is_overloaded, ShareRequest};
-pub use federated::{FederatedSimReport, FederatedSimulation, SitePolicyKind};
-pub use knative::KnativeSimulation;
+pub use federated::{FederatedSimReport, FederatedSimulation};
 pub use loadbalancer::SmoothWrr;
 pub use model::{desired_allocation, wait_budget_for, DesiredAllocation, ModelError};
 pub use predictor::{BurstAwarePredictor, HoltPredictor, PeakPredictor, Predictor, PredictorKind};
 pub use reclaim::{deflation_commands, termination_commands, FnSnapshot};
 pub use registry::{FunctionRecord, FunctionRegistry};
 pub use simulation::{FnReport, FunctionSetup, SimReport, Simulation};
-pub use staticalloc::StaticRrSimulation;
+pub use site::SitePolicyKind;
 pub use tree::WeightTree;

@@ -8,23 +8,26 @@
 //! re-plans allocations every epoch from its sliding-window monitors.
 //!
 //! The event pump, request lifecycle, and latency statistics live in the
-//! shared engine (`lass_simcore::engine`); this module contributes
-//! [`LassPolicy`], the [`SchedulerPolicy`] implementation that drives a
-//! [`Cluster`] under the [`LassController`]. Everything is deterministic
-//! given the seed.
+//! shared engine (`lass_simcore::engine`), and the cluster mechanics in
+//! [`ClusterSite`]; this module contributes [`Simulation`], the
+//! single-cluster harness for any [`SitePolicyKind`], and [`LassPolicy`],
+//! the LaSS scheduling decisions under the [`LassController`]. Everything
+//! is deterministic given the seed.
 
-use crate::commands::Plan;
 use crate::config::{DispatchPolicy, LassConfig};
 use crate::controller::LassController;
+use crate::loadbalancer::SmoothWrr;
 use crate::registry::FunctionRegistry;
-use lass_cluster::{Cluster, ContainerId, ContainerState, FnId, RequestId, UserId};
+use crate::site::{engine_config, run_inputs, site_builder, ClusterSite, Ev, SitePolicy};
+use crate::SitePolicyKind;
+use lass_cluster::{Cluster, ContainerId, FnId, RequestId, UserId};
 use lass_functions::{FunctionSpec, WorkloadSpec};
 use lass_simcore::{
-    run_simulation, EngineConfig, EngineOutcome, FunctionEntry, PolicyCtx, ReqId, SampleStats,
-    SchedulerPolicy, SimTime, TimeSeries, TimeWeightedGauge,
+    run_simulation, EngineOutcome, PolicyCtx, ReqId, SampleStats, SimDuration, SimRng, SimTime,
+    TimeSeries,
 };
 use serde::Serialize;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 /// One function's deployment in a simulation run.
 #[derive(Debug, Clone)]
@@ -41,15 +44,13 @@ pub struct FunctionSetup {
     pub user_weight: f64,
     /// The workload driving this function.
     pub workload: WorkloadSpec,
-    /// Containers provisioned at t=0.
+    /// Containers provisioned warm at t=0.
     pub initial_containers: u32,
-    /// Whether initial containers start warm (ready at t=0).
-    pub warm_start: bool,
 }
 
 impl FunctionSetup {
-    /// A setup with the common defaults: weight 1 under user 0, warm start,
-    /// no pre-provisioned containers.
+    /// A setup with the common defaults: weight 1 under user 0, no
+    /// pre-provisioned containers.
     pub fn new(spec: FunctionSpec, slo_deadline: f64, workload: WorkloadSpec) -> Self {
         Self {
             spec,
@@ -59,25 +60,8 @@ impl FunctionSetup {
             user_weight: 1.0,
             workload,
             initial_containers: 0,
-            warm_start: true,
         }
     }
-}
-
-/// Policy events for the LaSS simulation (arrivals are engine-level).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Ev {
-    Ready(ContainerId),
-    /// Service number `seq` on `cid` ends; stale once the container is
-    /// gone or has begun a later service.
-    Complete {
-        cid: ContainerId,
-        seq: u64,
-    },
-    /// Failure injection: the container crashes (if still alive).
-    Crash(ContainerId),
-    Monitor,
-    Epoch,
 }
 
 /// Per-function results.
@@ -147,24 +131,37 @@ pub struct SimReport {
     pub free_timeline: TimeSeries,
 }
 
-/// The simulation harness.
+/// The single-cluster simulation harness: one cluster under a
+/// [`SitePolicyKind`] (LaSS by default).
 pub struct Simulation {
     cfg: LassConfig,
     seed: u64,
     cluster: Cluster,
+    policy: SitePolicyKind,
     setups: Vec<FunctionSetup>,
 }
 
 impl Simulation {
-    /// Create a simulation over a cluster.
+    /// Create a LaSS simulation over a cluster.
     pub fn new(cfg: LassConfig, cluster: Cluster, seed: u64) -> Self {
         cfg.validate().expect("invalid LassConfig");
         Self {
             cfg,
             seed,
             cluster,
+            policy: SitePolicyKind::default(),
             setups: Vec::new(),
         }
+    }
+
+    /// Choose the scheduler. Static round-robin reads only the setups'
+    /// `initial_containers` (minimum one per function: the fixed pool);
+    /// Knative reads the config's monitor interval, EWMA weight,
+    /// container cap and [`ScalerKind::ConcurrencyTarget`](crate::ScalerKind)
+    /// target.
+    pub fn set_policy(&mut self, policy: SitePolicyKind) -> &mut Self {
+        self.policy = policy;
+        self
     }
 
     /// Deploy a function; returns its id (assigned in registration order).
@@ -174,84 +171,63 @@ impl Simulation {
         id
     }
 
-    fn resolved_duration(&self, duration_override: Option<f64>) -> f64 {
-        duration_override.unwrap_or_else(|| {
-            self.setups
-                .iter()
-                .map(|s| s.workload.duration())
-                .fold(0.0f64, f64::max)
-        })
-    }
-
     /// Run to completion. `duration` defaults to the longest workload; a
     /// drain grace period lets in-flight requests finish afterwards.
     pub fn run(self, duration_override: Option<f64>) -> SimReport {
-        self.run_with(duration_override, |_, _| {})
+        self.launch(duration_override, |_| {})
     }
 
-    /// Run with access to the controller right before the loop starts —
-    /// used by validation harnesses to tweak controller knobs (e.g.
-    /// disabling re-inflation for Fig. 4).
+    /// Run a LaSS simulation with access to the controller right before
+    /// the loop starts — used by validation harnesses to tweak
+    /// controller knobs (e.g. disabling re-inflation for Fig. 4).
+    /// Panics under any other policy.
     pub fn run_with(
         self,
         duration_override: Option<f64>,
         tweak: impl FnOnce(&mut LassController, &mut Cluster),
     ) -> SimReport {
-        let duration = self.resolved_duration(duration_override);
-        assert!(duration > 0.0, "simulation needs a positive duration");
-        let entries: Vec<FunctionEntry> = self
-            .setups
-            .iter()
-            .map(|s| FunctionEntry {
-                name: s.spec.name.clone(),
-                slo_deadline: s.slo_deadline,
-                process: s.workload.build(),
-            })
-            .collect();
-        let engine_cfg = EngineConfig {
-            seed: self.seed,
-            rng_label_prefix: String::new(),
-            duration_secs: duration,
-            drain_secs: 120.0,
-            stream_stats: false,
-            parallel_sites: None,
-        };
-        let mut policy = LassPolicy::new(self.cfg, self.cluster, self.seed, &self.setups, "");
-        tweak(&mut policy.controller, &mut policy.cluster);
-        run_simulation(engine_cfg, entries, policy)
+        assert_eq!(
+            self.policy,
+            SitePolicyKind::Lass,
+            "run_with tweaks the LaSS controller; other policies have none"
+        );
+        self.launch(duration_override, |policy| {
+            let SitePolicy::Lass(p) = policy else {
+                unreachable!("checked above")
+            };
+            tweak(&mut p.controller, &mut p.site.cluster);
+        })
+    }
+
+    fn launch(
+        self,
+        duration_override: Option<f64>,
+        prepare: impl FnOnce(&mut SitePolicy),
+    ) -> SimReport {
+        let (duration, entries) = run_inputs(&self.setups, duration_override);
+        let cfg = engine_config(self.policy, self.seed, duration, None);
+        let mut build = site_builder(
+            self.policy,
+            self.cfg,
+            vec![self.cluster],
+            self.seed,
+            self.setups,
+        );
+        let mut policy = build(0, 0);
+        prepare(&mut policy);
+        run_simulation(cfg, entries, policy)
     }
 }
 
-struct FnRuntime {
-    wrr: crate::loadbalancer::SmoothWrr,
-    pending: VecDeque<RequestId>,
-    cpu_timeline: TimeSeries,
-    container_timeline: TimeSeries,
-    rate_timeline: TimeSeries,
-}
-
-/// The LaSS scheduling policy: §5 dispatch over a [`Cluster`], with the
-/// controller re-planning every epoch. Crate-visible so the federated
-/// harness can instantiate one policy per topology site.
+/// The LaSS scheduling decisions over a [`ClusterSite`]: §5 dispatch,
+/// the controller's epoch, its MTBF crash stream and the reconciler.
 pub(crate) struct LassPolicy {
+    pub(crate) site: ClusterSite,
     cfg: LassConfig,
-    cluster: Cluster,
-    controller: LassController,
-    /// Per-function runtime state, indexed densely by `FnId` (ids are
-    /// assigned sequentially at registration).
-    fns: Vec<FnRuntime>,
-    crash_rng: lass_simcore::SimRng,
-    crashes: usize,
-    util_gauge: TimeWeightedGauge,
-    busy_cpu_seconds: f64,
-    overloaded_epochs: usize,
-    epochs: usize,
-    failed_creates: u32,
-    free_timeline: TimeSeries,
-    /// Chaos brown-out: a multiplicative service-speed factor (1.0 =
-    /// nominal; 0.5 = every service draw takes twice as long). Set by
-    /// [`lass_simcore::Fault::SiteSlowdown`] through the federation.
-    service_scale: f64,
+    pub(crate) controller: LassController,
+    /// One smooth-WRR picker per function, by `FnId`.
+    wrr: Vec<SmoothWrr>,
+    crash_rng: SimRng,
 }
 
 impl LassPolicy {
@@ -267,60 +243,17 @@ impl LassPolicy {
         rng_site_label: &str,
     ) -> Self {
         let mut registry = FunctionRegistry::new();
-        let mut fns = Vec::with_capacity(setups.len());
         for (i, s) in setups.iter().enumerate() {
             registry.set_user_weight(s.user, s.user_weight);
             let fn_id = registry.register(s.spec.clone(), s.slo_deadline, s.weight, s.user);
             debug_assert_eq!(fn_id, FnId(i as u32));
-            fns.push(FnRuntime {
-                wrr: crate::loadbalancer::SmoothWrr::new(),
-                pending: VecDeque::new(),
-                cpu_timeline: TimeSeries::new(),
-                container_timeline: TimeSeries::new(),
-                rate_timeline: TimeSeries::new(),
-            });
         }
-        let mut cluster = cluster;
-        // Pre-provision initial containers.
-        for (i, s) in setups.iter().enumerate() {
-            let fn_id = FnId(i as u32);
-            for _ in 0..s.initial_containers {
-                let ready = if s.warm_start {
-                    SimTime::ZERO
-                } else {
-                    SimTime::ZERO + s.spec.cold_start
-                };
-                if let Ok(cid) = cluster.create_container_vec(
-                    fn_id,
-                    s.spec.standard_cpu,
-                    s.spec.standard_demand(),
-                    SimTime::ZERO,
-                    ready,
-                ) {
-                    if s.warm_start {
-                        cluster.mark_container_ready(cid);
-                    }
-                }
-            }
-        }
-        let controller = LassController::new(cfg.clone(), registry);
         Self {
+            site: ClusterSite::new(cluster, setups, 0),
+            controller: LassController::new(cfg.clone(), registry),
             cfg,
-            cluster,
-            controller,
-            fns,
-            crash_rng: lass_simcore::SimRng::from_seed_label(
-                seed,
-                &format!("{rng_site_label}crashes"),
-            ),
-            crashes: 0,
-            util_gauge: TimeWeightedGauge::new(SimTime::ZERO, 0.0),
-            busy_cpu_seconds: 0.0,
-            overloaded_epochs: 0,
-            epochs: 0,
-            failed_creates: 0,
-            free_timeline: TimeSeries::new(),
-            service_scale: 1.0,
+            wrr: setups.iter().map(|_| SmoothWrr::new()).collect(),
+            crash_rng: SimRng::from_seed_label(seed, &format!("{rng_site_label}crashes")),
         }
     }
 
@@ -328,36 +261,41 @@ impl LassPolicy {
     fn arm_crash(&mut self, ctx: &mut impl PolicyCtx<Ev>, cid: ContainerId, now: SimTime) {
         if let Some(mtbf) = self.cfg.container_mtbf_secs {
             let dt = self.crash_rng.exp(1.0 / mtbf);
-            ctx.schedule(
-                now + lass_simcore::SimDuration::from_secs_f64(dt),
-                Ev::Crash(cid),
-            );
+            ctx.schedule(now + SimDuration::from_secs_f64(dt), Ev::Crash(cid));
         }
     }
 
-    fn on_crash(&mut self, ctx: &mut impl PolicyCtx<Ev>, cid: ContainerId, now: SimTime) {
-        let Ok(term) = self.cluster.terminate_container(cid, now) else {
-            return; // already gone (stale timer)
+    /// Crash `cid` and re-dispatch its orphans; `false` when it was
+    /// already gone (a stale timer).
+    fn on_crash(&mut self, ctx: &mut impl PolicyCtx<Ev>, cid: ContainerId, now: SimTime) -> bool {
+        let Some((f, orphans)) = self.site.crash(cid, now) else {
+            return false;
         };
-        self.crashes += 1;
-        let f = term.container.fn_id();
-        for rid in term.orphans {
+        for rid in orphans {
             if ctx.rerun(ReqId(rid.0)).is_some() {
                 self.dispatch(ctx, rid, f, now);
             }
         }
+        true
     }
 
     /// Hand a request to a container per the dispatch policy, or park it in
     /// the function's pending queue when no container exists yet.
-    fn dispatch(&mut self, ctx: &mut impl PolicyCtx<Ev>, rid: RequestId, f: FnId, now: SimTime) {
+    pub(crate) fn dispatch(
+        &mut self,
+        ctx: &mut impl PolicyCtx<Ev>,
+        rid: RequestId,
+        f: FnId,
+        now: SimTime,
+    ) {
+        let cluster = &self.site.cluster;
         let chosen = match self.cfg.dispatch {
             DispatchPolicy::SharedQueue => {
                 // Park centrally; the fastest idle container pulls first
                 // (the opposite of the worst-case slowest-first analysis,
                 // as §3.2 notes a real scheduler would do). One pass over
                 // the cluster's per-function index, no snapshot.
-                self.cluster.fastest_idle_container(f)
+                cluster.fastest_idle_container(f)
             }
             policy @ (DispatchPolicy::IdleFirstWrr | DispatchPolicy::Wrr) => {
                 // The cluster maintains the candidate weights (and idle
@@ -365,166 +303,41 @@ impl LassPolicy {
                 // the service transitions, so dispatch feeds the index
                 // straight into the picker — no per-request snapshot,
                 // no container-map walk.
-                let rt = self.fns.get_mut(f.0 as usize).expect("known fn");
-                let cands = self.cluster.wrr_candidates(f);
+                let wrr = &mut self.wrr[f.0 as usize];
+                let cands = cluster.wrr_candidates(f);
                 if policy == DispatchPolicy::IdleFirstWrr && cands.iter().any(|s| s.idle) {
-                    rt.wrr
-                        .pick_from(cands.iter().filter(|s| s.idle).map(|s| (s.cid, s.weight)))
+                    wrr.pick_from(cands.iter().filter(|s| s.idle).map(|s| (s.cid, s.weight)))
                 } else {
-                    rt.wrr.pick_from(cands.iter().map(|s| (s.cid, s.weight)))
+                    wrr.pick_from(cands.iter().map(|s| (s.cid, s.weight)))
                 }
             }
         };
         match chosen {
             Some(cid) => {
-                self.cluster
-                    .container_mut(cid)
-                    .expect("live container")
-                    .enqueue(rid);
-                self.try_start(ctx, cid, now);
+                let timeout = self.cfg.request_timeout_secs;
+                self.site.enqueue(ctx, cid, rid, now, timeout);
             }
-            None => {
-                self.fns
-                    .get_mut(f.0 as usize)
-                    .expect("known fn")
-                    .pending
-                    .push_back(rid);
-            }
+            None => self.site.pending[f.0 as usize].push_back(rid),
         }
-    }
-
-    /// Begin service on `cid` if it is idle with queued work. Requests
-    /// whose queueing time already exceeds the platform's hard limit are
-    /// abandoned at dequeue (§2.1's execution time limit).
-    fn try_start(&mut self, ctx: &mut impl PolicyCtx<Ev>, cid: ContainerId, now: SimTime) {
-        let timeout = self.cfg.request_timeout_secs;
-        let (fn_id, deflation, seq) = loop {
-            let Some(c) = self.cluster.container(cid) else {
-                return;
-            };
-            let fn_id = c.fn_id();
-            let deflation = c.deflation_ratio();
-            let Some((rid, seq)) = self.cluster.begin_service(cid, now) else {
-                return;
-            };
-            let expired = timeout.is_some_and(|limit| {
-                ctx.request_info(ReqId(rid.0))
-                    .is_some_and(|(_, arrival)| now.saturating_since(arrival).as_secs_f64() > limit)
-            });
-            if !expired {
-                break (fn_id, deflation, seq);
-            }
-            // Abandon: undo the service start and drop the request.
-            let (dropped, _) = self
-                .cluster
-                .finish_service(cid, seq, now)
-                .expect("still live");
-            debug_assert_eq!(dropped, rid);
-            ctx.abandon(ReqId(rid.0));
-        };
-        let spec_model = self
-            .controller
-            .registry()
-            .get(fn_id)
-            .expect("registered")
-            .spec
-            .service;
-        let dur = spec_model.sample(deflation, ctx.service_rng(fn_id.0)) / self.service_scale;
-        ctx.schedule(
-            now + lass_simcore::SimDuration::from_secs_f64(dur),
-            Ev::Complete { cid, seq },
-        );
-    }
-
-    fn on_ready(&mut self, ctx: &mut impl PolicyCtx<Ev>, cid: ContainerId, now: SimTime) {
-        if !self.cluster.mark_container_ready(cid) {
-            return; // terminated while starting, or a stale event
-        }
-        let f = self.cluster.container(cid).expect("just marked").fn_id();
-        self.feed_container(ctx, cid, f, now);
-    }
-
-    /// Give an idle container work: first its own queue, then the
-    /// function's pending backlog.
-    fn feed_container(
-        &mut self,
-        ctx: &mut impl PolicyCtx<Ev>,
-        cid: ContainerId,
-        f: FnId,
-        now: SimTime,
-    ) {
-        self.try_start(ctx, cid, now);
-        loop {
-            let Some(c) = self.cluster.container(cid) else {
-                return;
-            };
-            if c.state() != ContainerState::Idle {
-                return;
-            }
-            let Some(rid) = self
-                .fns
-                .get_mut(f.0 as usize)
-                .expect("known fn")
-                .pending
-                .pop_front()
-            else {
-                return;
-            };
-            self.cluster
-                .container_mut(cid)
-                .expect("live container")
-                .enqueue(rid);
-            self.try_start(ctx, cid, now);
-        }
-    }
-
-    fn on_complete(
-        &mut self,
-        ctx: &mut impl PolicyCtx<Ev>,
-        cid: ContainerId,
-        seq: u64,
-        now: SimTime,
-    ) {
-        // Stale when the container was terminated or crashed mid-service.
-        let Some((rid, started)) = self.cluster.finish_service(cid, seq, now) else {
-            return;
-        };
-        let c = self.cluster.container(cid).expect("live container");
-        let deflation = c.deflation_ratio();
-        let f = c.fn_id();
-        let cpu_cores = c.cpu().as_cores();
-
-        // `None` means the completion was withheld upstream (a federated
-        // site whose response is stalled behind a network partition): the
-        // container is free either way, only the measurement is deferred.
-        if let Some(completion) = ctx.complete(ReqId(rid.0), started, now) {
-            self.busy_cpu_seconds += completion.service * cpu_cores;
-            self.controller
-                .record_service(f, deflation, completion.service);
-        }
-
-        self.feed_container(ctx, cid, f, now);
     }
 
     fn on_monitor(&mut self, ctx: &mut impl PolicyCtx<Ev>, now: SimTime) {
-        let now_secs = now.as_secs_f64();
         let window = ctx.take_window_counts();
-        for (rt, &n) in self.fns.iter_mut().zip(&window) {
-            rt.rate_timeline
-                .push(now, n as f64 / self.cfg.monitor_interval_secs);
-        }
-        self.controller.on_monitor_tick(now_secs, &window);
+        self.site
+            .record_rates(now, &window, self.cfg.monitor_interval_secs);
+        self.controller.on_monitor_tick(now.as_secs_f64(), &window);
     }
 
     fn on_epoch(&mut self, ctx: &mut impl PolicyCtx<Ev>, now: SimTime) {
-        let now_secs = now.as_secs_f64();
-        let plan: Plan = self.controller.plan_epoch(&self.cluster, now_secs);
-        self.epochs += 1;
+        let plan = self
+            .controller
+            .plan_epoch(&self.site.cluster, now.as_secs_f64());
+        self.site.epochs += 1;
         if plan.overloaded {
-            self.overloaded_epochs += 1;
+            self.site.overloaded_epochs += 1;
         }
-        let outcome = self.controller.apply(&mut self.cluster, &plan, now);
-        self.failed_creates += outcome.failed_creates;
+        let outcome = self.controller.apply(&mut self.site.cluster, &plan, now);
+        self.site.failed_creates += outcome.failed_creates;
         for (cid, ready) in &outcome.created {
             ctx.schedule(*ready, Ev::Ready(*cid));
             self.arm_crash(ctx, *cid, now);
@@ -538,85 +351,76 @@ impl LassPolicy {
         }
         // Resizes may have slowed/sped containers; in-flight services keep
         // their sampled durations (documented simplification).
-
-        // Timelines.
-        self.util_gauge.set(now, self.cluster.cpu_utilization());
-        self.free_timeline
-            .push(now, 1.0 - self.cluster.cpu_utilization());
-        for (i, rt) in self.fns.iter_mut().enumerate() {
-            // Lazily-marked containers are logically released (they are
-            // cached for reuse, §3.3), so the reported allocation excludes
-            // them — matching the downscaling visible in the paper's
-            // timelines.
-            let (mut cpu, mut count) = (0u32, 0u32);
-            for c in self.cluster.fn_containers(FnId(i as u32)) {
-                if !c.is_marked_for_termination() {
-                    cpu += c.cpu().0;
-                    count += 1;
-                }
-            }
-            rt.cpu_timeline.push(now, f64::from(cpu));
-            rt.container_timeline.push(now, f64::from(count));
-        }
-        #[cfg(debug_assertions)]
-        self.cluster.check_invariants();
+        self.site.record_allocation(now);
     }
-}
 
-impl lass_simcore::ContainerChaos for LassPolicy {
+    pub(crate) fn on_start(&mut self, ctx: &mut impl PolicyCtx<Ev>) {
+        for cid in self.site.cluster.container_ids() {
+            self.arm_crash(ctx, cid, SimTime::ZERO);
+        }
+        ctx.schedule(
+            SimTime::from_secs_f64(self.cfg.monitor_interval_secs),
+            Ev::Monitor,
+        );
+        // Epochs run 1 ms after the monitor tick they share an instant
+        // with, so the planner always sees fully up-to-date windows.
+        ctx.schedule(
+            SimTime::from_secs_f64(self.cfg.epoch_secs) + SimDuration::from_millis(1),
+            Ev::Epoch,
+        );
+    }
+
+    pub(crate) fn on_event(&mut self, ctx: &mut impl PolicyCtx<Ev>, ev: Ev, now: SimTime) {
+        let timeout = self.cfg.request_timeout_secs;
+        let (period, next) = match ev {
+            Ev::Ready(cid) => return self.site.ready(ctx, cid, now, timeout),
+            Ev::Complete { cid, seq } => {
+                if let Some((f, deflation, service)) =
+                    self.site.complete(ctx, cid, seq, now, timeout)
+                {
+                    self.controller.record_service(f, deflation, service);
+                }
+                return;
+            }
+            Ev::Crash(cid) => {
+                self.on_crash(ctx, cid, now);
+                return;
+            }
+            Ev::Monitor => {
+                self.on_monitor(ctx, now);
+                (self.cfg.monitor_interval_secs, Ev::Monitor)
+            }
+            Ev::Epoch => {
+                self.on_epoch(ctx, now);
+                (self.cfg.epoch_secs, Ev::Epoch)
+            }
+        };
+        if now < ctx.end_time() {
+            ctx.schedule(now + SimDuration::from_secs_f64(period), next);
+        }
+    }
+
     /// Chaos burst: crash up to `count` uniformly-drawn live containers
     /// (drawn from the site's crash stream, so bursts stay deterministic
     /// per seed). Orphaned requests are re-dispatched exactly like an
     /// MTBF crash's.
-    fn crash_containers(&mut self, ctx: &mut impl PolicyCtx<Ev>, count: u32, now: SimTime) -> u32 {
-        let mut victims = self.cluster.container_ids();
-        let before = self.crashes;
+    pub(crate) fn crash_containers(
+        &mut self,
+        ctx: &mut impl PolicyCtx<Ev>,
+        count: u32,
+        now: SimTime,
+    ) -> u32 {
+        let mut victims = self.site.cluster.container_ids();
+        let mut crashed = 0;
         for _ in 0..count {
             if victims.is_empty() {
                 break;
             }
             let pick = self.crash_rng.below(victims.len());
             let cid = victims.swap_remove(pick);
-            self.on_crash(ctx, cid, now);
+            crashed += u32::from(self.on_crash(ctx, cid, now));
         }
-        (self.crashes - before) as u32
-    }
-
-    /// Warm-container census for the routers' cold-start penalty: the
-    /// function's booted fleet (cold-starting containers excluded).
-    fn warm_containers(&self, fn_idx: u32) -> u64 {
-        self.cluster.fn_warm_count(FnId(fn_idx))
-    }
-
-    /// Brown-out absorption: scale every subsequent service draw by
-    /// `1/factor`. Factor 1.0 restores nominal speed exactly (the
-    /// division by 1.0 is an IEEE identity, so recovered runs replay
-    /// byte-for-byte).
-    fn set_service_factor(&mut self, factor: f64) {
-        self.service_scale = if factor.is_finite() && factor > 0.0 {
-            factor.min(1.0)
-        } else {
-            1.0
-        };
-    }
-
-    /// Per-dimension capacity/allocation census for vector telemetry
-    /// and the planner router.
-    fn resource_snapshot(&self) -> lass_simcore::ResourceSnapshot {
-        let cap = self.cluster.total_capacity_vec();
-        let used = self.cluster.total_used_vec();
-        lass_simcore::ResourceSnapshot {
-            cap: [
-                f64::from(cap.cpu.0),
-                f64::from(cap.mem.0),
-                f64::from(cap.bandwidth.0),
-            ],
-            used: [
-                f64::from(used.cpu.0),
-                f64::from(used.mem.0),
-                f64::from(used.bandwidth.0),
-            ],
-        }
+        crashed
     }
 
     /// Reconcile the site toward a fleet of `desired` containers — the
@@ -633,20 +437,20 @@ impl lass_simcore::ContainerChaos for LassPolicy {
     /// epoch-planned create. Scale-down prefers containers the planner
     /// already marked for termination, then idle ones, never takes a
     /// function's last container, and re-dispatches orphaned requests.
-    fn apply_desired_fleet(
+    pub(crate) fn apply_desired_fleet(
         &mut self,
         ctx: &mut impl PolicyCtx<Ev>,
         desired: u32,
         now: SimTime,
     ) -> bool {
-        let current = self.cluster.container_count() as u32;
+        let current = self.site.cluster.container_count() as u32;
         let mut changed = false;
         if desired > current {
             for _ in 0..desired - current {
                 let mut best: Option<(usize, usize, usize)> = None;
-                for f in 0..self.fns.len() {
-                    let pending = self.fns[f].pending.len();
-                    let count = self.cluster.fn_container_count(FnId(f as u32));
+                for (f, pending) in self.site.pending.iter().enumerate() {
+                    let pending = pending.len();
+                    let count = self.site.cluster.fn_container_count(FnId(f as u32));
                     let better = match best {
                         None => true,
                         Some((_, bp, bc)) => pending > bp || (pending == bp && count < bc),
@@ -656,39 +460,20 @@ impl lass_simcore::ContainerChaos for LassPolicy {
                     }
                 }
                 let Some((f, _, _)) = best else { break };
-                let fn_id = FnId(f as u32);
-                let (cpu, demand, cold) = {
-                    let rec = self
-                        .controller
-                        .registry()
-                        .get(fn_id)
-                        .expect("registered fn");
-                    (
-                        rec.spec.standard_cpu,
-                        rec.spec.standard_demand(),
-                        rec.spec.cold_start,
-                    )
+                // A failed create means the cluster is full: further
+                // creates would fail too.
+                let Some(cid) = self.site.boot(ctx, FnId(f as u32), now) else {
+                    break;
                 };
-                match self
-                    .cluster
-                    .create_container_vec(fn_id, cpu, demand, now, now + cold)
-                {
-                    Ok(cid) => {
-                        ctx.schedule(now + cold, Ev::Ready(cid));
-                        self.arm_crash(ctx, cid, now);
-                        changed = true;
-                    }
-                    Err(_) => {
-                        self.failed_creates += 1;
-                        break; // cluster full: further creates would fail too
-                    }
-                }
+                self.arm_crash(ctx, cid, now);
+                changed = true;
             }
         } else if desired < current {
             // Rank victims: already-marked first, then idle, then the
             // lightest-loaded; container id breaks ties so the order is
             // deterministic whatever the map iteration order.
             let mut victims: Vec<(bool, bool, usize, ContainerId, FnId)> = self
+                .site
                 .cluster
                 .all_containers()
                 .map(|c| {
@@ -707,10 +492,10 @@ impl lass_simcore::ContainerChaos for LassPolicy {
                 if excess == 0 {
                     break;
                 }
-                if self.cluster.fn_container_count(f) <= 1 {
+                if self.site.cluster.fn_container_count(f) <= 1 {
                     continue; // never strand a function's parked backlog
                 }
-                let Ok(term) = self.cluster.terminate_container(cid, now) else {
+                let Ok(term) = self.site.cluster.terminate_container(cid, now) else {
                     continue;
                 };
                 for rid in term.orphans {
@@ -724,113 +509,9 @@ impl lass_simcore::ContainerChaos for LassPolicy {
         }
         changed
     }
-}
 
-impl SchedulerPolicy for LassPolicy {
-    type Event = Ev;
-    type Report = SimReport;
-
-    fn on_start(&mut self, ctx: &mut impl PolicyCtx<Ev>) {
-        self.util_gauge
-            .set(SimTime::ZERO, self.cluster.cpu_utilization());
-        let initial: Vec<ContainerId> = self.cluster.all_containers().map(|c| c.id()).collect();
-        for cid in initial {
-            self.arm_crash(ctx, cid, SimTime::ZERO);
-        }
-        ctx.schedule(
-            SimTime::from_secs_f64(self.cfg.monitor_interval_secs),
-            Ev::Monitor,
-        );
-        // Epochs run 1 ms after the monitor tick they share an instant
-        // with, so the planner always sees fully up-to-date windows.
-        ctx.schedule(
-            SimTime::from_secs_f64(self.cfg.epoch_secs) + lass_simcore::SimDuration::from_millis(1),
-            Ev::Epoch,
-        );
-    }
-
-    fn on_arrival(&mut self, ctx: &mut impl PolicyCtx<Ev>, rid: ReqId, fn_idx: u32, now: SimTime) {
-        self.dispatch(ctx, RequestId(rid.0), FnId(fn_idx), now);
-    }
-
-    fn on_event(&mut self, ctx: &mut impl PolicyCtx<Ev>, ev: Ev, now: SimTime) {
-        match ev {
-            Ev::Ready(cid) => self.on_ready(ctx, cid, now),
-            Ev::Complete { cid, seq } => self.on_complete(ctx, cid, seq, now),
-            Ev::Crash(cid) => self.on_crash(ctx, cid, now),
-            Ev::Monitor => {
-                self.on_monitor(ctx, now);
-                if now < ctx.end_time() {
-                    ctx.schedule(
-                        now + lass_simcore::SimDuration::from_secs_f64(
-                            self.cfg.monitor_interval_secs,
-                        ),
-                        Ev::Monitor,
-                    );
-                }
-            }
-            Ev::Epoch => {
-                self.on_epoch(ctx, now);
-                if now < ctx.end_time() {
-                    ctx.schedule(
-                        now + lass_simcore::SimDuration::from_secs_f64(self.cfg.epoch_secs),
-                        Ev::Epoch,
-                    );
-                }
-            }
-        }
-    }
-
-    fn finish(mut self, outcome: EngineOutcome) -> SimReport {
-        let duration = outcome.duration_secs;
-        let end = SimTime::from_secs_f64(duration);
-        let capacity_cores = self.cluster.total_cpu_capacity().as_cores();
-        let per_fn = outcome
-            .per_fn
-            .into_iter()
-            .enumerate()
-            .map(|(i, stats)| {
-                let f = FnId(i as u32);
-                let rt = self.fns.get_mut(i).expect("known fn");
-                let name = self
-                    .controller
-                    .registry()
-                    .get(f)
-                    .map_or_else(|| f.to_string(), |r| r.spec.name.clone());
-                (
-                    f.0,
-                    FnReport {
-                        name,
-                        arrivals: stats.arrivals,
-                        completed: stats.completed,
-                        reruns: stats.reruns,
-                        wait: stats.wait,
-                        response: stats.response,
-                        service: stats.service,
-                        slo_violations: stats.slo_violations,
-                        timeouts: stats.timeouts,
-                        cpu_timeline: std::mem::take(&mut rt.cpu_timeline),
-                        container_timeline: std::mem::take(&mut rt.container_timeline),
-                        rate_timeline: std::mem::take(&mut rt.rate_timeline),
-                    },
-                )
-            })
-            .collect();
-        SimReport {
-            per_fn,
-            allocated_utilization: self.util_gauge.average_until(end),
-            busy_utilization: if capacity_cores > 0.0 && duration > 0.0 {
-                self.busy_cpu_seconds / (capacity_cores * duration)
-            } else {
-                0.0
-            },
-            duration,
-            overloaded_epochs: self.overloaded_epochs,
-            epochs: self.epochs,
-            failed_creates: self.failed_creates,
-            crashes: self.crashes,
-            free_timeline: std::mem::take(&mut self.free_timeline),
-        }
+    pub(crate) fn finish(self, outcome: EngineOutcome) -> SimReport {
+        self.site.report(outcome)
     }
 }
 
@@ -940,6 +621,25 @@ mod tests {
         assert!(f.completed > 400);
     }
 
+    /// `run_with` hands its tweak the LaSS controller; under another
+    /// policy there is none, and the run refuses rather than skipping
+    /// the tweak.
+    #[test]
+    #[should_panic(expected = "run_with tweaks the LaSS controller")]
+    fn run_with_refuses_a_policy_without_a_controller() {
+        let mut sim = Simulation::new(LassConfig::default(), Cluster::paper_testbed(), 3);
+        sim.set_policy(SitePolicyKind::Knative);
+        sim.add_function(FunctionSetup::new(
+            micro_benchmark(0.1),
+            0.1,
+            WorkloadSpec::Static {
+                rate: 1.0,
+                duration: 10.0,
+            },
+        ));
+        sim.run_with(Some(10.0), |_, _| {});
+    }
+
     #[test]
     fn two_functions_share_cluster() {
         let mut sim = Simulation::new(LassConfig::default(), Cluster::paper_testbed(), 11);
@@ -1041,7 +741,6 @@ mod tests {
     /// function, and reports convergence honestly.
     #[test]
     fn desired_fleet_directive_scales_the_cluster() {
-        use lass_simcore::ContainerChaos;
         let mut setup = FunctionSetup::new(
             micro_benchmark(0.1),
             0.1,
@@ -1062,7 +761,7 @@ mod tests {
         let now = SimTime::from_secs_f64(1.0);
         // Scale up 2 → 5: three creates, each paying its cold start.
         assert!(policy.apply_desired_fleet(&mut ctx, 5, now));
-        assert_eq!(policy.cluster.container_count(), 5);
+        assert_eq!(policy.site.cluster.container_count(), 5);
         let readies = ctx
             .scheduled
             .iter()
@@ -1075,7 +774,7 @@ mod tests {
         );
         // Scale to zero keeps the function's last container.
         assert!(policy.apply_desired_fleet(&mut ctx, 0, now));
-        assert_eq!(policy.cluster.container_count(), 1);
+        assert_eq!(policy.site.cluster.container_count(), 1);
         // Converged: reapplying the directive changes nothing.
         assert!(!policy.apply_desired_fleet(&mut ctx, 1, now));
     }
@@ -1098,7 +797,7 @@ mod tests {
             &[setup],
             "",
         );
-        let cid = policy.cluster.container_ids()[0];
+        let cid = policy.site.cluster.container_ids()[0];
         (policy, cid)
     }
 
@@ -1110,14 +809,18 @@ mod tests {
             let (mut policy, cid) = one_container_policy();
             let mut ctx = StubCtx::new();
             let now = SimTime::from_secs(1);
-            policy.on_arrival(&mut ctx, ReqId(1), 0, now);
+            policy.dispatch(&mut ctx, RequestId(1), FnId(0), now);
             let done = ctx.last_completion();
             if crash {
                 policy.on_crash(&mut ctx, cid, now);
             } else {
-                policy.cluster.terminate_container(cid, now).expect("live");
+                policy
+                    .site
+                    .cluster
+                    .terminate_container(cid, now)
+                    .expect("live");
             }
-            assert!(policy.cluster.container(cid).is_none());
+            assert!(policy.site.cluster.container(cid).is_none());
             policy.on_event(&mut ctx, done, SimTime::from_secs(2));
             assert!(
                 ctx.completed.is_empty(),
@@ -1133,18 +836,18 @@ mod tests {
     fn completion_from_an_earlier_service_is_ignored() {
         let (mut policy, cid) = one_container_policy();
         let mut ctx = StubCtx::new();
-        policy.on_arrival(&mut ctx, ReqId(1), 0, SimTime::from_secs(1));
+        policy.dispatch(&mut ctx, RequestId(1), FnId(0), SimTime::from_secs(1));
         let first = ctx.last_completion();
         policy.on_event(&mut ctx, first, SimTime::from_secs(2));
         assert_eq!(ctx.completed, vec![ReqId(1)]);
 
-        policy.on_arrival(&mut ctx, ReqId(2), 0, SimTime::from_secs(3));
+        policy.dispatch(&mut ctx, RequestId(2), FnId(0), SimTime::from_secs(3));
         let second = ctx.last_completion();
         assert_ne!(first, second, "each service gets its own token");
         // The first service's token again, while the second is running.
         policy.on_event(&mut ctx, first, SimTime::from_secs(4));
         assert_eq!(ctx.completed, vec![ReqId(1)]);
-        let c = policy.cluster.container(cid).expect("live");
+        let c = policy.site.cluster.container(cid).expect("live");
         assert_eq!(
             c.in_service(),
             Some(RequestId(2)),
@@ -1157,7 +860,7 @@ mod tests {
         policy.on_event(&mut ctx, first, SimTime::from_secs(6));
         policy.on_event(&mut ctx, second, SimTime::from_secs(6));
         assert_eq!(ctx.completed, vec![ReqId(1), ReqId(2)]);
-        assert!(policy.cluster.container(cid).expect("live").is_idle());
-        policy.cluster.check_invariants();
+        assert!(policy.site.cluster.container(cid).expect("live").is_idle());
+        policy.site.cluster.check_invariants();
     }
 }

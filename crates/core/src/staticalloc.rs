@@ -3,346 +3,120 @@
 //!
 //! Each function gets a fixed pool of warm containers at `t = 0` (its
 //! `initial_containers`, minimum one) and requests are dealt to the
-//! pool's schedulable containers in strict rotation. No autoscaling, no
-//! monitors, no reclamation — the policy exists to demonstrate that the
-//! shared engine seam (`lass_simcore::engine::SchedulerPolicy`) supports
-//! schedulers that share *nothing* with the LaSS controller, in roughly
-//! a hundred lines, and to serve as the "provisioned-for-peak" baseline
-//! in capacity experiments.
+//! pool's containers in strict rotation. No autoscaling, no monitors,
+//! no reclamation, and no request timeout: the policy is the
+//! "provisioned-for-peak" baseline of capacity experiments, and shares
+//! nothing with the LaSS controller but the [`ClusterSite`] core.
+//!
+//! A pool is the cluster's own list of the function's live containers,
+//! in creation order: the policy never creates a container after
+//! `t = 0`, so chaos crashes shrink the pool for good, as a
+//! no-autoscaler baseline honestly would.
 
-use crate::simulation::{FnReport, FunctionSetup, SimReport};
-use lass_cluster::{Cluster, ContainerId, FnId, RequestId};
-use lass_simcore::{
-    run_simulation, EngineConfig, EngineOutcome, FunctionEntry, PolicyCtx, ReqId, SchedulerPolicy,
-    SimDuration, SimTime, TimeSeries, TimeWeightedGauge,
-};
-use std::collections::BTreeMap;
+use crate::simulation::{FunctionSetup, SimReport};
+use crate::site::{ClusterSite, Ev};
+use lass_cluster::{Cluster, FnId, RequestId};
+use lass_simcore::{EngineOutcome, PolicyCtx, ReqId, SimTime};
 
-/// Static-allocation round-robin simulation over a [`Cluster`].
-pub struct StaticRrSimulation {
-    cluster: Cluster,
-    seed: u64,
-    setups: Vec<FunctionSetup>,
-}
-
-impl StaticRrSimulation {
-    /// Create a simulation over a cluster.
-    pub fn new(cluster: Cluster, seed: u64) -> Self {
-        Self {
-            cluster,
-            seed,
-            setups: Vec::new(),
-        }
-    }
-
-    /// Deploy a function; returns its id (assigned in registration order).
-    /// `initial_containers` (minimum 1) fixes the pool size for the whole
-    /// run; the other autoscaling-related setup fields are ignored.
-    pub fn add_function(&mut self, setup: FunctionSetup) -> FnId {
-        let id = FnId(self.setups.len() as u32);
-        self.setups.push(setup);
-        id
-    }
-
-    /// Run for `duration` seconds (defaults to the longest workload).
-    pub fn run(self, duration_override: Option<f64>) -> SimReport {
-        let duration = duration_override.unwrap_or_else(|| {
-            self.setups
-                .iter()
-                .map(|s| s.workload.duration())
-                .fold(0.0f64, f64::max)
-        });
-        assert!(duration > 0.0, "simulation needs a positive duration");
-        let entries: Vec<FunctionEntry> = self
-            .setups
-            .iter()
-            .map(|s| FunctionEntry {
-                name: s.spec.name.clone(),
-                slo_deadline: s.slo_deadline,
-                process: s.workload.build(),
-            })
-            .collect();
-        let engine_cfg = EngineConfig {
-            seed: self.seed,
-            rng_label_prefix: "static-".into(),
-            duration_secs: duration,
-            drain_secs: 120.0,
-            stream_stats: false,
-            parallel_sites: None,
-        };
-        let policy = StaticRrPolicy::new(self.cluster, self.setups);
-        run_simulation(engine_cfg, entries, policy)
-    }
-}
-
-struct Pool {
-    /// The fixed container fleet, in creation order.
-    containers: Vec<ContainerId>,
-    /// Round-robin position.
-    cursor: usize,
-}
-
-/// Policy events (completions only — nothing is ever re-planned).
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Ev {
-    /// Service number `seq` on `cid` ends (stale once the container is
-    /// gone).
-    Complete { cid: ContainerId, seq: u64 },
-}
-
-/// The static round-robin policy. Crate-visible so the federated
-/// harness can instantiate one per topology site.
+/// The static round-robin decisions over a [`ClusterSite`].
 pub(crate) struct StaticRrPolicy {
-    setups: Vec<FunctionSetup>,
-    cluster: Cluster,
-    pools: BTreeMap<FnId, Pool>,
-    util_gauge: TimeWeightedGauge,
-    busy_cpu_seconds: f64,
-    /// Containers lost to chaos bursts (nothing replaces them: the
-    /// static pool permanently shrinks, as a no-autoscaler baseline
-    /// honestly would).
-    crashes: usize,
-    /// Chaos brown-out service-speed factor (1.0 = nominal).
-    service_scale: f64,
+    pub(crate) site: ClusterSite,
+    /// Each function's round-robin position, by `FnId`.
+    cursors: Vec<usize>,
 }
 
 impl StaticRrPolicy {
     /// Provision each function's fixed warm pool (minimum one container)
     /// on `cluster` at `t = 0` and build the policy.
-    pub(crate) fn new(mut cluster: Cluster, setups: Vec<FunctionSetup>) -> Self {
-        let mut pools: BTreeMap<FnId, Pool> = BTreeMap::new();
-        for (i, s) in setups.iter().enumerate() {
-            let fn_id = FnId(i as u32);
-            let want = s.initial_containers.max(1);
-            let mut pool = Pool {
-                containers: Vec::new(),
-                cursor: 0,
-            };
-            for _ in 0..want {
-                if let Ok(cid) = cluster.create_container_vec(
-                    fn_id,
-                    s.spec.standard_cpu,
-                    s.spec.standard_demand(),
-                    SimTime::ZERO,
-                    SimTime::ZERO,
-                ) {
-                    cluster.mark_container_ready(cid);
-                    pool.containers.push(cid);
-                }
-            }
-            pools.insert(fn_id, pool);
-        }
+    pub(crate) fn new(cluster: Cluster, setups: &[FunctionSetup]) -> Self {
         Self {
-            setups,
-            cluster,
-            pools,
-            util_gauge: TimeWeightedGauge::new(SimTime::ZERO, 0.0),
-            busy_cpu_seconds: 0.0,
-            crashes: 0,
-            service_scale: 1.0,
+            site: ClusterSite::new(cluster, setups, 1),
+            cursors: vec![0; setups.len()],
         }
     }
-    fn dispatch(&mut self, ctx: &mut impl PolicyCtx<Ev>, rid: RequestId, f: FnId, now: SimTime) {
-        let pool = self.pools.get_mut(&f).expect("known fn");
-        let n = pool.containers.len();
+
+    pub(crate) fn dispatch(
+        &mut self,
+        ctx: &mut impl PolicyCtx<Ev>,
+        rid: RequestId,
+        f: FnId,
+        now: SimTime,
+    ) {
+        Self::dispatch_on(&mut self.site, &mut self.cursors, ctx, rid, f, now);
+    }
+
+    /// Deal `rid` to the next container of `f`'s pool.
+    fn dispatch_on(
+        site: &mut ClusterSite,
+        cursors: &mut [usize],
+        ctx: &mut impl PolicyCtx<Ev>,
+        rid: RequestId,
+        f: FnId,
+        now: SimTime,
+    ) {
+        let pool = site.cluster.containers_of(f);
+        let n = pool.len();
         if n == 0 {
-            // The cluster could not host a single container: the request
-            // can never be served.
+            // The pool is empty (never hosted, or crashed away): the
+            // request can never be served.
             ctx.lose(ReqId(rid.0));
             return;
         }
-        let cid = pool.containers[pool.cursor % n];
-        pool.cursor = (pool.cursor + 1) % n;
-        self.cluster
-            .container_mut(cid)
-            .expect("static container")
-            .enqueue(rid);
-        self.try_start(ctx, cid, now);
+        let cursor = &mut cursors[f.0 as usize];
+        let cid = pool[*cursor % n];
+        *cursor = (*cursor + 1) % n;
+        site.enqueue(ctx, cid, rid, now, None);
     }
 
-    fn try_start(&mut self, ctx: &mut impl PolicyCtx<Ev>, cid: ContainerId, now: SimTime) {
-        let Some(c) = self.cluster.container(cid) else {
-            return;
+    pub(crate) fn on_start(&mut self, _ctx: &mut impl PolicyCtx<Ev>) {}
+
+    pub(crate) fn on_event(&mut self, ctx: &mut impl PolicyCtx<Ev>, ev: Ev, now: SimTime) {
+        let Ev::Complete { cid, seq } = ev else {
+            unreachable!("static pools schedule completions only")
         };
-        let fn_id = c.fn_id();
-        let deflation = c.deflation_ratio();
-        let Some((_, seq)) = self.cluster.begin_service(cid, now) else {
-            return;
-        };
-        let dur = self.setups[fn_id.0 as usize]
-            .spec
-            .service
-            .sample(deflation, ctx.service_rng(fn_id.0))
-            / self.service_scale;
-        ctx.schedule(
-            now + SimDuration::from_secs_f64(dur),
-            Ev::Complete { cid, seq },
-        );
-    }
-}
-
-impl lass_simcore::ContainerChaos for StaticRrPolicy {
-    /// Chaos burst: terminate up to `count` live containers (lowest ids
-    /// first — the pools are fixed, so the order is reproducible without
-    /// a policy-side RNG). Orphans are re-dispatched over whatever pool
-    /// remains; an emptied pool loses all future requests.
-    fn crash_containers(&mut self, ctx: &mut impl PolicyCtx<Ev>, count: u32, now: SimTime) -> u32 {
-        let mut victims = self.cluster.container_ids();
-        victims.truncate(count as usize);
-        let mut crashed = 0u32;
-        for cid in victims {
-            let Ok(term) = self.cluster.terminate_container(cid, now) else {
-                continue;
-            };
-            crashed += 1;
-            self.crashes += 1;
-            let f = term.container.fn_id();
-            self.pools
-                .get_mut(&f)
-                .expect("known fn")
-                .containers
-                .retain(|&c| c != cid);
-            for rid in term.orphans {
-                if ctx.rerun(ReqId(rid.0)).is_some() {
-                    self.dispatch(ctx, rid, f, now);
-                }
-            }
-        }
-        crashed
+        self.site.complete(ctx, cid, seq, now, None);
     }
 
-    /// Brown-out absorption: scale every subsequent service draw by
-    /// `1/factor` (1.0 restores nominal speed exactly).
-    fn set_service_factor(&mut self, factor: f64) {
-        self.service_scale = if factor.is_finite() && factor > 0.0 {
-            factor.min(1.0)
-        } else {
-            1.0
-        };
-    }
-
-    /// Per-dimension capacity/allocation census for vector telemetry
-    /// and the planner router.
-    fn resource_snapshot(&self) -> lass_simcore::ResourceSnapshot {
-        let cap = self.cluster.total_capacity_vec();
-        let used = self.cluster.total_used_vec();
-        lass_simcore::ResourceSnapshot {
-            cap: [
-                f64::from(cap.cpu.0),
-                f64::from(cap.mem.0),
-                f64::from(cap.bandwidth.0),
-            ],
-            used: [
-                f64::from(used.cpu.0),
-                f64::from(used.mem.0),
-                f64::from(used.bandwidth.0),
-            ],
-        }
-    }
-
-    /// Warm-container census for the routers' cold-start penalty: the
-    /// function's booted fleet (cold-starting containers excluded).
-    fn warm_containers(&self, fn_idx: u32) -> u64 {
-        self.cluster.fn_warm_count(FnId(fn_idx))
-    }
-}
-
-impl SchedulerPolicy for StaticRrPolicy {
-    type Event = Ev;
-    type Report = SimReport;
-
-    fn on_start(&mut self, _ctx: &mut impl PolicyCtx<Ev>) {
-        self.util_gauge
-            .set(SimTime::ZERO, self.cluster.cpu_utilization());
-    }
-
-    fn on_arrival(&mut self, ctx: &mut impl PolicyCtx<Ev>, rid: ReqId, fn_idx: u32, now: SimTime) {
-        self.dispatch(ctx, RequestId(rid.0), FnId(fn_idx), now);
-    }
-
-    fn on_event(&mut self, ctx: &mut impl PolicyCtx<Ev>, ev: Ev, now: SimTime) {
-        let Ev::Complete { cid, seq } = ev;
-        let Some((rid, started)) = self.cluster.finish_service(cid, seq, now) else {
-            return; // the container crashed mid-service
-        };
-        let cpu_cores = self.cluster.container(cid).expect("live").cpu().as_cores();
-        // `None`: the completion was withheld upstream (stalled behind a
-        // federated network partition); only the measurement is deferred.
-        if let Some(completion) = ctx.complete(ReqId(rid.0), started, now) {
-            self.busy_cpu_seconds += completion.service * cpu_cores;
-        }
-        self.try_start(ctx, cid, now);
-    }
-
-    fn finish(self, outcome: EngineOutcome) -> SimReport {
-        let duration = outcome.duration_secs;
-        let end = SimTime::from_secs_f64(duration);
-        let capacity_cores = self.cluster.total_cpu_capacity().as_cores();
-        let per_fn = outcome
-            .per_fn
-            .into_iter()
-            .enumerate()
-            .map(|(i, stats)| {
-                let f = FnId(i as u32);
-                // The allocation is constant: a flat two-point timeline.
-                let pool = &self.pools[&f];
-                let (mut cpu, mut count) = (0u32, 0u32);
-                for &cid in &pool.containers {
-                    if let Some(c) = self.cluster.container(cid) {
-                        cpu += c.cpu().0;
-                        count += 1;
-                    }
-                }
-                let mut cpu_timeline = TimeSeries::new();
-                let mut container_timeline = TimeSeries::new();
-                for t in [SimTime::ZERO, end] {
-                    cpu_timeline.push(t, f64::from(cpu));
-                    container_timeline.push(t, f64::from(count));
-                }
-                (
-                    f.0,
-                    FnReport {
-                        name: stats.name,
-                        arrivals: stats.arrivals,
-                        completed: stats.completed,
-                        reruns: stats.reruns,
-                        wait: stats.wait,
-                        response: stats.response,
-                        service: stats.service,
-                        slo_violations: stats.slo_violations,
-                        timeouts: stats.timeouts,
-                        cpu_timeline,
-                        container_timeline,
-                        rate_timeline: TimeSeries::new(),
-                    },
-                )
+    /// Chaos burst: crash the lowest-id containers (the pools are
+    /// fixed, so the order is reproducible without a policy-side RNG).
+    /// Orphans are re-dispatched over whatever pool remains.
+    pub(crate) fn crash_containers(
+        &mut self,
+        ctx: &mut impl PolicyCtx<Ev>,
+        count: u32,
+        now: SimTime,
+    ) -> u32 {
+        let cursors = &mut self.cursors;
+        self.site
+            .crash_lowest(ctx, count, now, |site, ctx, rid, f| {
+                Self::dispatch_on(site, cursors, ctx, rid, f, now)
             })
-            .collect();
-        SimReport {
-            per_fn,
-            allocated_utilization: self.util_gauge.average_until(end),
-            busy_utilization: if capacity_cores > 0.0 && duration > 0.0 {
-                self.busy_cpu_seconds / (capacity_cores * duration)
-            } else {
-                0.0
-            },
-            duration,
-            overloaded_epochs: 0,
-            epochs: 0,
-            failed_creates: 0,
-            crashes: self.crashes,
-            free_timeline: TimeSeries::new(),
-        }
+    }
+
+    /// The allocation is constant: a flat two-point timeline of the
+    /// pools as they ended.
+    pub(crate) fn finish(mut self, outcome: EngineOutcome) -> SimReport {
+        let end = SimTime::from_secs_f64(outcome.duration_secs);
+        self.site.record_fleet(SimTime::ZERO);
+        self.site.record_fleet(end);
+        self.site.report(outcome)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{LassConfig, Simulation, SitePolicyKind};
     use lass_functions::{micro_benchmark, WorkloadSpec};
 
+    fn static_sim(seed: u64) -> Simulation {
+        let mut sim = Simulation::new(LassConfig::default(), Cluster::paper_testbed(), seed);
+        sim.set_policy(SitePolicyKind::StaticRr);
+        sim
+    }
+
     fn run_static(rate: f64, containers: u32, duration: f64) -> SimReport {
-        let mut sim = StaticRrSimulation::new(Cluster::paper_testbed(), 42);
+        let mut sim = static_sim(42);
         let mut setup = FunctionSetup::new(
             micro_benchmark(0.1),
             0.1,
@@ -400,7 +174,7 @@ mod tests {
 
     #[test]
     fn two_pools_coexist() {
-        let mut sim = StaticRrSimulation::new(Cluster::paper_testbed(), 9);
+        let mut sim = static_sim(9);
         let mut a = FunctionSetup::new(
             micro_benchmark(0.05),
             0.1,

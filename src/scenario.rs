@@ -11,8 +11,8 @@
 
 use lass_cluster::{Cluster, CpuMilli, MemMib, PlacementPolicy, Topology, UserId};
 use lass_core::{
-    FederatedSimReport, FederatedSimulation, FunctionSetup, KnativeSimulation, LassConfig,
-    SimReport, Simulation, SitePolicyKind, StaticRrSimulation,
+    FederatedSimReport, FederatedSimulation, FunctionSetup, LassConfig, SimReport, Simulation,
+    SitePolicyKind,
 };
 use lass_functions::{
     binary_alert, geofence, image_resizer, micro_benchmark, mobilenet_v2, shufflenet_v2,
@@ -122,6 +122,17 @@ impl ScenarioPolicy {
             ScenarioPolicy::StaticRr => "static-rr",
             ScenarioPolicy::Knative => "knative",
             ScenarioPolicy::OpenWhisk => "openwhisk",
+        }
+    }
+
+    /// The cluster scheduler this policy names; `None` for OpenWhisk,
+    /// whose simulator has its own invoker model.
+    pub fn site_policy(self) -> Option<SitePolicyKind> {
+        match self {
+            ScenarioPolicy::Lass => Some(SitePolicyKind::Lass),
+            ScenarioPolicy::StaticRr => Some(SitePolicyKind::StaticRr),
+            ScenarioPolicy::Knative => Some(SitePolicyKind::Knative),
+            ScenarioPolicy::OpenWhisk => None,
         }
     }
 }
@@ -638,17 +649,12 @@ impl Scenario {
     /// Run a scenario with a `topology` block through the federated
     /// harness.
     fn run_federated(&self, spec: &TopologySpec) -> Result<FederatedSimReport, String> {
-        let site_policy = match self.policy {
-            ScenarioPolicy::Lass => SitePolicyKind::Lass,
-            ScenarioPolicy::StaticRr => SitePolicyKind::StaticRr,
-            ScenarioPolicy::Knative => SitePolicyKind::Knative,
-            ScenarioPolicy::OpenWhisk => {
-                return Err(
-                    "the openwhisk policy cannot run over a topology (its report shape is \
-                     per-invoker, not per-site); use \"lass\", \"static-rr\", or \"knative\""
-                        .into(),
-                )
-            }
+        let Some(site_policy) = self.policy.site_policy() else {
+            return Err(
+                "the openwhisk policy cannot run over a topology (its report shape is \
+                 per-invoker, not per-site); use \"lass\", \"static-rr\", or \"knative\""
+                    .into(),
+            );
         };
         let topology = self.build_topology(spec)?;
         let mut sim = FederatedSimulation::new(self.config.clone(), topology, self.seed);
@@ -704,47 +710,30 @@ impl Scenario {
             );
         }
         self.cluster.validate()?;
-        match self.policy {
-            ScenarioPolicy::Lass => {
-                let mut sim = Simulation::new(self.config.clone(), self.build_cluster(), self.seed);
-                for setup in self.build_setups()? {
-                    sim.add_function(setup);
-                }
-                Ok(ScenarioReport::Lass(sim.run(self.duration_secs)))
-            }
-            ScenarioPolicy::StaticRr => {
-                let mut sim = StaticRrSimulation::new(self.build_cluster(), self.seed);
-                for setup in self.build_setups()? {
-                    sim.add_function(setup);
-                }
-                Ok(ScenarioReport::Lass(sim.run(self.duration_secs)))
-            }
-            ScenarioPolicy::Knative => {
-                let mut sim =
-                    KnativeSimulation::new(self.config.clone(), self.build_cluster(), self.seed);
-                for setup in self.build_setups()? {
-                    sim.add_function(setup);
-                }
-                Ok(ScenarioReport::Lass(sim.run(self.duration_secs)))
-            }
-            ScenarioPolicy::OpenWhisk => {
-                let mut sim = OwSimulation::new(OwConfig {
-                    invokers: self.cluster.nodes,
-                    mem_per_invoker: MemMib(self.cluster.mem_mib),
-                    cpu_per_invoker: CpuMilli(self.cluster.cpu_milli),
-                    seed: self.seed,
-                    ..OwConfig::default()
+        let setups = self.build_setups()?;
+        let Some(kind) = self.policy.site_policy() else {
+            let mut sim = OwSimulation::new(OwConfig {
+                invokers: self.cluster.nodes,
+                mem_per_invoker: MemMib(self.cluster.mem_mib),
+                cpu_per_invoker: CpuMilli(self.cluster.cpu_milli),
+                seed: self.seed,
+                ..OwConfig::default()
+            });
+            for setup in setups {
+                sim.add_function(OwFunctionSetup {
+                    spec: setup.spec,
+                    workload: setup.workload,
+                    slo_deadline: setup.slo_deadline,
                 });
-                for setup in self.build_setups()? {
-                    sim.add_function(OwFunctionSetup {
-                        spec: setup.spec,
-                        workload: setup.workload,
-                        slo_deadline: setup.slo_deadline,
-                    });
-                }
-                Ok(ScenarioReport::OpenWhisk(sim.run(self.duration_secs)))
             }
+            return Ok(ScenarioReport::OpenWhisk(sim.run(self.duration_secs)));
+        };
+        let mut sim = Simulation::new(self.config.clone(), self.build_cluster(), self.seed);
+        sim.set_policy(kind);
+        for setup in setups {
+            sim.add_function(setup);
         }
+        Ok(ScenarioReport::Lass(sim.run(self.duration_secs)))
     }
 }
 

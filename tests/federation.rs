@@ -17,7 +17,7 @@
 use lass::cluster::{Cluster, CpuMilli, MemMib, PlacementPolicy, Topology};
 use lass::core::{
     FederatedSimReport, FederatedSimulation, FunctionSetup, LassConfig, SimReport, Simulation,
-    SitePolicyKind, StaticRrSimulation,
+    SitePolicyKind,
 };
 use lass::functions::{micro_benchmark, WorkloadSpec};
 use lass::scenario::{Scenario, ScenarioReport};
@@ -89,21 +89,19 @@ fn degenerate_topology_matches_plain_run_with_crashes() {
     );
 }
 
-/// Same degenerate parity for the static round-robin site policy.
-#[test]
-fn degenerate_topology_matches_plain_static_rr_run() {
+/// A plain single-cluster `kind` run and the same run as a one-site,
+/// zero-latency topology must serialize alike.
+fn assert_degenerate_parity(kind: SitePolicyKind, cfg: LassConfig, seed: u64) {
     let plain: SimReport = {
-        let mut sim = StaticRrSimulation::new(Cluster::paper_testbed(), 5);
+        let mut sim = Simulation::new(cfg.clone(), Cluster::paper_testbed(), seed);
+        sim.set_policy(kind);
         sim.add_function(testbed_setup(12.0, 60.0, 3));
         sim.run(Some(60.0))
     };
     let fed = {
-        let mut sim = FederatedSimulation::new(
-            LassConfig::default(),
-            Topology::single(Cluster::paper_testbed()),
-            5,
-        );
-        sim.set_policy(SitePolicyKind::StaticRr);
+        let mut sim =
+            FederatedSimulation::new(cfg, Topology::single(Cluster::paper_testbed()), seed);
+        sim.set_policy(kind);
         sim.add_function(testbed_setup(12.0, 60.0, 3));
         sim.run(Some(60.0)).expect("runs")
     };
@@ -111,6 +109,21 @@ fn degenerate_topology_matches_plain_static_rr_run() {
         serde_json::to_string(&fed.per_site[0].report).unwrap(),
         serde_json::to_string(&plain).unwrap()
     );
+}
+
+/// Same degenerate parity for the static round-robin site policy.
+#[test]
+fn degenerate_topology_matches_plain_static_rr_run() {
+    assert_degenerate_parity(SitePolicyKind::StaticRr, LassConfig::default(), 5);
+}
+
+/// Same degenerate parity for the Knative site policy, with a scale
+/// loop and activator cold starts in play.
+#[test]
+fn degenerate_topology_matches_plain_knative_run() {
+    let mut cfg = LassConfig::default();
+    cfg.scaler = lass::core::ScalerKind::ConcurrencyTarget { target: 0.7 };
+    assert_degenerate_parity(SitePolicyKind::Knative, cfg, 5);
 }
 
 fn small_cluster(nodes: u32) -> Cluster {

@@ -13,7 +13,7 @@
 //! means the port changed simulation semantics.
 
 use lass::cluster::Cluster;
-use lass::core::{FunctionSetup, LassConfig, Simulation};
+use lass::core::{FunctionSetup, LassConfig, Simulation, SitePolicyKind};
 use lass::functions::{binary_alert, micro_benchmark, mobilenet_v2, WorkloadSpec};
 use lass::openwhisk::{OwConfig, OwFunctionSetup, OwSimulation};
 
@@ -225,7 +225,8 @@ fn same_seed_gives_byte_identical_serialized_reports() {
     );
 
     let srr = || {
-        let mut sim = lass::core::StaticRrSimulation::new(Cluster::paper_testbed(), 5);
+        let mut sim = Simulation::new(LassConfig::default(), Cluster::paper_testbed(), 5);
+        sim.set_policy(SitePolicyKind::StaticRr);
         let mut setup = FunctionSetup::new(
             micro_benchmark(0.1),
             0.1,
@@ -249,7 +250,8 @@ fn lass_and_static_policies_decorrelate_but_share_workload_shape() {
     // Same scenario through two engine policies: arrival counts are close
     // (same rate, decorrelated streams) and both serve the load.
     let lass = scenario_a();
-    let mut sim = lass::core::StaticRrSimulation::new(Cluster::paper_testbed(), 42);
+    let mut sim = Simulation::new(LassConfig::default(), Cluster::paper_testbed(), 42);
+    sim.set_policy(SitePolicyKind::StaticRr);
     let mut setup = FunctionSetup::new(
         micro_benchmark(0.1),
         0.1,
