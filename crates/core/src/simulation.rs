@@ -125,7 +125,8 @@ pub struct SimReport {
     pub epochs: usize,
     /// Creates that failed even after lazy reclamation.
     pub failed_creates: u32,
-    /// Injected container crashes (0 unless `container_mtbf_secs` is set).
+    /// Containers crashed by failure injection: MTBF crashes
+    /// (`container_mtbf_secs`) and chaos bursts.
     pub crashes: usize,
     /// Cluster-wide unallocated-capacity timeline (fraction), per epoch.
     pub free_timeline: TimeSeries,
@@ -271,12 +272,23 @@ impl LassPolicy {
         let Some((f, orphans)) = self.site.crash(cid, now) else {
             return false;
         };
+        self.rerun(ctx, f, orphans, now);
+        true
+    }
+
+    /// Re-dispatch the orphans of a terminated container of `f`.
+    fn rerun(
+        &mut self,
+        ctx: &mut impl PolicyCtx<Ev>,
+        f: FnId,
+        orphans: Vec<RequestId>,
+        now: SimTime,
+    ) {
         for rid in orphans {
             if ctx.rerun(ReqId(rid.0)).is_some() {
                 self.dispatch(ctx, rid, f, now);
             }
         }
-        true
     }
 
     /// Hand a request to a container per the dispatch policy, or park it in
@@ -498,11 +510,7 @@ impl LassPolicy {
                 let Ok(term) = self.site.cluster.terminate_container(cid, now) else {
                     continue;
                 };
-                for rid in term.orphans {
-                    if ctx.rerun(ReqId(rid.0)).is_some() {
-                        self.dispatch(ctx, rid, f, now);
-                    }
-                }
+                self.rerun(ctx, f, term.orphans, now);
                 excess -= 1;
                 changed = true;
             }

@@ -127,7 +127,7 @@ impl ScenarioPolicy {
 
     /// The cluster scheduler this policy names; `None` for OpenWhisk,
     /// whose simulator has its own invoker model.
-    pub fn site_policy(self) -> Option<SitePolicyKind> {
+    fn site_policy(self) -> Option<SitePolicyKind> {
         match self {
             ScenarioPolicy::Lass => Some(SitePolicyKind::Lass),
             ScenarioPolicy::StaticRr => Some(SitePolicyKind::StaticRr),
