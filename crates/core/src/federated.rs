@@ -14,15 +14,15 @@
 //! reproduces the corresponding plain single-cluster simulation
 //! event-for-event (the golden-parity tests pin this).
 //!
-//! Every federated run goes through a
-//! [`ChaosPolicy`](lass_simcore::ChaosPolicy) wrapper. With the default
-//! (empty) [`ChaosConfig`] the wrapper is transparent — the goldens pin
-//! that — and [`FederatedSimulation::set_chaos`] arms site crashes,
-//! router↔site partitions, container-crash bursts, and cross-site
-//! migration of a dead site's orphans. Crashed sites recover *cold*:
-//! the per-site scheduler is rebuilt from the original provisioning
-//! (initial containers, fresh controller state), with its crash RNG
-//! stream relabelled per restart so replays stay deterministic.
+//! [`FederatedSimulation::set_chaos`] hands the federation its fault
+//! schedule ([`Federation::with_chaos`]): site crashes, router↔site
+//! partitions, container-crash bursts, and cross-site migration of a
+//! dead site's orphans. The default (empty) [`ChaosConfig`] injects
+//! nothing, and the goldens pin that such a run is untouched. Crashed
+//! sites recover *cold*: the per-site scheduler is rebuilt from the
+//! original provisioning (initial containers, fresh controller state),
+//! with its crash RNG stream relabelled per restart so replays stay
+//! deterministic. [`run_federation`] picks the driver.
 
 use crate::config::LassConfig;
 use crate::simulation::{FunctionSetup, SimReport};
@@ -30,8 +30,8 @@ use crate::site::{engine_config, run_inputs, site_builder};
 use crate::SitePolicyKind;
 use lass_cluster::{Cluster, FnId, Topology};
 use lass_simcore::{
-    run_federation_parallel, run_simulation, ChaosConfig, ChaosPolicy, FedFunction,
-    FederatedReport, Federation, FederationConfig, RouterKind, SimDuration, SiteMeta,
+    run_federation, ChaosConfig, FedFunction, FederatedReport, Federation, FederationConfig,
+    RouterKind, SimDuration, SiteMeta,
 };
 
 /// The report of a federated run: one [`SimReport`] per site plus the
@@ -93,7 +93,8 @@ impl FederatedSimulation {
 
     /// Arm fault injection: timed and stochastic site crashes,
     /// partitions, and container bursts (see [`ChaosConfig`]). Faults
-    /// target sites by topology index.
+    /// target sites by topology index; [`FederatedSimulation::run`]
+    /// rejects one aimed past the last site.
     pub fn set_chaos(&mut self, chaos: ChaosConfig) -> &mut Self {
         self.chaos = chaos;
         self
@@ -128,16 +129,6 @@ impl FederatedSimulation {
         self.topology.validate()?;
         if self.setups.is_empty() {
             return Err("federated simulation has no functions".into());
-        }
-        self.chaos.validate()?;
-        let site_count = self.topology.len();
-        for (at, fault) in &self.chaos.events {
-            if fault.site() as usize >= site_count {
-                return Err(format!(
-                    "chaos event at t={at}s targets site {} of a {site_count}-site topology",
-                    fault.site()
-                ));
-            }
         }
         let (duration, entries) = run_inputs(&self.setups, duration_override);
         if duration <= 0.0 {
@@ -177,32 +168,7 @@ impl FederatedSimulation {
             .map(|s| s.cluster)
             .collect();
         let router = self.router.build_with(&self.federation.router);
-        // Conservative parallelism needs lookahead: a multi-site
-        // topology with strictly positive latencies. Anything else
-        // degenerates (zero lookahead would force zero-width windows),
-        // so fall back to the sequential engine rather than deadlock.
-        let parallel = match self.parallel {
-            Some(n) if n >= 1 => {
-                if site_count < 2 {
-                    eprintln!(
-                        "warning: parallel_sites={n} ignored — single-site topology runs sequentially"
-                    );
-                    None
-                } else if metas.iter().any(|m| m.latency.0 == 0) {
-                    eprintln!(
-                        "warning: parallel_sites={n} ignored — zero-latency site leaves no lookahead; running sequentially"
-                    );
-                    None
-                } else {
-                    Some(n)
-                }
-            }
-            Some(0) => {
-                return Err("parallel_sites must be >= 1 when set".into());
-            }
-            _ => None,
-        };
-        // The build closure doubles as the chaos layer's rebuild
+        // The build closure doubles as the federation's rebuild
         // factory, so a crashed site recovers with its original
         // provisioning.
         let mut build = site_builder(self.policy, self.cfg, clusters, self.seed, self.setups);
@@ -213,14 +179,10 @@ impl FederatedSimulation {
             .collect();
         let fed =
             Federation::configured(sites, router, &fed_functions, self.federation, self.seed)?
-                .with_rebuild(Box::new(build));
-        let cfg = engine_config(self.policy, self.seed, duration, parallel);
-        Ok(match parallel {
-            // The parallel executor barriers the fault schedule itself,
-            // so the federation goes in bare rather than chaos-wrapped.
-            Some(_) => run_federation_parallel(cfg, entries, fed, self.chaos, self.seed),
-            None => run_simulation(cfg, entries, ChaosPolicy::new(fed, self.chaos, self.seed)),
-        })
+                .with_rebuild(Box::new(build))
+                .with_chaos(self.chaos, self.seed)?;
+        let cfg = engine_config(self.policy, self.seed, duration, self.parallel);
+        run_federation(cfg, entries, fed)
     }
 }
 

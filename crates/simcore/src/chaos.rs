@@ -1,10 +1,7 @@
-//! Chaos injection: a meta-policy that schedules faults into any
-//! fault-tolerant scheduler.
+//! Chaos injection: the faults a federated run can suffer and the
+//! schedule that injects them.
 //!
-//! [`ChaosPolicy`] wraps a [`ChaosTarget`] — a scheduler that knows how
-//! to absorb [`Fault`]s, such as the multi-site
-//! [`Federation`](crate::federation::Federation) — and delivers faults
-//! from two sources:
+//! A [`ChaosConfig`] describes faults from two sources:
 //!
 //! * **timed events** (`ChaosConfig::events`): an explicit list of
 //!   `(instant, fault)` pairs, for reproducing one specific disaster
@@ -15,19 +12,20 @@
 //!   labelled deterministic [`SimRng`] streams so every chaos run is
 //!   byte-for-byte reproducible under its seed.
 //!
-//! The wrapper is *transparent* when no faults are configured: it
-//! schedules nothing, adds no RNG draws, and forwards every engine
-//! callback unchanged, so a `ChaosPolicy` around a no-chaos run
-//! reproduces the unwrapped run exactly (the chaos test suite pins
-//! this against the pre-chaos goldens).
+//! [`ChaosConfig::build_schedule`] turns it into one list of
+//! `(instant, fault)` pairs. A
+//! [`Federation`](crate::federation::Federation) carries its config
+//! ([`Federation::with_chaos`](crate::federation::Federation::with_chaos))
+//! and both federation drivers inject that one list. An empty config
+//! schedules nothing and draws nothing, so a run without faults is
+//! byte-identical to one that never heard of chaos.
 //!
-//! What a fault *means* is the target's business: the federation
-//! re-routes a crashed site's orphans to surviving sites (cross-site
-//! migration), routes arrivals around partitions, and forwards
-//! container bursts to the per-site schedulers through the
-//! [`ContainerChaos`] seam.
+//! What a fault *means* is the federation's business: it re-routes a
+//! crashed site's orphans to surviving sites (cross-site migration),
+//! routes arrivals around partitions, and forwards container bursts to
+//! the per-site schedulers through the [`ContainerChaos`] seam.
 
-use crate::engine::{Completion, PolicyCtx, ReqId, SchedulerPolicy};
+use crate::engine::{PolicyCtx, SchedulerPolicy};
 use crate::rng::SimRng;
 use crate::time::SimTime;
 
@@ -99,8 +97,7 @@ impl Fault {
 
 /// The chaos schedule: timed faults plus stochastic fault processes.
 ///
-/// The default configuration injects nothing — a `ChaosPolicy` built
-/// from it is a transparent wrapper.
+/// The default configuration injects nothing.
 #[derive(Debug, Clone)]
 pub struct ChaosConfig {
     /// Explicit faults, as `(seconds, fault)`. Faults at or past the
@@ -152,11 +149,11 @@ impl ChaosConfig {
     /// `end`, in **scheduling order**: timed events in config order
     /// (onsets at or past `end` dropped, recoveries kept), then the
     /// per-domain crash renewals, the per-domain partition renewals, and
-    /// the burst process — exactly the order [`ChaosPolicy::on_start`]
-    /// schedules them, so the `(time, seq)` pairs of a sequential run
-    /// are reproducible from this list. The parallel federated executor
-    /// consumes the same list, which is what keeps its fault timeline
-    /// byte-identical to the sequential oracle's.
+    /// the burst process. The sequential federation schedules them in
+    /// this order, so the `(time, seq)` pairs of its run are
+    /// reproducible from this list, and the windowed driver injects the
+    /// same list, which keeps its fault timeline byte-identical to the
+    /// sequential one.
     pub fn build_schedule(&self, seed: u64, domains: usize, end: SimTime) -> Vec<(SimTime, Fault)> {
         let mut out = Vec::new();
         for &(at, fault) in &self.events {
@@ -345,222 +342,17 @@ pub trait ContainerChaos: SchedulerPolicy {
     }
 }
 
-/// A scheduler that can absorb [`Fault`]s — the target side of
-/// [`ChaosPolicy`].
-pub trait ChaosTarget: SchedulerPolicy {
-    /// Number of fault domains (sites) the target exposes. Stochastic
-    /// fault processes run one renewal process per domain.
-    fn fault_domains(&self) -> usize;
-
-    /// Apply one fault at `now`. Out-of-range sites and redundant
-    /// transitions (downing a dead site, healing an intact link) must be
-    /// ignored, so overlapping timed and stochastic schedules compose.
-    fn inject(&mut self, ctx: &mut impl PolicyCtx<Self::Event>, fault: Fault, now: SimTime);
-}
-
-/// Events of a chaos-wrapped run: the target's own events plus the
-/// injected faults.
-pub enum ChaosEv<E> {
-    /// The wrapped policy's event.
-    Inner(E),
-    /// A scheduled fault fires.
-    Fault(Fault),
-}
-
-/// Pass-through context that unwraps [`ChaosEv`] for the inner policy.
-struct InnerCtx<'a, C> {
-    inner: &'a mut C,
-}
-
-impl<E, C: PolicyCtx<ChaosEv<E>>> PolicyCtx<E> for InnerCtx<'_, C> {
-    fn schedule(&mut self, at: SimTime, ev: E) {
-        self.inner.schedule(at, ChaosEv::Inner(ev));
-    }
-    fn end_time(&self) -> SimTime {
-        self.inner.end_time()
-    }
-    fn fn_count(&self) -> usize {
-        self.inner.fn_count()
-    }
-    fn service_rng(&mut self, fn_idx: u32) -> &mut SimRng {
-        self.inner.service_rng(fn_idx)
-    }
-    fn request_info(&self, rid: ReqId) -> Option<(u32, SimTime)> {
-        self.inner.request_info(rid)
-    }
-    fn complete(&mut self, rid: ReqId, started: SimTime, now: SimTime) -> Option<Completion> {
-        self.inner.complete(rid, started, now)
-    }
-    fn abandon(&mut self, rid: ReqId) -> Option<u32> {
-        self.inner.abandon(rid)
-    }
-    fn lose(&mut self, rid: ReqId) -> Option<u32> {
-        self.inner.lose(rid)
-    }
-    fn rerun(&mut self, rid: ReqId) -> Option<u32> {
-        self.inner.rerun(rid)
-    }
-    fn discard(&mut self, rid: ReqId) {
-        self.inner.discard(rid)
-    }
-    fn take_window_counts(&mut self) -> Vec<u64> {
-        self.inner.take_window_counts()
-    }
-    fn outstanding(&self) -> usize {
-        self.inner.outstanding()
-    }
-    fn schedule_cancellable(&mut self, at: SimTime, ev: E) -> Option<u64> {
-        self.inner.schedule_cancellable(at, ChaosEv::Inner(ev))
-    }
-    fn cancel_scheduled(&mut self, token: u64) -> bool {
-        self.inner.cancel_scheduled(token)
-    }
-    fn note_hedged(&mut self, fn_idx: u32) {
-        self.inner.note_hedged(fn_idx);
-    }
-    fn note_cancelled(&mut self, fn_idx: u32) {
-        self.inner.note_cancelled(fn_idx);
-    }
-}
-
-/// The chaos meta-policy: schedules the configured faults and forwards
-/// everything else to the wrapped target.
-pub struct ChaosPolicy<T: ChaosTarget> {
-    target: T,
-    cfg: ChaosConfig,
-    seed: u64,
-    /// Faults delivered so far (timed + stochastic).
-    faults_injected: usize,
-}
-
-impl<T: ChaosTarget> ChaosPolicy<T> {
-    /// Wrap `target` under the given chaos schedule. `seed` feeds the
-    /// labelled fault streams (`chaos:crash:<site>`,
-    /// `chaos:partition:<site>`, `chaos:burst`) — pass the engine seed
-    /// so one scenario seed pins the whole run.
-    pub fn new(target: T, cfg: ChaosConfig, seed: u64) -> Self {
-        cfg.validate().expect("invalid ChaosConfig");
-        Self {
-            target,
-            cfg,
-            seed,
-            faults_injected: 0,
-        }
-    }
-
-    /// Faults delivered so far.
-    pub fn faults_injected(&self) -> usize {
-        self.faults_injected
-    }
-}
-
-impl<T: ChaosTarget> SchedulerPolicy for ChaosPolicy<T> {
-    type Event = ChaosEv<T::Event>;
-    type Report = T::Report;
-    const READS_SAMPLES: bool = T::READS_SAMPLES;
-
-    fn on_start(&mut self, ctx: &mut impl PolicyCtx<Self::Event>) {
-        self.target.on_start(&mut InnerCtx { inner: ctx });
-        let end = ctx.end_time();
-        let domains = self.target.fault_domains();
-        // Timed faults first (stable order for equal instants), then the
-        // stochastic processes in domain order — all deterministic.
-        // Fault onsets at or past the nominal end are pointless and
-        // dropped; *recoveries* are scheduled regardless, so a down/up
-        // pair straddling the end still heals during the drain instead
-        // of leaving the site dark — or its stalled responses buffered —
-        // forever. `build_schedule` encodes both rules.
-        for (at, fault) in self.cfg.build_schedule(self.seed, domains, end) {
-            ctx.schedule(at, ChaosEv::Fault(fault));
-        }
-    }
-
-    fn on_arrival(
-        &mut self,
-        ctx: &mut impl PolicyCtx<Self::Event>,
-        rid: ReqId,
-        fn_idx: u32,
-        now: SimTime,
-    ) {
-        self.target
-            .on_arrival(&mut InnerCtx { inner: ctx }, rid, fn_idx, now);
-    }
-
-    fn on_event(&mut self, ctx: &mut impl PolicyCtx<Self::Event>, ev: Self::Event, now: SimTime) {
-        match ev {
-            ChaosEv::Inner(ev) => self.target.on_event(&mut InnerCtx { inner: ctx }, ev, now),
-            ChaosEv::Fault(fault) => {
-                self.faults_injected += 1;
-                self.target.inject(&mut InnerCtx { inner: ctx }, fault, now);
-            }
-        }
-    }
-
-    fn finish(self, outcome: crate::engine::EngineOutcome) -> Self::Report {
-        self.target.finish(outcome)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arrivals::StaticPoisson;
-    use crate::engine::{run_simulation, EngineConfig, EngineOutcome, FunctionEntry};
 
-    /// A target that serves everything instantly and logs the faults it
-    /// receives (with timestamps).
-    struct Probe {
-        domains: usize,
-        faults: Vec<(f64, Fault)>,
-    }
-
-    impl SchedulerPolicy for Probe {
-        type Event = ();
-        type Report = (EngineOutcome, Vec<(f64, Fault)>);
-
-        fn on_start(&mut self, _ctx: &mut impl PolicyCtx<()>) {}
-        fn on_arrival(&mut self, ctx: &mut impl PolicyCtx<()>, rid: ReqId, _f: u32, now: SimTime) {
-            ctx.complete(rid, now, now);
-        }
-        fn on_event(&mut self, _ctx: &mut impl PolicyCtx<()>, _ev: (), _now: SimTime) {}
-        fn finish(self, outcome: EngineOutcome) -> Self::Report {
-            (outcome, self.faults)
-        }
-    }
-
-    impl ChaosTarget for Probe {
-        fn fault_domains(&self) -> usize {
-            self.domains
-        }
-        fn inject(&mut self, _ctx: &mut impl PolicyCtx<()>, fault: Fault, now: SimTime) {
-            self.faults.push((now.as_secs_f64(), fault));
-        }
-    }
-
-    fn run_probe(cfg: ChaosConfig, seed: u64) -> (EngineOutcome, Vec<(f64, Fault)>) {
-        run_simulation(
-            EngineConfig {
-                seed,
-                rng_label_prefix: String::new(),
-                duration_secs: 100.0,
-                drain_secs: 20.0,
-                stream_stats: false,
-                parallel_sites: None,
-            },
-            vec![FunctionEntry {
-                name: "probe".into(),
-                slo_deadline: 1.0,
-                process: Box::new(StaticPoisson::until(5.0, SimTime::from_secs(100))),
-            }],
-            ChaosPolicy::new(
-                Probe {
-                    domains: 3,
-                    faults: Vec::new(),
-                },
-                cfg,
-                seed,
-            ),
-        )
+    /// The schedule over three domains and a 100 s run, as
+    /// `(seconds, fault)` in scheduling order.
+    fn schedule(cfg: &ChaosConfig, seed: u64) -> Vec<(f64, Fault)> {
+        cfg.build_schedule(seed, 3, SimTime::from_secs(100))
+            .into_iter()
+            .map(|(at, f)| (at.as_secs_f64(), f))
+            .collect()
     }
 
     #[test]
@@ -571,11 +363,15 @@ mod tests {
                 (20.0, Fault::PartitionStart { site: 1 }),
                 (80.0, Fault::SiteUp { site: 0 }),
                 (500.0, Fault::SiteDown { site: 2 }), // onset past the end: dropped
-                (110.0, Fault::PartitionEnd { site: 1 }), // recovery in the drain: fires
+                (110.0, Fault::PartitionEnd { site: 1 }), // recovery in the drain: kept
             ],
             ..ChaosConfig::default()
         };
-        let (_, faults) = run_probe(cfg, 1);
+        let mut faults = schedule(&cfg, 1);
+        // Timed events keep config order; a stable sort by time is the
+        // order they fire in.
+        assert_eq!(faults[0], (60.0, Fault::SiteDown { site: 0 }));
+        faults.sort_by(|a, b| a.0.total_cmp(&b.0));
         let times: Vec<f64> = faults.iter().map(|(t, _)| *t).collect();
         assert_eq!(times, vec![20.0, 60.0, 80.0, 110.0]);
         assert_eq!(faults[1].1, Fault::SiteDown { site: 0 });
@@ -589,18 +385,16 @@ mod tests {
             site_mttr_secs: 10.0,
             ..ChaosConfig::default()
         };
-        let (_, a) = run_probe(cfg.clone(), 7);
-        let (_, b) = run_probe(cfg, 7);
+        let a = schedule(&cfg, 7);
         assert!(!a.is_empty(), "mtbf 30 over 100s should crash something");
-        assert_eq!(a, b, "same seed must give the same fault schedule");
-        // Per site, the first fault is a SiteDown and states alternate.
+        assert_eq!(a, schedule(&cfg, 7), "same seed, same fault schedule");
+        assert_ne!(a, schedule(&cfg, 8), "the seed drives the schedule");
+        // Per site, the first fault is a SiteDown, states alternate and
+        // time never runs backwards.
         for site in 0..3u32 {
-            let seq: Vec<&Fault> = a
-                .iter()
-                .map(|(_, f)| f)
-                .filter(|f| f.site() == site)
-                .collect();
-            for (i, f) in seq.iter().enumerate() {
+            let seq: Vec<&(f64, Fault)> = a.iter().filter(|(_, f)| f.site() == site).collect();
+            assert!(seq.windows(2).all(|w| w[0].0 <= w[1].0), "site {site}");
+            for (i, (_, f)) in seq.iter().enumerate() {
                 let expect_down = i % 2 == 0;
                 match f {
                     Fault::SiteDown { .. } => assert!(expect_down, "site {site} seq {i}"),
@@ -618,9 +412,10 @@ mod tests {
             burst_size: 4,
             ..ChaosConfig::default()
         };
-        let (_, faults) = run_probe(cfg, 3);
+        let faults = schedule(&cfg, 3);
         assert!(!faults.is_empty());
-        for (_, f) in &faults {
+        for (at, f) in &faults {
+            assert!(*at < 100.0, "burst onset {at} past the end");
             match f {
                 Fault::ContainerBurst { site, count } => {
                     assert!(*site < 3);
@@ -633,34 +428,15 @@ mod tests {
 
     #[test]
     fn noop_chaos_is_transparent() {
-        let plain = run_simulation(
-            EngineConfig {
-                seed: 5,
-                rng_label_prefix: String::new(),
-                duration_secs: 100.0,
-                drain_secs: 20.0,
-                stream_stats: false,
-                parallel_sites: None,
-            },
-            vec![FunctionEntry {
-                name: "probe".into(),
-                slo_deadline: 1.0,
-                process: Box::new(StaticPoisson::until(5.0, SimTime::from_secs(100))),
-            }],
-            Probe {
-                domains: 3,
-                faults: Vec::new(),
-            },
-        );
         let cfg = ChaosConfig::default();
         assert!(cfg.is_noop());
-        let (wrapped, faults) = run_probe(cfg, 5);
-        assert!(faults.is_empty());
-        assert_eq!(plain.0.per_fn[0].arrivals, wrapped.per_fn[0].arrivals);
-        assert_eq!(
-            plain.0.per_fn[0].wait.samples(),
-            wrapped.per_fn[0].wait.samples()
-        );
+        assert!(schedule(&cfg, 5).is_empty());
+        // Any one source makes the config a live one.
+        let timed = ChaosConfig {
+            events: vec![(1.0, Fault::SiteDown { site: 0 })],
+            ..ChaosConfig::default()
+        };
+        assert!(!timed.is_noop());
     }
 
     #[test]

@@ -81,9 +81,13 @@
 //!
 //! # Failure semantics
 //!
-//! The federation implements [`ChaosTarget`], so a
-//! [`ChaosPolicy`](crate::chaos::ChaosPolicy) wrapper can inject
-//! site-level faults:
+//! A federation carries its own fault schedule
+//! ([`Federation::with_chaos`]): the timed and stochastic site-level
+//! faults of one [`ChaosConfig`], materialized by
+//! [`ChaosConfig::build_schedule`]. This driver schedules them as
+//! [`FedEv::Fault`] events after its start-up work; the windowed driver
+//! splits its windows at the same list. Either way a fault lands in
+//! `Federation::inject`:
 //!
 //! * **Site crash** ([`Fault::SiteDown`]): the site leaves the router's
 //!   view immediately. Its queued and in-service requests are orphaned
@@ -108,11 +112,22 @@
 //! Per-site fault accounting (`migrated`, `failed`, `downtime_secs`, …)
 //! is carried in [`SiteReport`]; the engine's aggregate conserves every
 //! arrival as completed, failed (lost), timed out, or still outstanding.
+//!
+//! # Running a federation
+//!
+//! [`run_federation`] is the one entry of both drivers: it reads
+//! [`EngineConfig::parallel_sites`], falls back to this driver when the
+//! topology leaves the windowed one no lookahead, and runs the chosen
+//! driver.
 
-use crate::chaos::{ChaosTarget, ContainerChaos, Fault};
-use crate::engine::{Completion, EngineOutcome, FnStats, PolicyCtx, ReqId, SchedulerPolicy};
+use crate::chaos::{ChaosConfig, ContainerChaos, Fault};
+use crate::engine::{
+    run_simulation, Completion, EngineConfig, EngineOutcome, FnStats, FunctionEntry, PolicyCtx,
+    ReqId, SchedulerPolicy,
+};
 use crate::front::{Cancel, Census, Front, HedgeStep, Migration, SiteWork};
 use crate::metrics::SampleStats;
+use crate::parallel::run_windowed;
 use crate::rng::SimRng;
 use crate::router::{RouterConfig, RouterPolicy};
 use crate::telemetry::{TelemetryConfig, TelemetrySnapshot};
@@ -359,7 +374,8 @@ impl FederationConfig {
 }
 
 /// Events of a federated run: deliveries completing their network hop,
-/// plus the inner schedulers' own events tagged by site.
+/// the inner schedulers' own events tagged by site, and the front end's
+/// timers and faults.
 pub enum FedEv<E> {
     /// A routed request reaches its destination site.
     Deliver {
@@ -424,6 +440,8 @@ pub enum FedEv<E> {
         /// The hedged request.
         rid: ReqId,
     },
+    /// A scheduled fault of the federation's chaos schedule fires.
+    Fault(Fault),
 }
 
 /// The books one site keeps on the requests it holds: the one ledger
@@ -869,6 +887,10 @@ pub struct Federation<P: SchedulerPolicy> {
     /// Retirements recorded by the scoped contexts during the current
     /// callback, settled afterwards.
     retired: Vec<(u64, u32)>,
+    /// The fault schedule's config and seed (see
+    /// [`Federation::with_chaos`]); the default injects nothing.
+    chaos: ChaosConfig,
+    chaos_seed: u64,
 }
 
 impl<P: ContainerChaos> Federation<P> {
@@ -912,6 +934,8 @@ impl<P: ContainerChaos> Federation<P> {
             front: Front::new(metas, router, functions, cfg, seed),
             rebuild: None,
             retired: Vec::new(),
+            chaos: ChaosConfig::default(),
+            chaos_seed: 0,
         })
     }
 
@@ -920,6 +944,38 @@ impl<P: ContainerChaos> Federation<P> {
     pub fn with_rebuild(mut self, rebuild: SiteRebuild<P>) -> Self {
         self.rebuild = Some(rebuild);
         self
+    }
+
+    /// Run under the fault schedule of `chaos`, replacing any set
+    /// before. `seed` feeds the labelled fault streams
+    /// (`chaos:crash:<site>`, `chaos:partition:<site>`, `chaos:burst`):
+    /// pass the engine seed so one scenario seed pins the whole run.
+    /// Faults target sites by index; a timed fault aimed past the last
+    /// site is an error, as is a knob [`ChaosConfig::validate`] rejects.
+    pub fn with_chaos(mut self, chaos: ChaosConfig, seed: u64) -> Result<Self, String> {
+        chaos.validate()?;
+        let sites = self.sites.len();
+        if let Some((at, fault)) = chaos
+            .events
+            .iter()
+            .find(|(_, f)| f.site() as usize >= sites)
+        {
+            return Err(format!(
+                "chaos event at t={at}s targets site {} of a {sites}-site topology",
+                fault.site()
+            ));
+        }
+        self.chaos = chaos;
+        self.chaos_seed = seed;
+        Ok(self)
+    }
+
+    /// The faults this federation injects over a run ending (nominally)
+    /// at `end`, in scheduling order (see [`ChaosConfig::build_schedule`]).
+    /// Both drivers take their faults from here.
+    pub(crate) fn fault_schedule(&self, end: SimTime) -> Vec<(SimTime, Fault)> {
+        self.chaos
+            .build_schedule(self.chaos_seed, self.sites.len(), end)
     }
 
     /// Collect per-site per-function statistics in streaming
@@ -1172,6 +1228,9 @@ impl<P: ContainerChaos> SchedulerPolicy for Federation<P> {
                 ctx.schedule(at, FedEv::Publish { site: i as u32 });
             }
         }
+        for (at, fault) in self.fault_schedule(ctx.end_time()) {
+            ctx.schedule(at, FedEv::Fault(fault));
+        }
     }
 
     fn on_arrival(
@@ -1250,6 +1309,7 @@ impl<P: ContainerChaos> SchedulerPolicy for Federation<P> {
                     policy.apply_desired_fleet(&mut sctx, desired, now);
                 }
             }
+            FedEv::Fault(fault) => self.inject(ctx, fault, now),
         }
         self.settle_retired(ctx, now);
     }
@@ -1273,12 +1333,11 @@ impl<P: ContainerChaos> SchedulerPolicy for Federation<P> {
     }
 }
 
-impl<P: ContainerChaos> ChaosTarget for Federation<P> {
-    fn fault_domains(&self) -> usize {
-        self.sites.len()
-    }
-
-    fn inject(&mut self, ctx: &mut impl PolicyCtx<Self::Event>, fault: Fault, now: SimTime) {
+impl<P: ContainerChaos> Federation<P> {
+    /// Apply one fault at `now`. Redundant transitions (downing a dead
+    /// site, healing an intact link) are ignored, so overlapping timed
+    /// and stochastic schedules compose.
+    fn inject(&mut self, ctx: &mut impl PolicyCtx<FedEv<P::Event>>, fault: Fault, now: SimTime) {
         let i = fault.site() as usize;
         let Some(work) = self.front.fault(fault, now, ctx.end_time()) else {
             return;
@@ -1336,15 +1395,55 @@ impl<P: ContainerChaos> ChaosTarget for Federation<P> {
                 self.tallies[i].chaos_crashes += crashed;
             }
         }
-        self.settle_retired(ctx, now);
     }
+}
+
+/// Run `federation` to completion on the driver `cfg` asks for: the
+/// windowed parallel driver on `cfg.parallel_sites` threads in total,
+/// or the sequential engine when it is `None`. The windowed driver needs
+/// lookahead — at least two sites, every latency positive — so a
+/// topology without it runs sequentially, after one `warning:` line on
+/// stderr. `parallel_sites = Some(0)` is an error.
+pub fn run_federation<P>(
+    cfg: EngineConfig,
+    functions: Vec<FunctionEntry>,
+    federation: Federation<P>,
+) -> Result<FederatedReport<P::Report>, String>
+where
+    P: ContainerChaos + Send,
+    P::Event: Send,
+{
+    let Some(n) = cfg.parallel_sites else {
+        return Ok(run_simulation(cfg, functions, federation));
+    };
+    if n == 0 {
+        return Err("parallel_sites must be >= 1 when set".into());
+    }
+    let fallback = if federation.sites.len() < 2 {
+        Some("single-site topology")
+    } else if federation
+        .front
+        .sites
+        .iter()
+        .any(|s| s.meta.latency == SimDuration::ZERO)
+    {
+        Some("zero-latency site leaves no lookahead")
+    } else {
+        None
+    };
+    Ok(match fallback {
+        Some(why) => {
+            eprintln!("warning: parallel_sites={n} ignored — {why}; running sequentially");
+            run_simulation(cfg, functions, federation)
+        }
+        None => run_windowed(cfg, functions, federation),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::arrivals::StaticPoisson;
-    use crate::chaos::{ChaosConfig, ChaosPolicy};
     use crate::engine::{run_simulation, EngineConfig, FunctionEntry};
     use crate::front::RouterSite;
     use crate::router::RouterKind;
@@ -1508,7 +1607,9 @@ mod tests {
         run_simulation(
             engine_cfg(11),
             probe_entry(8.0),
-            ChaosPolicy::new(make_fed(kind, latencies, 0.3), chaos, 11),
+            make_fed(kind, latencies, 0.3)
+                .with_chaos(chaos, 11)
+                .expect("valid chaos"),
         )
     }
 
@@ -1731,17 +1832,34 @@ mod tests {
         );
     }
 
+    /// A schedule aimed past the last site, or with a knob
+    /// `ChaosConfig::validate` rejects, never reaches a run.
+    #[test]
+    fn with_chaos_rejects_unknown_sites_and_bad_knobs() {
+        let fed = || make_fed(RouterKind::RoundRobin, &[0.001, 0.02], 0.05);
+        let at_site = |site| ChaosConfig {
+            events: vec![(5.0, Fault::PartitionStart { site })],
+            ..ChaosConfig::default()
+        };
+        assert!(fed().with_chaos(at_site(1), 1).is_ok());
+        let err = fed().with_chaos(at_site(2), 1).err().expect("site 2 of 2");
+        assert!(err.contains("site 2 of a 2-site topology"), "{err}");
+        let bad = ChaosConfig {
+            site_mtbf_secs: Some(-1.0),
+            ..ChaosConfig::default()
+        };
+        assert!(fed().with_chaos(bad, 1).is_err());
+    }
+
     #[test]
     fn noop_chaos_reproduces_plain_federated_run() {
         let plain = run_fed(RouterKind::LeastLoaded, &[0.001, 0.02]);
         let wrapped = run_simulation(
             engine_cfg(11),
             probe_entry(8.0),
-            ChaosPolicy::new(
-                make_fed(RouterKind::LeastLoaded, &[0.001, 0.02], 0.05),
-                ChaosConfig::default(),
-                11,
-            ),
+            make_fed(RouterKind::LeastLoaded, &[0.001, 0.02], 0.05)
+                .with_chaos(ChaosConfig::default(), 11)
+                .expect("valid chaos"),
         );
         assert_eq!(
             serde_json::to_string(&plain.aggregate_per_fn).unwrap(),
@@ -1751,7 +1869,7 @@ mod tests {
         assert_eq!(plain.per_site[1].routed, wrapped.per_site[1].routed);
     }
 
-    /// An inert [`PolicyCtx`] for driving [`ChaosTarget::inject`]
+    /// An inert [`PolicyCtx`] for driving `Federation::inject`
     /// directly against a federation with no live requests.
     struct NullCtx {
         end: SimTime,

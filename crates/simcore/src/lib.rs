@@ -16,11 +16,10 @@
 //! Knative-style scaling, …) plug into. [`federation`] stacks a
 //! multi-site meta-policy on that seam — one scheduler instance per
 //! site behind a [`router`]-provided front-end routing policy — for
-//! federated edge↔cloud topologies, and [`chaos`] stacks a
-//! fault-injection meta-policy on top of *that*: site crashes,
-//! router↔site partitions, container-crash bursts, and cross-site
-//! migration of a dead site's orphans, all from labelled deterministic
-//! RNG streams.
+//! federated edge↔cloud topologies. A federation carries its own
+//! [`chaos`] schedule: site crashes, router↔site partitions,
+//! container-crash bursts, and cross-site migration of a dead site's
+//! orphans, all from labelled deterministic RNG streams.
 //!
 //! Nothing in this crate knows about containers or controllers — those live
 //! in `lass-cluster` and `lass-core`.
@@ -48,15 +47,15 @@ pub use arrivals::{
     ScaledShapeTrace, StaticPoisson,
 };
 pub use calendar::Calendar;
-pub use chaos::{ChaosConfig, ChaosEv, ChaosPolicy, ChaosTarget, ContainerChaos, Fault};
+pub use chaos::{ChaosConfig, ContainerChaos, Fault};
 pub use engine::{
     run_simulation, Completion, EngineConfig, EngineCtx, EngineOutcome, FnStats, FunctionEntry,
     PolicyCtx, ReqId, SchedulerPolicy,
 };
 pub use events::{EventQueue, HeapCalendar};
 pub use federation::{
-    FedEv, FedFunction, FederatedReport, Federation, FederationConfig, HedgeConfig, HedgeTrigger,
-    SiteMeta, SiteReport,
+    run_federation, FedEv, FedFunction, FederatedReport, Federation, FederationConfig, HedgeConfig,
+    HedgeTrigger, SiteMeta, SiteReport,
 };
 pub use lass_queueing::{
     EvaluatedForecast, ForecastCache, PredictorConfig, SnapshotCache, WaitForecast, WaitPredictor,

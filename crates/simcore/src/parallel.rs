@@ -59,10 +59,11 @@
 //!    is what makes the report byte-identical for every
 //!    `parallel_sites` value.
 //!
-//! Site-level faults ([`Fault`]) are window split points: the fault
-//! schedule is materialized up front
-//! ([`ChaosConfig::build_schedule`]), each fault instant terminates a
-//! window, and the fault is applied by the main thread between windows.
+//! Site-level faults ([`Fault`]) are window split points: the
+//! federation's fault schedule is materialized up front, from the same
+//! list the sequential driver schedules
+//! ([`Federation::with_chaos`]), each fault instant terminates a window,
+//! and the fault is applied by the main thread between windows.
 //!
 //! # Determinism contract
 //!
@@ -89,8 +90,9 @@
 //! oracle pinned by `tests/parallel_federation.rs`.
 //!
 //! Zero-latency sites would degenerate the lookahead to nothing, so the
-//! executor requires every site latency to be positive; launchers fall
-//! back to the sequential path (with a warning) otherwise.
+//! executor requires every site latency to be positive;
+//! [`run_federation`](crate::federation::run_federation) falls back to
+//! the sequential path (with a warning) otherwise.
 
 use crate::arrivals::ArrivalProcess;
 use crate::chaos::{ChaosConfig, ContainerChaos, Fault};
@@ -971,23 +973,23 @@ impl<P: ContainerChaos> Frontend<P> {
 /// conservative latency-lookahead synchronization. See the module docs
 /// for the execution model and determinism contract.
 ///
-/// `federation` must be freshly built (no prior run);
-/// `chaos`/`chaos_seed` describe the fault schedule the sequential path
-/// would inject through a
-/// [`ChaosPolicy`](crate::chaos::ChaosPolicy) wrapper (pass
-/// `ChaosConfig::default()` for a fault-free run). The thread count
-/// comes from `cfg.parallel_sites` and includes the calling thread
-/// (clamped to the site count; `None` or `Some(1)` runs the windowed
-/// executor on the calling thread alone, which produces the same bytes
-/// as any other thread count).
+/// `federation` must be freshly built (no prior run). It runs under the
+/// fault schedule of `chaos` and `chaos_seed`, which replaces any set by
+/// [`Federation::with_chaos`] (pass `ChaosConfig::default()` for a
+/// fault-free run). The thread count comes from `cfg.parallel_sites`
+/// and includes the calling thread (clamped to the site count; `None`
+/// or `Some(1)` runs the windowed executor on the calling thread alone,
+/// which produces the same bytes as any other thread count). Callers
+/// that pick a driver from `cfg.parallel_sites` go through
+/// [`run_federation`](crate::federation::run_federation), which also
+/// falls back to the sequential driver where this one cannot run.
 ///
 /// # Panics
 ///
-/// Panics if any site latency is zero (the lookahead would be
-/// degenerate — callers are expected to validate and fall back to the
-/// sequential path) or if the duration is not positive. A panic in a
-/// site policy, on whichever thread pumped the site, is passed on to
-/// the caller.
+/// Panics if `chaos` is rejected by [`Federation::with_chaos`], if any
+/// site latency is zero (the lookahead would be degenerate) or if the
+/// duration is not positive. A panic in a site policy, on whichever
+/// thread pumped the site, is passed on to the caller.
 pub fn run_federation_parallel<P>(
     cfg: EngineConfig,
     functions: Vec<FunctionEntry>,
@@ -999,11 +1001,33 @@ where
     P: ContainerChaos + Send,
     P::Event: Send,
 {
+    let federation = federation
+        .with_chaos(chaos, chaos_seed)
+        .expect("invalid ChaosConfig");
+    run_windowed(cfg, functions, federation)
+}
+
+/// The windowed driver over `federation` and the fault schedule it
+/// carries; see [`run_federation_parallel`].
+pub(crate) fn run_windowed<P>(
+    cfg: EngineConfig,
+    functions: Vec<FunctionEntry>,
+    federation: Federation<P>,
+) -> FederatedReport<P::Report>
+where
+    P: ContainerChaos + Send,
+    P::Event: Send,
+{
     assert!(
         cfg.duration_secs > 0.0,
         "simulation needs a positive duration"
     );
-    chaos.validate().expect("invalid ChaosConfig");
+    let end = SimTime::from_secs_f64(cfg.duration_secs);
+    // The fault timeline in the order the sequential driver schedules
+    // it; a stable sort by time turns scheduling order into firing
+    // order.
+    let mut faults = federation.fault_schedule(end);
+    faults.sort_by_key(|&(t, _)| t);
     let Federation {
         sites,
         tallies,
@@ -1024,16 +1048,9 @@ where
          (zero latency degenerates the conservative lookahead); \
          fall back to the sequential path"
     );
-    let end = SimTime::from_secs_f64(cfg.duration_secs);
     let hard_end = end + SimDuration::from_secs_f64(cfg.drain_secs);
     let duration_secs = cfg.duration_secs;
     let threads = cfg.parallel_sites.unwrap_or(1).clamp(1, n_sites);
-
-    // The fault timeline, materialized up front in the same order the
-    // sequential ChaosPolicy schedules it; a stable sort by time turns
-    // scheduling order into firing order.
-    let mut faults = chaos.build_schedule(chaos_seed, n_sites, end);
-    faults.sort_by_key(|&(t, _)| t);
 
     // Each site's scheduler and statistics move into its shard.
     let shards: Vec<Mutex<Shard<P>>> = sites

@@ -34,10 +34,10 @@
 use lass_cluster::FnInterner;
 use lass_functions::{parse_invocations_csv, sample_window, synthesize, TracePattern};
 use lass_simcore::{
-    run_federation_parallel, run_simulation, ArrivalProcess, ChaosConfig, ContainerChaos,
-    EngineConfig, EngineOutcome, FedFunction, FederatedReport, Federation, FederationConfig,
-    FunctionEntry, HedgeConfig, PerMinuteTrace, PolicyCtx, ReqId, RouterKind, ScaledShapeTrace,
-    SchedulerPolicy, SimDuration, SimRng, SimTime, SiteMeta,
+    run_federation, ArrivalProcess, ContainerChaos, EngineConfig, EngineOutcome, FedFunction,
+    FederatedReport, Federation, FederationConfig, FunctionEntry, HedgeConfig, PerMinuteTrace,
+    PolicyCtx, ReqId, RouterKind, ScaledShapeTrace, SchedulerPolicy, SimDuration, SimRng, SimTime,
+    SiteMeta,
 };
 use serde::Serialize;
 use std::collections::VecDeque;
@@ -471,23 +471,6 @@ pub fn run_replay(cfg: &ReplayConfig) -> Result<ReplaySummary, String> {
         // pools pay a small inbound hop (more calendar traffic).
         None => SimDuration::from_millis(2 * i as u64),
     };
-    // Parallel execution needs conservative lookahead: at least two
-    // sites, every inbound hop strictly positive.
-    let threads = match cfg.parallel {
-        Some(0) => return Err("parallel must be >= 1 when set".into()),
-        Some(n) if cfg.sites < 2 => {
-            eprintln!("warning: parallel={n} ignored — single-site replay runs sequentially");
-            None
-        }
-        Some(n) if (0..cfg.sites).any(|i| site_latency(i).0 == 0) => {
-            eprintln!(
-                "warning: parallel={n} ignored — zero-latency site leaves no lookahead \
-                 (set --site-latency-ms > 0); running sequentially"
-            );
-            None
-        }
-        other => other,
-    };
     let sites: Vec<(SiteMeta, CapacityPolicy)> = (0..cfg.sites)
         .map(|i| {
             (
@@ -518,19 +501,11 @@ pub fn run_replay(cfg: &ReplayConfig) -> Result<ReplaySummary, String> {
         duration_secs: cfg.minutes as f64 * 60.0,
         drain_secs: 120.0,
         stream_stats: true,
-        parallel_sites: threads,
+        parallel_sites: cfg.parallel,
     };
     let wall_start = std::time::Instant::now();
-    let mut report: FederatedReport<CapacityReport> = match threads {
-        Some(_) => run_federation_parallel(
-            engine_cfg,
-            workload.entries,
-            federation,
-            ChaosConfig::default(),
-            cfg.seed,
-        ),
-        None => run_simulation(engine_cfg, workload.entries, federation),
-    };
+    let mut report: FederatedReport<CapacityReport> =
+        run_federation(engine_cfg, workload.entries, federation)?;
     let wall_secs = wall_start.elapsed().as_secs_f64();
 
     // Aggregate the engine's cross-site per-function statistics.

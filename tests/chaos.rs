@@ -7,10 +7,11 @@
 //!   identical FNV-64 hashes across repeated runs: every fault is drawn
 //!   from labelled deterministic RNG streams, so a chaos run is exactly
 //!   as reproducible as a fault-free one.
-//! * **No-chaos transparency** — a `ChaosPolicy` wrapper with an empty
-//!   schedule reproduces the plain runs byte-for-byte (same pattern as
-//!   `tests/federation.rs`); together with `golden_parity.rs` this pins
-//!   the chaos code path to the pre-refactor goldens transitively.
+//! * **No-chaos transparency** — a federation armed with an empty
+//!   chaos schedule reproduces the plain runs byte-for-byte (same
+//!   pattern as `tests/federation.rs`); together with `golden_parity.rs`
+//!   this pins the chaos code path to the pre-refactor goldens
+//!   transitively.
 //! * **Conservation invariants** (property tests) — under random fault
 //!   schedules every arrival is exactly one of completed, failed
 //!   (lost), timed out, or still outstanding; cross-site migration is
@@ -138,12 +139,12 @@ fn testbed_setup(rate: f64, duration: f64, initial: u32) -> FunctionSetup {
     setup
 }
 
-/// A `ChaosPolicy` wrapper with an empty schedule reproduces the plain
-/// single-cluster run byte-for-byte — the explicit no-chaos parity pin
-/// (every federated run goes through the wrapper, so this also guards
-/// the production path).
+/// A federation armed with an empty chaos schedule
+/// (`Federation::with_chaos`, which every federated run goes through)
+/// reproduces the plain single-cluster run byte-for-byte — the explicit
+/// no-chaos parity pin of the production path.
 #[test]
-fn no_chaos_wrapper_reproduces_plain_run_byte_for_byte() {
+fn empty_chaos_schedule_reproduces_plain_run_byte_for_byte() {
     let plain: SimReport = {
         let mut sim = Simulation::new(LassConfig::default(), Cluster::paper_testbed(), 42);
         sim.add_function(testbed_setup(20.0, 120.0, 1));
@@ -163,7 +164,7 @@ fn no_chaos_wrapper_reproduces_plain_run_byte_for_byte() {
     assert_eq!(
         serde_json::to_string(&fed.per_site[0].report).unwrap(),
         serde_json::to_string(&plain).unwrap(),
-        "no-chaos wrapper drifted from the plain run"
+        "an empty chaos schedule drifted from the plain run"
     );
     assert_eq!(fed.per_site[0].migrated, 0);
     assert_eq!(fed.per_site[0].downtime_secs, 0.0);

@@ -19,10 +19,10 @@
 //!   never read it.
 
 use lass::simcore::{
-    run_federation_parallel, run_simulation, ChaosConfig, ChaosPolicy, ContainerChaos,
-    EngineConfig, EngineOutcome, Fault, FedFunction, FederatedReport, Federation, FederationConfig,
-    FnStats, FunctionEntry, HedgeConfig, HedgeTrigger, PolicyCtx, ReqId, RouterKind, RouterPolicy,
-    SchedulerPolicy, SimDuration, SimTime, SiteMeta, SiteState, StaticPoisson,
+    run_federation, ChaosConfig, ContainerChaos, EngineConfig, EngineOutcome, Fault, FedFunction,
+    FederatedReport, Federation, FederationConfig, FnStats, FunctionEntry, HedgeConfig,
+    HedgeTrigger, PolicyCtx, ReqId, RouterKind, RouterPolicy, SchedulerPolicy, SimDuration,
+    SimTime, SiteMeta, SiteState, StaticPoisson,
 };
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -181,10 +181,8 @@ fn run(fed: Federation<Pool>, threads: Option<usize>) -> FederatedReport<Vec<FnS
         parallel_sites: threads,
         ..EngineConfig::default()
     };
-    match threads {
-        None => run_simulation(cfg, entries(), ChaosPolicy::new(fed, outage(), SEED)),
-        Some(_) => run_federation_parallel(cfg, entries(), fed, outage(), SEED),
-    }
+    let fed = fed.with_chaos(outage(), SEED).expect("valid chaos");
+    run_federation(cfg, entries(), fed).expect("runs")
 }
 
 fn report_json(rep: &FederatedReport<Vec<FnStats>>) -> String {

@@ -20,10 +20,10 @@
 //!   identically on every sampled case.
 
 use lass::simcore::{
-    run_federation_parallel, run_simulation, ArrivalProcess, ChaosConfig, ChaosPolicy,
-    ContainerChaos, EngineConfig, EngineOutcome, Fault, FedFunction, FederatedReport, Federation,
-    FederationConfig, FnStats, FunctionEntry, HedgeConfig, PolicyCtx, ReqId, RouterKind,
-    SchedulerPolicy, SimDuration, SimRng, SimTime, SiteMeta, StaticPoisson,
+    run_federation_parallel, run_simulation, ArrivalProcess, ChaosConfig, ContainerChaos,
+    EngineConfig, EngineOutcome, Fault, FedFunction, FederatedReport, Federation, FederationConfig,
+    FnStats, FunctionEntry, HedgeConfig, PolicyCtx, ReqId, RouterKind, SchedulerPolicy,
+    SimDuration, SimRng, SimTime, SiteMeta, StaticPoisson,
 };
 use proptest::prelude::*;
 use std::collections::VecDeque;
@@ -302,11 +302,9 @@ fn parallel_matches_sequential_exactly_under_chaos() {
     let seq = run_simulation(
         engine_cfg(11, None),
         probe_entry(8.0),
-        ChaosPolicy::new(
-            fixed_fed(RouterKind::RoundRobin, &LATS, 0.3),
-            chaos.clone(),
-            11,
-        ),
+        fixed_fed(RouterKind::RoundRobin, &LATS, 0.3)
+            .with_chaos(chaos.clone(), 11)
+            .expect("valid chaos"),
     );
     let par = run_federation_parallel(
         engine_cfg(11, Some(4)),

@@ -4,9 +4,9 @@
 //! run reports exactly what a recording run reports.
 
 use lass::simcore::{
-    run_federation_parallel, run_simulation, ChaosConfig, ChaosPolicy, ContainerChaos,
-    EngineConfig, EngineOutcome, Fault, FedFunction, FederatedReport, Federation, FunctionEntry,
-    PolicyCtx, ReqId, RouterKind, SchedulerPolicy, SimDuration, SimTime, SiteMeta, StaticPoisson,
+    run_federation, ChaosConfig, ContainerChaos, EngineConfig, EngineOutcome, Fault, FedFunction,
+    FederatedReport, Federation, FunctionEntry, PolicyCtx, ReqId, RouterKind, SchedulerPolicy,
+    SimDuration, SimTime, SiteMeta, StaticPoisson,
 };
 use serde::{Serialize, Value};
 use std::collections::VecDeque;
@@ -161,11 +161,10 @@ fn run<const READS: bool>(threads: Option<usize>, streaming: bool) -> FederatedR
         stream_stats: streaming,
         ..EngineConfig::default()
     };
-    let fed = federation::<READS>(streaming);
-    match threads {
-        None => run_simulation(cfg, entries(), ChaosPolicy::new(fed, chaos(), 7)),
-        Some(_) => run_federation_parallel(cfg, entries(), fed, chaos(), 7),
-    }
+    let fed = federation::<READS>(streaming)
+        .with_chaos(chaos(), 7)
+        .expect("valid chaos");
+    run_federation(cfg, entries(), fed).expect("runs")
 }
 
 #[test]
