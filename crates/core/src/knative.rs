@@ -30,8 +30,9 @@
 //!   termination), and scale-from-zero is handled by an activator-style
 //!   inline cold start on the first arrival.
 //!
-//! Requests never time out here: unlike LaSS, this policy does not read
-//! [`LassConfig::request_timeout_secs`].
+//! As under LaSS, a request queued longer than
+//! [`LassConfig::request_timeout_secs`] is abandoned when a container
+//! would start it (the [`ClusterSite`] core applies the limit).
 
 use crate::config::{LassConfig, ScalerKind};
 use crate::simulation::{FunctionSetup, SimReport};
@@ -58,7 +59,7 @@ impl KnativePolicy {
             ScalerKind::ModelDriven => 1.0,
         };
         Self {
-            site: ClusterSite::new(cluster, setups, 0),
+            site: ClusterSite::new(cluster, setups, 0, cfg.request_timeout_secs),
             cfg,
             target,
             ewma_rate: vec![None; setups.len()],
@@ -98,7 +99,7 @@ impl KnativePolicy {
             }
         }
         if let Some((_, cid)) = best {
-            site.enqueue(ctx, cid, rid, now, None);
+            site.enqueue(ctx, cid, rid, now);
             return;
         }
         match site.boot(ctx, f, now) {
@@ -176,9 +177,9 @@ impl KnativePolicy {
 
     pub(crate) fn on_event(&mut self, ctx: &mut impl PolicyCtx<Ev>, ev: Ev, now: SimTime) {
         match ev {
-            Ev::Ready(cid) => self.site.ready(ctx, cid, now, None),
+            Ev::Ready(cid) => self.site.ready(ctx, cid, now),
             Ev::Complete { cid, seq } => {
-                self.site.complete(ctx, cid, seq, now, None);
+                self.site.complete(ctx, cid, seq, now);
             }
             Ev::Monitor => {
                 self.on_scale(ctx, now);
@@ -287,6 +288,30 @@ mod tests {
         let b = run_knative(15.0, 60.0, 1.0, 1);
         assert_eq!(a.per_fn[&0].arrivals, b.per_fn[&0].arrivals);
         assert_eq!(a.per_fn[&0].wait.samples(), b.per_fn[&0].wait.samples());
+    }
+
+    #[test]
+    fn site_at_capacity_abandons_requests_queued_past_the_timeout() {
+        // At most 2 containers serving 20 req/s against 30 req/s: the
+        // scaler is at its cap, and from about t = 120 s a queued
+        // request has waited longer than the config's 60 s limit.
+        let mut cfg = LassConfig::default();
+        cfg.max_containers_per_fn = 2;
+        let mut sim = Simulation::new(cfg, Cluster::paper_testbed(), 42);
+        sim.set_policy(SitePolicyKind::Knative);
+        sim.add_function(FunctionSetup::new(
+            micro_benchmark(0.1),
+            0.1,
+            WorkloadSpec::Static {
+                rate: 30.0,
+                duration: 240.0,
+            },
+        ));
+        let report = sim.run(Some(240.0));
+        let f = &report.per_fn[&0];
+        assert!(f.timeouts > 100, "timeouts={}", f.timeouts);
+        let longest = f.wait.max().expect("requests waited");
+        assert!(longest <= 61.0, "a request waited {longest} s");
     }
 
     #[test]

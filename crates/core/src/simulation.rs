@@ -250,7 +250,7 @@ impl LassPolicy {
             debug_assert_eq!(fn_id, FnId(i as u32));
         }
         Self {
-            site: ClusterSite::new(cluster, setups, 0),
+            site: ClusterSite::new(cluster, setups, 0, cfg.request_timeout_secs),
             controller: LassController::new(cfg.clone(), registry),
             cfg,
             wrr: setups.iter().map(|_| SmoothWrr::new()).collect(),
@@ -325,10 +325,7 @@ impl LassPolicy {
             }
         };
         match chosen {
-            Some(cid) => {
-                let timeout = self.cfg.request_timeout_secs;
-                self.site.enqueue(ctx, cid, rid, now, timeout);
-            }
+            Some(cid) => self.site.enqueue(ctx, cid, rid, now),
             None => self.site.pending[f.0 as usize].push_back(rid),
         }
     }
@@ -383,13 +380,10 @@ impl LassPolicy {
     }
 
     pub(crate) fn on_event(&mut self, ctx: &mut impl PolicyCtx<Ev>, ev: Ev, now: SimTime) {
-        let timeout = self.cfg.request_timeout_secs;
         let (period, next) = match ev {
-            Ev::Ready(cid) => return self.site.ready(ctx, cid, now, timeout),
+            Ev::Ready(cid) => return self.site.ready(ctx, cid, now),
             Ev::Complete { cid, seq } => {
-                if let Some((f, deflation, service)) =
-                    self.site.complete(ctx, cid, seq, now, timeout)
-                {
+                if let Some((f, deflation, service)) = self.site.complete(ctx, cid, seq, now) {
                     self.controller.record_service(f, deflation, service);
                 }
                 return;

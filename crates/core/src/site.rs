@@ -93,6 +93,9 @@ pub(crate) struct ClusterSite {
     /// Chaos brown-out: a multiplicative service-speed factor (1.0 =
     /// nominal; 0.5 = every service draw takes twice as long).
     service_scale: f64,
+    /// The platform's hard limit on queueing, seconds (§2.1): a request
+    /// queued longer is abandoned when a container would start it.
+    timeout: Option<f64>,
     util_gauge: TimeWeightedGauge,
     busy_cpu_seconds: f64,
     pub(crate) epochs: usize,
@@ -106,8 +109,14 @@ pub(crate) struct ClusterSite {
 impl ClusterSite {
     /// Provision each function's `initial_containers` (at least
     /// `min_per_fn`) warm at `t = 0`, in function order. A container
-    /// the cluster cannot host is skipped.
-    pub(crate) fn new(mut cluster: Cluster, setups: &[FunctionSetup], min_per_fn: u32) -> Self {
+    /// the cluster cannot host is skipped. `timeout` is the config's
+    /// `request_timeout_secs`.
+    pub(crate) fn new(
+        mut cluster: Cluster,
+        setups: &[FunctionSetup],
+        min_per_fn: u32,
+        timeout: Option<f64>,
+    ) -> Self {
         for (i, s) in setups.iter().enumerate() {
             for _ in 0..s.initial_containers.max(min_per_fn) {
                 if let Ok(cid) = cluster.create_container_vec(
@@ -126,6 +135,7 @@ impl ClusterSite {
             specs: setups.iter().map(|s| s.spec.clone()).collect(),
             pending: vec![VecDeque::new(); setups.len()],
             service_scale: 1.0,
+            timeout,
             util_gauge: TimeWeightedGauge::new(SimTime::ZERO, 0.0),
             busy_cpu_seconds: 0.0,
             epochs: 0,
@@ -181,25 +191,23 @@ impl ClusterSite {
         cid: ContainerId,
         rid: RequestId,
         now: SimTime,
-        timeout: Option<f64>,
     ) {
         self.cluster
             .container_mut(cid)
             .expect("live container")
             .enqueue(rid);
-        self.try_start(ctx, cid, now, timeout);
+        self.try_start(ctx, cid, now);
     }
 
     /// Begin service on `cid` if it is idle with queued work: draw the
     /// service time, divide it by the brown-out factor and schedule the
-    /// completion. A request queued longer than `timeout` seconds (the
-    /// platform's hard limit, §2.1) is abandoned at dequeue instead.
+    /// completion. A request queued longer than the timeout is
+    /// abandoned at dequeue instead.
     pub(crate) fn try_start(
         &mut self,
         ctx: &mut impl PolicyCtx<Ev>,
         cid: ContainerId,
         now: SimTime,
-        timeout: Option<f64>,
     ) {
         let (fn_id, deflation, seq) = loop {
             let Some(c) = self.cluster.container(cid) else {
@@ -210,7 +218,7 @@ impl ClusterSite {
             let Some((rid, seq)) = self.cluster.begin_service(cid, now) else {
                 return;
             };
-            let expired = timeout.is_some_and(|limit| {
+            let expired = self.timeout.is_some_and(|limit| {
                 ctx.request_info(ReqId(rid.0))
                     .is_some_and(|(_, arrival)| now.saturating_since(arrival).as_secs_f64() > limit)
             });
@@ -241,9 +249,8 @@ impl ClusterSite {
         cid: ContainerId,
         f: FnId,
         now: SimTime,
-        timeout: Option<f64>,
     ) {
-        self.try_start(ctx, cid, now, timeout);
+        self.try_start(ctx, cid, now);
         loop {
             if !self.cluster.container(cid).is_some_and(|c| c.is_idle()) {
                 return;
@@ -251,23 +258,17 @@ impl ClusterSite {
             let Some(rid) = self.pending[f.0 as usize].pop_front() else {
                 return;
             };
-            self.enqueue(ctx, cid, rid, now, timeout);
+            self.enqueue(ctx, cid, rid, now);
         }
     }
 
     /// A container finished booting: mark it ready and feed it.
-    pub(crate) fn ready(
-        &mut self,
-        ctx: &mut impl PolicyCtx<Ev>,
-        cid: ContainerId,
-        now: SimTime,
-        timeout: Option<f64>,
-    ) {
+    pub(crate) fn ready(&mut self, ctx: &mut impl PolicyCtx<Ev>, cid: ContainerId, now: SimTime) {
         if !self.cluster.mark_container_ready(cid) {
             return; // terminated while starting, or a stale event
         }
         let f = self.cluster.container(cid).expect("just marked").fn_id();
-        self.feed(ctx, cid, f, now, timeout);
+        self.feed(ctx, cid, f, now);
     }
 
     /// Service number `seq` on `cid` ended: finish it, report it to the
@@ -283,7 +284,6 @@ impl ClusterSite {
         cid: ContainerId,
         seq: u64,
         now: SimTime,
-        timeout: Option<f64>,
     ) -> Option<(FnId, f64, f64)> {
         let (rid, started) = self.cluster.finish_service(cid, seq, now)?;
         let c = self.cluster.container(cid).expect("live container");
@@ -292,7 +292,7 @@ impl ClusterSite {
             self.busy_cpu_seconds += done.service * cpu_cores;
             (f, deflation, done.service)
         });
-        self.feed(ctx, cid, f, now, timeout);
+        self.feed(ctx, cid, f, now);
         served
     }
 
@@ -488,7 +488,9 @@ impl SitePolicy {
                 setups,
                 crash_label,
             ))),
-            SitePolicyKind::StaticRr => SitePolicy::StaticRr(StaticRrPolicy::new(cluster, setups)),
+            SitePolicyKind::StaticRr => {
+                SitePolicy::StaticRr(StaticRrPolicy::new(cfg, cluster, setups))
+            }
             SitePolicyKind::Knative => {
                 SitePolicy::Knative(KnativePolicy::new(cfg.clone(), cluster, setups))
             }

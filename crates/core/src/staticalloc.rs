@@ -3,16 +3,18 @@
 //!
 //! Each function gets a fixed pool of warm containers at `t = 0` (its
 //! `initial_containers`, minimum one) and requests are dealt to the
-//! pool's containers in strict rotation. No autoscaling, no monitors,
-//! no reclamation, and no request timeout: the policy is the
-//! "provisioned-for-peak" baseline of capacity experiments, and shares
-//! nothing with the LaSS controller but the [`ClusterSite`] core.
+//! pool's containers in strict rotation. No autoscaling, no monitors
+//! and no reclamation: the policy is the "provisioned-for-peak"
+//! baseline of capacity experiments, and shares nothing with the LaSS
+//! controller but the [`ClusterSite`] core (and with it the config's
+//! request timeout).
 //!
 //! A pool is the cluster's own list of the function's live containers,
 //! in creation order: the policy never creates a container after
 //! `t = 0`, so chaos crashes shrink the pool for good, as a
 //! no-autoscaler baseline honestly would.
 
+use crate::config::LassConfig;
 use crate::simulation::{FunctionSetup, SimReport};
 use crate::site::{ClusterSite, Ev};
 use lass_cluster::{Cluster, FnId, RequestId};
@@ -28,9 +30,9 @@ pub(crate) struct StaticRrPolicy {
 impl StaticRrPolicy {
     /// Provision each function's fixed warm pool (minimum one container)
     /// on `cluster` at `t = 0` and build the policy.
-    pub(crate) fn new(cluster: Cluster, setups: &[FunctionSetup]) -> Self {
+    pub(crate) fn new(cfg: &LassConfig, cluster: Cluster, setups: &[FunctionSetup]) -> Self {
         Self {
-            site: ClusterSite::new(cluster, setups, 1),
+            site: ClusterSite::new(cluster, setups, 1, cfg.request_timeout_secs),
             cursors: vec![0; setups.len()],
         }
     }
@@ -65,7 +67,7 @@ impl StaticRrPolicy {
         let cursor = &mut cursors[f.0 as usize];
         let cid = pool[*cursor % n];
         *cursor = (*cursor + 1) % n;
-        site.enqueue(ctx, cid, rid, now, None);
+        site.enqueue(ctx, cid, rid, now);
     }
 
     pub(crate) fn on_start(&mut self, _ctx: &mut impl PolicyCtx<Ev>) {}
@@ -74,7 +76,7 @@ impl StaticRrPolicy {
         let Ev::Complete { cid, seq } = ev else {
             unreachable!("static pools schedule completions only")
         };
-        self.site.complete(ctx, cid, seq, now, None);
+        self.site.complete(ctx, cid, seq, now);
     }
 
     /// Chaos burst: crash the lowest-id containers (the pools are
@@ -106,7 +108,7 @@ impl StaticRrPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{LassConfig, Simulation, SitePolicyKind};
+    use crate::{Simulation, SitePolicyKind};
     use lass_functions::{micro_benchmark, WorkloadSpec};
 
     fn static_sim(seed: u64) -> Simulation {
@@ -153,6 +155,19 @@ mod tests {
             "attainment={}",
             f.slo_attainment()
         );
+    }
+
+    #[test]
+    fn overloaded_pool_abandons_requests_queued_past_the_timeout() {
+        // 30 req/s into 2 containers serving 20 req/s: the backlog grows
+        // by 10 req/s, so from about t = 120 s a request has queued
+        // longer than the config's 60 s limit when a container frees up.
+        let report = run_static(30.0, 2, 240.0);
+        let f = &report.per_fn[&0];
+        assert_eq!(LassConfig::default().request_timeout_secs, Some(60.0));
+        assert!(f.timeouts > 100, "timeouts={}", f.timeouts);
+        let longest = f.wait.max().expect("requests waited");
+        assert!(longest <= 61.0, "a request waited {longest} s");
     }
 
     #[test]
