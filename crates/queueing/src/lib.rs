@@ -57,8 +57,7 @@ pub use hetero::{
 };
 pub use mmc::{ErlangScratch, MmcQueue, MmcSnapshot, QueueError};
 pub use predictor::{
-    EvaluatedForecast, ForecastCache, HealthEwma, PredictorConfig, SnapshotCache, WaitForecast,
-    WaitPredictor,
+    EvaluatedForecast, ForecastCache, HealthEwma, PredictorConfig, WaitForecast, WaitPredictor,
 };
 pub use quantile::{percentile_of_sorted, ExactPercentiles, LatencySketch};
 pub use solver::{

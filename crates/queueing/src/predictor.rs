@@ -144,12 +144,6 @@ pub struct WaitPredictor {
     win_count: u64,
     lambda: Ewma,
     service: Ewma,
-    /// Bumped whenever the λ EWMA folds in a tick — the λ̂ estimate can
-    /// only change when this does.
-    lambda_epoch: u64,
-    /// Bumped whenever a service-time observation is accepted — the μ̂
-    /// estimate can only change when this does.
-    mu_epoch: u64,
 }
 
 impl Default for WaitPredictor {
@@ -168,8 +162,6 @@ impl WaitPredictor {
             win_count: 0,
             lambda: Ewma::new(cfg.lambda_alpha),
             service: Ewma::new(cfg.service_alpha),
-            lambda_epoch: 0,
-            mu_epoch: 0,
         }
     }
 
@@ -188,7 +180,6 @@ impl WaitPredictor {
             // Close the tick holding the buffered arrivals.
             self.lambda
                 .observe(self.win_count as f64 / self.cfg.tick_secs);
-            self.lambda_epoch += 1;
             self.win_count = 0;
             start += self.cfg.tick_secs;
             // Every further elapsed tick saw zero arrivals. Fold long
@@ -199,12 +190,10 @@ impl WaitPredictor {
             if gap >= GAP_FOLD_TICKS as f64 {
                 let n = (gap as u64).saturating_sub(1);
                 self.lambda.fold_constant(0.0, n);
-                self.lambda_epoch += 1;
                 start += self.cfg.tick_secs * n as f64;
             }
             while now - start >= self.cfg.tick_secs {
                 self.lambda.observe(0.0);
-                self.lambda_epoch += 1;
                 start += self.cfg.tick_secs;
             }
         }
@@ -221,16 +210,7 @@ impl WaitPredictor {
     pub fn on_service(&mut self, service_secs: f64) {
         if service_secs.is_finite() && service_secs > 0.0 {
             self.service.observe(service_secs);
-            self.mu_epoch += 1;
         }
-    }
-
-    /// The predictor's `(λ̂ epoch, μ̂ epoch)` — monotone counters that
-    /// advance exactly when the respective estimate may have changed.
-    /// [`ForecastCache`] keys on them (plus the server count) to skip
-    /// re-evaluating the M/M/c model between ticks.
-    pub fn epochs(&self) -> (u64, u64) {
-        (self.lambda_epoch, self.mu_epoch)
     }
 
     /// Build the forecast as of `now`, assuming the site currently holds
@@ -337,25 +317,22 @@ impl From<WaitForecast> for EvaluatedForecast {
     }
 }
 
-/// Per-site forecast cache keyed by `(λ̂ epoch, μ̂ epoch, c)`.
+/// Value-keyed M/M/c evaluation cache.
 ///
-/// Under oracle routing the federation refreshes every site's forecast
-/// at every decision whose router reads it, but the underlying
-/// estimates only move when the predictor closes an arrival tick,
-/// accepts a service observation, or the site's server count changes.
-/// The cache compares the predictor's [`epochs`](WaitPredictor::epochs)
-/// (after advancing it to `now`) and the server count against the key
-/// of the last evaluation and returns the retained [`EvaluatedForecast`]
-/// on a hit. A hit is O(1); a miss re-runs the O(c) Erlang-C
-/// evaluation. Every accepted service observation bumps the μ̂ epoch,
-/// so a site completing requests between decisions misses almost every
-/// time — the cache pays off only on quiet sites. Evaluations reuse one
-/// [`ErlangScratch`], so even misses allocate nothing once the buffers
-/// have grown to the fleet size.
+/// Keyed on the forecast's *value* (`λ̂` bits, `μ̂` bits, server count):
+/// consecutive forecasts of a quiet site — a live predictor's between
+/// ticks, or the snapshots a site keeps publishing — carry identical
+/// estimates and hit without re-running the Erlang-C recurrence, while
+/// any change in the triple re-evaluates through the retained scratch
+/// buffers, allocation-free once they have grown to the fleet size. A
+/// hit is O(1); a miss is O(c). The key is the value itself, so the
+/// cache needs no reset when a rebuilt predictor or another site's
+/// snapshot feeds it. Every accepted service observation moves μ̂, so
+/// a site completing requests between lookups misses almost every time.
 #[derive(Debug, Clone, Default)]
 pub struct ForecastCache {
     scratch: ErlangScratch,
-    /// `(λ̂ epoch, μ̂ epoch, servers)` of the retained evaluation.
+    /// `(λ̂ bits, μ̂ bits, servers)` of the retained evaluation.
     key: Option<(u64, u64, u32)>,
     cached: EvaluatedForecast,
 }
@@ -366,56 +343,8 @@ impl ForecastCache {
         Self::default()
     }
 
-    /// The site's forecast as of `now` with `servers` servers,
-    /// re-evaluated only if the predictor advanced or the server count
-    /// changed since the last call.
-    pub fn refresh(
-        &mut self,
-        predictor: &mut WaitPredictor,
-        now: f64,
-        servers: u32,
-    ) -> EvaluatedForecast {
-        predictor.advance(now);
-        let (le, me) = predictor.epochs();
-        let key = (le, me, servers);
-        if self.key != Some(key) {
-            let raw = predictor.forecast(now, servers);
-            self.cached = EvaluatedForecast::evaluate(&mut self.scratch, raw);
-            self.key = Some(key);
-        }
-        self.cached
-    }
-}
-
-/// Value-keyed evaluation cache for *snapshotted* forecasts.
-///
-/// A [`ForecastCache`] keys on the live predictor's epoch counters, so
-/// it only works next to the predictor that produced the forecast. A
-/// telemetry snapshot travels away from its predictor (site → router,
-/// over the network model), and after a site rebuild the replacement
-/// predictor's epochs restart at zero — epoch keys would collide across
-/// incarnations. This cache instead keys on the forecast's *value*
-/// (`λ̂` bits, `μ̂` bits, server count): consecutive snapshots of a
-/// quiet site carry identical estimates and hit without re-running the
-/// Erlang-C recurrence, while any change in the reported triple — from
-/// whichever predictor incarnation — re-evaluates through the retained
-/// scratch buffers, allocation-free once they have grown to fleet size.
-#[derive(Debug, Clone, Default)]
-pub struct SnapshotCache {
-    scratch: ErlangScratch,
-    /// `(λ̂ bits, μ̂ bits, servers)` of the retained evaluation.
-    key: Option<(u64, u64, u32)>,
-    cached: EvaluatedForecast,
-}
-
-impl SnapshotCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Evaluate `raw` through the cache: a key compare and a copy when
-    /// the reported triple is unchanged since the last call, a full
+    /// the triple is unchanged since the last call, a full
     /// [`EvaluatedForecast::evaluate`] otherwise. Bit-identical to the
     /// uncached path either way.
     pub fn evaluate(&mut self, raw: WaitForecast) -> EvaluatedForecast {
@@ -663,28 +592,8 @@ mod tests {
         assert!(h.value() > 0.99, "saturated score {}", h.value());
     }
 
-    #[test]
-    fn epochs_move_exactly_with_the_estimates() {
-        let mut p = WaitPredictor::default();
-        assert_eq!(p.epochs(), (0, 0));
-        p.on_arrival(0.1); // first observation only opens the window
-        assert_eq!(p.epochs(), (0, 0));
-        p.on_arrival(0.2); // same tick: no fold
-        assert_eq!(p.epochs(), (0, 0));
-        let _ = p.forecast(1.5, 2); // closes tick [0.1, 1.1)
-        assert_eq!(p.epochs(), (1, 0));
-        let _ = p.forecast(1.6, 2); // same tick: cacheable
-        assert_eq!(p.epochs(), (1, 0));
-        p.on_service(0.2);
-        assert_eq!(p.epochs(), (1, 1));
-        p.on_service(f64::NAN); // rejected: estimate unchanged
-        p.on_service(-1.0);
-        assert_eq!(p.epochs(), (1, 1));
-    }
-
     /// The cache returns bit-identical forecasts to the uncached
-    /// WaitForecast + MmcQueue path across a telemetry stream, while
-    /// only re-evaluating when an epoch or the server count moves.
+    /// WaitForecast + MmcQueue path across a telemetry stream.
     #[test]
     fn forecast_cache_is_bit_identical_to_uncached_path() {
         let mut pred = WaitPredictor::default();
@@ -699,7 +608,7 @@ mod tests {
                 pred.on_service(0.05 + f64::from(step % 11) * 0.01);
             }
             let servers = 1 + (step % 4) as u32;
-            let cached = cache.refresh(&mut pred, t, servers);
+            let cached = cache.evaluate(pred.forecast(t, servers));
             let raw = pred.forecast(t, servers);
             assert_eq!(cached.lambda().to_bits(), raw.lambda.to_bits());
             assert_eq!(cached.mu().to_bits(), raw.mu.to_bits());
@@ -727,29 +636,28 @@ mod tests {
             pred.on_arrival(f64::from(i) * 0.05);
         }
         pred.on_service(0.1);
-        let a = cache.refresh(&mut pred, 2.0, 3);
+        let a = cache.evaluate(pred.forecast(2.0, 3));
         let key_after_first = cache.key;
         // Queries inside the same tick with the same server count must
         // not re-evaluate (the key is unchanged)…
-        let b = cache.refresh(&mut pred, 2.4, 3);
+        let b = cache.evaluate(pred.forecast(2.4, 3));
         assert_eq!(cache.key, key_after_first);
         assert_eq!(a.mean_wait().to_bits(), b.mean_wait().to_bits());
-        // …while a server-count change or a closed tick invalidates.
-        let _ = cache.refresh(&mut pred, 2.4, 4);
+        // …while a server-count change or a closed (idle) tick, which
+        // moves λ̂, re-evaluates.
+        let _ = cache.evaluate(pred.forecast(2.4, 4));
         assert_ne!(cache.key, key_after_first);
         let key_after_resize = cache.key;
-        let _ = cache.refresh(&mut pred, 3.4, 4); // next tick closed
+        let _ = cache.evaluate(pred.forecast(3.4, 4)); // next tick closed
         assert_ne!(cache.key, key_after_resize);
     }
 
-    /// The value-keyed snapshot cache is bit-identical to the uncached
-    /// evaluation, hits on repeated triples, and — unlike the
-    /// epoch-keyed [`ForecastCache`] — distinguishes forecasts from
-    /// different predictor incarnations by value rather than colliding
-    /// on restarted epoch counters.
+    /// The cache keys on the forecast's value, so a forecast from any
+    /// predictor — a snapshot's, or a rebuilt site's fresh one — hits
+    /// on a repeated triple and re-evaluates on a changed one.
     #[test]
-    fn snapshot_cache_is_bit_identical_and_value_keyed() {
-        let mut cache = SnapshotCache::new();
+    fn forecast_cache_is_value_keyed_across_predictors() {
+        let mut cache = ForecastCache::new();
         let mut pred = WaitPredictor::default();
         for i in 0..60 {
             pred.on_arrival(f64::from(i) * 0.04);
@@ -764,8 +672,7 @@ mod tests {
             a.wait_percentile(0.95).to_bits(),
             uncached.wait_percentile(0.95).to_bits()
         );
-        // Identical triple — even via a *rebuilt* predictor whose epochs
-        // restarted — must hit without re-keying.
+        // An identical triple must hit without re-keying.
         let _ = cache.evaluate(raw);
         assert_eq!(cache.key, key_after_first);
         // A changed server count re-evaluates…

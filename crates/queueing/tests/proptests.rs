@@ -211,7 +211,7 @@ proptest! {
                 }
                 _ => {}
             }
-            let cached = cache.refresh(&mut cached_pred, now, servers);
+            let cached = cache.evaluate(cached_pred.forecast(now, servers));
             let raw = uncached_pred.forecast(now, servers);
             prop_assert_eq!(cached.lambda().to_bits(), raw.lambda.to_bits());
             prop_assert_eq!(cached.mu().to_bits(), raw.mu.to_bits());

@@ -95,9 +95,9 @@ pub(crate) struct RouterSite {
     /// published.
     pub(crate) predictor: WaitPredictor,
     /// Memoized M/M/c evaluation of the predictor's forecast, keyed by
-    /// `(λ̂ epoch, μ̂ epoch, server count)`: the refresh re-evaluates the
-    /// model only when the predictor advanced or the fleet changed —
-    /// under load, after every completion.
+    /// its value `(λ̂, μ̂, server count)`: the refresh re-evaluates the
+    /// model only when an estimate or the fleet changed — under load,
+    /// after every completion.
     fcache: ForecastCache,
     /// Downtime EWMA behind the failure-aware router's flakiness score.
     pub(crate) health: HealthEwma,
@@ -402,7 +402,7 @@ impl Front {
                 // the chosen site's predictor anyway.
                 state.forecast = if forecast {
                     let servers = site.servers(c.fleet);
-                    site.fcache.refresh(&mut site.predictor, t, servers)
+                    site.fcache.evaluate(site.predictor.forecast(t, servers))
                 } else {
                     EvaluatedForecast::default()
                 };
@@ -782,7 +782,6 @@ impl Front {
                 site.needs_rebuild = false;
                 site.restarts += 1;
                 site.predictor = WaitPredictor::new(self.cfg.router.predictor());
-                site.fcache = ForecastCache::new();
                 return Some(SiteWork::Rebuild(site.restarts));
             }
             Fault::PartitionStart { .. } if !site.partitioned => {

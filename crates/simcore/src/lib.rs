@@ -58,7 +58,7 @@ pub use federation::{
     HedgeTrigger, SiteMeta, SiteReport,
 };
 pub use lass_queueing::{
-    EvaluatedForecast, ForecastCache, PredictorConfig, SnapshotCache, WaitForecast, WaitPredictor,
+    EvaluatedForecast, ForecastCache, PredictorConfig, WaitForecast, WaitPredictor,
 };
 pub use metrics::{DowntimeClock, SampleStats, TimeSeries, TimeWeightedGauge};
 pub use parallel::run_federation_parallel;

@@ -25,9 +25,9 @@
 //!   streams) and the per-site [`SiteView`] of the last arrived
 //!   snapshot, with its M/M/c model evaluated once per *arrival*
 //!   through a value-keyed
-//!   [`SnapshotCache`](lass_queueing::SnapshotCache) — cheaper than the
-//!   oracle path, which re-keys per decision for forecast-reading
-//!   routers.
+//!   [`ForecastCache`](lass_queueing::ForecastCache) — cheaper than the
+//!   oracle path, which looks the live forecast up per decision for
+//!   forecast-reading routers.
 //! * [`UtilizationReconciler`] — the scaling side of the same delay: it
 //!   reads each *reported* snapshot and emits a desired server count,
 //!   which travels back to the site at the same latency and is applied
@@ -45,7 +45,7 @@
 use crate::rng::SimRng;
 use crate::router::ResourceSnapshot;
 use crate::time::{SimDuration, SimTime};
-use lass_queueing::{EvaluatedForecast, SnapshotCache, WaitForecast};
+use lass_queueing::{EvaluatedForecast, ForecastCache, WaitForecast};
 
 /// Scenario-level telemetry-propagation knobs (the
 /// `topology.telemetry` block).
@@ -208,7 +208,7 @@ pub(crate) struct SiteView {
     pub(crate) resources: ResourceSnapshot,
     /// Value-keyed evaluation cache: consecutive snapshots of a quiet
     /// site hit without re-running the Erlang-C recurrence.
-    cache: SnapshotCache,
+    cache: ForecastCache,
 }
 
 /// Router-side telemetry bookkeeping: the per-site publish schedule and
