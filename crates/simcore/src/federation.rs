@@ -706,7 +706,6 @@ impl<E, C: PolicyCtx<FedEv<E>>> PolicyCtx<E> for SiteCtx<'_, C> {
         if self.tally.unmark(rid.0) {
             let secs = now.saturating_since(started).as_secs_f64();
             self.front.sites[self.site as usize].waste(secs);
-            self.front.wasted(rid.0, self.site);
             return None;
         }
         let c = self.inner.complete(rid, started, now)?;
@@ -1249,7 +1248,7 @@ impl<P: ContainerChaos> SchedulerPolicy for Federation<P> {
         }
         let n_fns = ctx.fn_count();
         let census = |i| Census::of(&self.sites[i], fn_idx, n_fns);
-        let chosen = self.front.pick(fn_idx, now, census);
+        let chosen = self.front.pick(fn_idx, now, census, None);
         self.front.commit(chosen, now);
         // The race opens before the primary leaves: a zero-latency
         // primary is delivered inline, and may bounce and migrate, or

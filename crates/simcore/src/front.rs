@@ -35,10 +35,12 @@
 //! the primary. The first terminal outcome the driver reports wins
 //! ([`Front::settle`]); later ones, and an abandoned copy's, are wasted
 //! work. On a site failure only the last racing copy of an unresolved
-//! race moves ([`Front::migrate`]), and a delivery that arrives after
-//! its race resolved is eaten at the door ([`Front::door`]). A resolved
-//! race stays until every loser reached its terminal event, so these
-//! verdicts hold for copies still in flight.
+//! race moves ([`Front::migrate`]), never to the site a retry abandoned
+//! (its scheduler may still run the abandoned copy), and a delivery
+//! that arrives after its race resolved is eaten at the door
+//! ([`Front::door`]). A resolved race stays until every loser reached
+//! its terminal event, so these verdicts hold for copies still in
+//! flight.
 
 use crate::chaos::{ContainerChaos, Fault};
 use crate::engine::FnStats;
@@ -257,8 +259,10 @@ struct Race {
     /// Token of the pending deferred trigger or retry deadline.
     fire: Option<u64>,
     resolved: bool,
-    /// The site whose copy a retry abandoned, until that copy answers:
-    /// its outcome never wins.
+    /// The site whose copy a retry abandoned: its outcome never wins,
+    /// and no copy of the request goes there again. A site books one
+    /// copy of a request, and its scheduler may run the abandoned copy
+    /// long after the cancel released it from the books.
     abandoned: Option<u32>,
     /// Sites still booking an abandoned or losing copy. A site books
     /// one copy of a request, so a copy leaving a site settles what is
@@ -351,6 +355,11 @@ impl Front {
         self.sites.iter().any(RouterSite::routable)
     }
 
+    /// The first site other than `avoid` that can take traffic.
+    fn first_routable(&self, avoid: Option<usize>) -> Option<usize> {
+        (0..self.sites.len()).find(|&i| self.sites[i].routable() && Some(i) != avoid)
+    }
+
     /// Refresh the router's scratch view for routing `fn_idx` at `now`.
     /// The commitment counter is always live (the front end counts what
     /// it dispatched itself). The site-side columns — reachability,
@@ -419,19 +428,22 @@ impl Front {
     /// still be physically dead and the delivery will bounce. When the
     /// view marks every site down the front end routes blind to the
     /// first physically routable site rather than shedding traffic its
-    /// own counters can't justify dropping.
+    /// own counters can't justify dropping. Site `avoid` is never
+    /// picked; the caller checked that another one is routable.
     pub(crate) fn pick<C: FnMut(usize) -> Census>(
         &mut self,
         fn_idx: u32,
         now: SimTime,
         census: C,
+        avoid: Option<usize>,
     ) -> usize {
         self.refresh(fn_idx, now, census);
+        if let Some(a) = avoid {
+            self.states[a].up = false;
+        }
         let Some(fallback) = self.states.iter().position(|s| s.up) else {
             return self
-                .sites
-                .iter()
-                .position(RouterSite::routable)
+                .first_routable(avoid)
                 .expect("caller checked a routable site exists");
         };
         let chosen = self.router.route(fn_idx, now, &self.states);
@@ -662,19 +674,9 @@ impl Front {
         let Some(race) = self.races.get_mut(&rid) else {
             return;
         };
-        race.abandoned.take_if(|s| *s == site);
         race.owed.retain(|&s| s != site);
         if race.resolved && race.owed.is_empty() {
             self.races.remove(&rid);
-        }
-    }
-
-    /// A copy of `rid` that must not win ran out at `site` as wasted
-    /// work. It will not answer again, so the site no longer holds an
-    /// abandoned copy; its books are released when its cancel lands.
-    pub(crate) fn wasted(&mut self, rid: u64, site: u32) {
-        if let Some(race) = self.races.get_mut(&rid) {
-            race.abandoned.take_if(|s| *s == site);
         }
     }
 
@@ -806,9 +808,10 @@ impl Front {
 
     /// The front half of migrating request `rid` off site `from` at
     /// `now`: release the source commitment and ask the race whether the
-    /// copy dies. A moving copy fails when no site is routable; otherwise
-    /// pick and book the destination, follow it in the race, and return
-    /// the re-delivery hop (inbound latency plus the migration penalty).
+    /// copy dies. A moving copy fails when no site is routable but the
+    /// one its race abandoned; otherwise pick and book the destination,
+    /// follow it in the race, and return the re-delivery hop (inbound
+    /// latency plus the migration penalty).
     pub(crate) fn migrate<C: FnMut(usize) -> Census>(
         &mut self,
         rid: u64,
@@ -821,12 +824,17 @@ impl Front {
         if self.race_dies(rid, from as u32) {
             return Migration::Dies;
         }
-        if !self.any_routable() {
+        let avoid = self
+            .races
+            .get(&rid)
+            .and_then(|race| race.abandoned)
+            .map(|s| s as usize);
+        if self.first_routable(avoid).is_none() {
             self.sites[from].failed += 1;
             return Migration::Fails(self.settle(rid, from as u32).unwrap_or_default());
         }
         self.sites[from].migrated_out += 1;
-        let dest = self.pick(fn_idx, now, census);
+        let dest = self.pick(fn_idx, now, census, avoid);
         self.commit(dest, now);
         self.sites[dest].migrated_in += 1;
         if let Some(race) = self.races.get_mut(&rid) {

@@ -833,7 +833,7 @@ impl<P: ContainerChaos> Frontend<P> {
                     self.agg[fn_idx as usize].lost += 1;
                     self.lost_total += 1;
                 } else {
-                    let chosen = self.front.pick(fn_idx, now, census(shards, fn_idx));
+                    let chosen = self.front.pick(fn_idx, now, census(shards, fn_idx), None);
                     self.front.commit(chosen, now);
                     let latency = self.front.sites[chosen].meta.latency;
                     self.dispatch(chosen, latency, rid, fn_idx, now, now);

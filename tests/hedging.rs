@@ -303,17 +303,22 @@ proptest! {
     // modest.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Conservation under a chaos storm with hedging enabled: the
-    /// logical ledger stays clone-free (arrivals = completed + lost +
-    /// timeouts + outstanding), cancellations never exceed dispatched
-    /// clones (the shortfall is clones that died with their site or
-    /// were still racing at the horizon), wasted work stays within the
-    /// cancellations it is a subset of, and migration stays symmetric.
+    /// Conservation under a chaos storm with hedging enabled, with or
+    /// without a speculative retry: the logical ledger stays clone-free
+    /// (arrivals = completed + lost + timeouts + outstanding),
+    /// cancellations never exceed dispatched clones (the shortfall is
+    /// clones that died with their site or were still racing at the
+    /// horizon), wasted work stays within the cancellations it is a
+    /// subset of, and migration stays symmetric. Debug builds also
+    /// audit the race ledger and every site's hedge marks at the end
+    /// of each run, so a copy that crashes or migrates mid-retry and
+    /// leaks its books fails here.
     #[test]
     fn hedged_arrivals_are_conserved_under_random_faults(
         seed in 0u64..500,
         max_clones in 1u32..3,
         trigger_pick in 0u8..3,
+        retry_pick in 0u8..2,
         schedule in prop::collection::vec(
             (1.0f64..28.0, 0u8..5, 0u32..3, 1u32..4),
             0..8,
@@ -340,7 +345,12 @@ proptest! {
         let chaos = ChaosConfig { events, ..ChaosConfig::default() };
         let rep = three_site_sim(
             seed,
-            Some(HedgeConfig { trigger, max_clones, retry_after_ms: 0.0, waste_budget: 0.0 }),
+            Some(HedgeConfig {
+                trigger,
+                max_clones,
+                retry_after_ms: f64::from(retry_pick) * 40.0,
+                waste_budget: 0.0,
+            }),
             Some(chaos),
         );
 
@@ -362,6 +372,49 @@ proptest! {
         let migrated_in: usize = rep.per_site.iter().map(|s| s.migrated_in).sum();
         prop_assert_eq!(migrated_out, migrated_in, "migration is not symmetric");
     }
+}
+
+/// A retry abandons its primary, but the site's scheduler may still run
+/// that copy after the cancel released it from the books, and a site
+/// books one copy of a request. So a retried request never migrates
+/// back to the site it abandoned: here sites a and c crash and b is cut
+/// off, and a retry clone that would move onto its abandoned site fails
+/// instead. Were it sent there, a completion of either copy at b would
+/// settle the other's books and the run would cancel more copies than
+/// it ever cloned.
+#[test]
+fn a_retried_request_never_migrates_back_to_the_site_it_abandoned() {
+    let chaos = ChaosConfig {
+        events: vec![
+            (3.4, Fault::SiteDown { site: 0 }),
+            (7.4, Fault::SiteDown { site: 2 }),
+            (8.0, Fault::PartitionStart { site: 1 }),
+            (20.4, Fault::PartitionEnd { site: 1 }),
+        ],
+        ..ChaosConfig::default()
+    };
+    let rep = three_site_sim(
+        360,
+        Some(HedgeConfig {
+            trigger: HedgeTrigger::Immediate,
+            max_clones: 2,
+            retry_after_ms: 40.0,
+            waste_budget: 0.0,
+        }),
+        Some(chaos),
+    );
+    let agg = &rep.aggregate_per_fn[0];
+    assert!(agg.hedged > 100, "the retry never fired: {}", agg.hedged);
+    assert!(
+        agg.cancelled <= agg.hedged,
+        "more cancellations ({}) than clones ({})",
+        agg.cancelled,
+        agg.hedged
+    );
+    assert_eq!(
+        agg.arrivals,
+        agg.completed + agg.lost + agg.timeouts + rep.outstanding
+    );
 }
 
 /// `scenarios/hedge-tail.json` at `seed` (the file's own seed if `None`)
