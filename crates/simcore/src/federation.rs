@@ -86,8 +86,9 @@
 //! faults of one [`ChaosConfig`], materialized by
 //! [`ChaosConfig::build_schedule`]. This driver schedules them as
 //! [`FedEv::Fault`] events after its start-up work; the windowed driver
-//! splits its windows at the same list. Either way a fault lands in
-//! `Federation::inject`:
+//! splits its windows at the same list and applies each fault between
+//! windows. Both take the front half of a fault from the shared front
+//! end:
 //!
 //! * **Site crash** ([`Fault::SiteDown`]): the site leaves the router's
 //!   view immediately. Its queued and in-service requests are orphaned
@@ -1443,7 +1444,6 @@ where
 mod tests {
     use super::*;
     use crate::arrivals::StaticPoisson;
-    use crate::engine::{run_simulation, EngineConfig, FunctionEntry};
     use crate::front::RouterSite;
     use crate::router::RouterKind;
     use proptest::prelude::*;
