@@ -60,7 +60,7 @@ fn make_sites(n: usize) -> Vec<SiteState> {
 /// Measure one router over `sites`, returning ns/decision.
 fn measure(kind: RouterKind, sites: &mut [SiteState], decisions: u64) -> f64 {
     let mut router = kind.build();
-    // Warm-up (stateful routers settle their anchors).
+    // Warm-up (stateful routers settle their cursors and credits).
     for k in 0..64u64 {
         router.route(0, SimTime::from_secs(k), sites);
     }

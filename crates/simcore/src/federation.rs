@@ -1938,7 +1938,7 @@ mod tests {
     /// site forgot, the router didn't.
     #[test]
     fn rebuilt_site_starts_with_cold_rates() {
-        let mut fed = make_fed(RouterKind::SloAware, &[0.003, 0.010], 0.05);
+        let mut fed = make_fed(RouterKind::Planner, &[0.003, 0.010], 0.05);
         warm_predictor(&mut fed.front.sites[0], 10.0);
         assert!(
             fed.front.sites[0].predictor.forecast(10.0, 1).has_model(),

@@ -66,7 +66,7 @@ pub use reqtable::RequestTable;
 pub use rng::SimRng;
 pub use router::{
     FailureAwareRouter, LatencyAwareRouter, LeastLoadedRouter, PlannerRouter, ResourceSnapshot,
-    RoundRobinRouter, RouterConfig, RouterKind, RouterPolicy, SiteState, SloAwareRouter,
+    RoundRobinRouter, RouterConfig, RouterKind, RouterPolicy, SiteState,
 };
 pub use telemetry::{TelemetryConfig, TelemetrySnapshot, UtilizationReconciler};
 pub use time::{SimDuration, SimTime, NANOS_PER_SEC};

@@ -8,7 +8,7 @@
 //! plugs into — mirroring how [`SchedulerPolicy`](crate::SchedulerPolicy)
 //! is the seam for per-site scheduling.
 //!
-//! Seven routers ship with the workspace, in two families.
+//! Five routers ship with the workspace, in two families.
 //!
 //! **Load/latency routers** read only the instantaneous load picture:
 //!
@@ -26,21 +26,16 @@
 //! scheduler plans with), a warm-container census for the routed
 //! function, and a downtime EWMA fed by the chaos layer:
 //!
-//! * [`SloAwareRouter`] — hold the SLO at minimum network cost: among
-//!   sites whose predicted wait percentile (plus hop) meets the SLO
-//!   budget, pick the closest; when none qualifies, pick the site
-//!   minimizing predicted percentile response, with hysteresis so the
-//!   herd does not flap between near-equal sites.
 //! * [`FailureAwareRouter`] — avoid recently-failed (browned-out) sites
 //!   by their downtime EWMA, re-admitting them through a deterministic
 //!   credit trickle as their health score decays.
 //! * [`PlannerRouter`] — route where the next container of the function
-//!   fits on its binding resource dimension, by predicted wait.
+//!   fits on its binding resource dimension, by predicted wait; without
+//!   demand vectors, plain minimum predicted response.
 //!
-//! The three load/latency routers and the failure-aware router never
-//! read the wait forecast and say so through
-//! [`RouterPolicy::reads_forecast`], which spares the federation the
-//! per-decision M/M/c evaluation behind it.
+//! The planner is the only router that reads the wait forecast; the
+//! other four say so through [`RouterPolicy::reads_forecast`], which
+//! spares the federation the per-decision M/M/c evaluation behind it.
 //!
 //! All routers are deterministic: decisions depend only on the event
 //! history, never on wall-clock time or ambient randomness (the
@@ -167,20 +162,18 @@ impl SiteState {
 
 /// Knobs for the model-driven routers and the per-site telemetry that
 /// feeds them, carried by the scenario `topology.router_config` block.
-/// Every field has a default, so partial JSON blocks work.
+/// Every field has a default, so partial JSON blocks work; an unknown
+/// key is an error.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-#[serde(default)]
+#[serde(default, deny_unknown_fields)]
 pub struct RouterConfig {
     /// SLO budget (milliseconds) on the predicted percentile response
-    /// (hop latency + predicted wait). The SLO-aware router holds this
-    /// budget at minimum network cost; `0` disables the satisficing
-    /// tier and yields pure minimum-predicted-response routing.
+    /// (hop latency + predicted wait). No router reads it: the
+    /// `predicted-p95-over-slo` hedge trigger clones a request when its
+    /// site's predicted response exceeds this budget.
     pub slo_ms: f64,
-    /// Waiting-time percentile the model-driven routers predict.
+    /// Waiting-time percentile the planner and the hedge layer predict.
     pub percentile: f64,
-    /// Score edge (milliseconds) a challenger site must have before the
-    /// SLO-aware router abandons its previous pick (herd damping).
-    pub hysteresis_ms: f64,
     /// Normalized load beyond which the latency-aware router considers
     /// a site saturated and spills to the next-closest one.
     pub spill_load: f64,
@@ -201,8 +194,8 @@ pub struct RouterConfig {
     pub health_tick_secs: f64,
     /// EWMA weight on the newest per-tick downtime fraction.
     pub health_alpha: f64,
-    /// Cold-start penalty (milliseconds) the model-driven routers blend
-    /// into a site's predicted response, weighted by the probability
+    /// Cold-start penalty (milliseconds) the planner and the hedge layer
+    /// blend into a site's predicted response, weighted by the probability
     /// that the routed function finds no warm container there
     /// (`1 / (1 + warm)` — certain when the census is zero, vanishing
     /// as warm capacity accumulates). `0` (the default) disables the
@@ -215,7 +208,6 @@ impl Default for RouterConfig {
         Self {
             slo_ms: 100.0,
             percentile: 0.95,
-            hysteresis_ms: 2.0,
             spill_load: 1.0,
             flakiness_threshold: 0.1,
             readmit_rate: 0.05,
@@ -250,12 +242,6 @@ impl RouterConfig {
             return Err(format!(
                 "percentile must be in [0, 1), got {}",
                 self.percentile
-            ));
-        }
-        if !(self.hysteresis_ms.is_finite() && self.hysteresis_ms >= 0.0) {
-            return Err(format!(
-                "hysteresis_ms must be non-negative, got {}",
-                self.hysteresis_ms
             ));
         }
         if !(self.spill_load.is_finite() && self.spill_load > 0.0) {
@@ -460,10 +446,9 @@ impl RouterPolicy for LatencyAwareRouter {
 /// The explicit saturated score assigned to a site whose forecast is
 /// unusable for ranking: an unstable model (estimated load at or beyond
 /// estimated capacity) and any non-finite arithmetic both land here.
-/// A saturated site loses every score comparison and never passes the
-/// SLO tier, so it is only picked through the explicit least-loaded
-/// degradation once *every* site saturates — a NaN can therefore never
-/// win a min-comparison or poison the hysteresis anchor.
+/// A saturated site loses every score comparison, so it is only picked
+/// through the explicit least-loaded degradation once *every* site
+/// saturates — a NaN can therefore never win a min-comparison.
 const SATURATED_SCORE: f64 = f64::INFINITY;
 
 /// A site's predicted percentile *response* score: hop latency plus the
@@ -485,103 +470,6 @@ pub(crate) fn predicted_score(s: &SiteState, percentile: f64, cold_penalty_secs:
         SATURATED_SCORE
     } else {
         score
-    }
-}
-
-/// Model-driven SLO holder: among sites whose predicted percentile
-/// response meets the SLO budget, pick the closest (cheapest network
-/// hop); when none qualifies, pick the site minimizing the predicted
-/// percentile response, sticking with the previous pick unless a
-/// challenger beats it by more than the hysteresis margin. Falls back
-/// to least-loaded when every forecast is unstable (estimated overload
-/// everywhere — the model can no longer rank sites).
-#[derive(Debug)]
-pub struct SloAwareRouter {
-    /// SLO budget, seconds (0 disables the satisficing tier).
-    slo: f64,
-    /// Predicted waiting-time percentile.
-    percentile: f64,
-    /// Required challenger edge, seconds.
-    hysteresis: f64,
-    /// Cold-start penalty, seconds (0 disables the census blend).
-    cold: f64,
-    /// Previous pick (hysteresis anchor).
-    last: Option<usize>,
-    /// Scratch: per-site scores, computed once per decision from the
-    /// pre-evaluated forecasts (O(1) per site, allocation-free once the
-    /// buffer has grown to the fleet size).
-    scores: Vec<f64>,
-}
-
-impl SloAwareRouter {
-    /// Build from the shared [`RouterConfig`].
-    pub fn new(cfg: &RouterConfig) -> Self {
-        Self {
-            slo: cfg.slo_ms / 1e3,
-            percentile: cfg.percentile,
-            hysteresis: cfg.hysteresis_ms / 1e3,
-            cold: cfg.cold_start_penalty_ms / 1e3,
-            last: None,
-            scores: Vec::new(),
-        }
-    }
-}
-
-impl RouterPolicy for SloAwareRouter {
-    fn route(&mut self, _fn_idx: u32, _now: SimTime, sites: &[SiteState]) -> usize {
-        self.scores.clear();
-        self.scores.extend(
-            sites
-                .iter()
-                .map(|s| predicted_score(s, self.percentile, self.cold)),
-        );
-        // Tier 1: closest site already predicted to meet the SLO.
-        let mut satisficer: Option<usize> = None;
-        // Tier 2: minimum predicted response among up sites.
-        let mut best: Option<(usize, f64)> = None;
-        for (i, s) in sites.iter().enumerate() {
-            if !s.up {
-                continue;
-            }
-            let score = self.scores[i];
-            if self.slo > 0.0 && score <= self.slo {
-                match satisficer {
-                    Some(b) if sites[b].latency <= s.latency => {}
-                    _ => satisficer = Some(i),
-                }
-            }
-            if score.is_finite() {
-                match best {
-                    Some((_, bs)) if bs <= score => {}
-                    _ => best = Some((i, score)),
-                }
-            }
-        }
-        let pick = if let Some(i) = satisficer {
-            i
-        } else if let Some((i, best_score)) = best {
-            // Hysteresis: keep the previous pick while it is within the
-            // margin of the current minimum.
-            match self.last {
-                Some(prev)
-                    if prev < sites.len()
-                        && sites[prev].up
-                        && self.scores[prev] <= best_score + self.hysteresis =>
-                {
-                    prev
-                }
-                _ => i,
-            }
-        } else {
-            // Every model says overload: degrade to join-shortest-queue.
-            least_loaded(sites)
-        };
-        self.last = Some(pick);
-        pick
-    }
-
-    fn name(&self) -> &'static str {
-        "slo-aware"
     }
 }
 
@@ -761,8 +649,6 @@ pub enum RouterKind {
     LeastLoaded,
     /// [`LatencyAwareRouter`] with the default spill threshold.
     LatencyAware,
-    /// [`SloAwareRouter`] (model-driven SLO holder).
-    SloAware,
     /// [`FailureAwareRouter`] (downtime-EWMA brown-out avoidance).
     FailureAware,
     /// [`PlannerRouter`] (vector-aware placement planner).
@@ -771,11 +657,10 @@ pub enum RouterKind {
 
 impl RouterKind {
     /// Every shipped router, for sweeps and tests.
-    pub const ALL: [RouterKind; 6] = [
+    pub const ALL: [RouterKind; 5] = [
         RouterKind::RoundRobin,
         RouterKind::LeastLoaded,
         RouterKind::LatencyAware,
-        RouterKind::SloAware,
         RouterKind::FailureAware,
         RouterKind::Planner,
     ];
@@ -786,7 +671,6 @@ impl RouterKind {
             RouterKind::RoundRobin => "round-robin",
             RouterKind::LeastLoaded => "least-loaded",
             RouterKind::LatencyAware => "latency-aware",
-            RouterKind::SloAware => "slo-aware",
             RouterKind::FailureAware => "failure-aware",
             RouterKind::Planner => "planner",
         }
@@ -798,7 +682,6 @@ impl RouterKind {
             "round-robin" | "round_robin" | "rr" => Some(RouterKind::RoundRobin),
             "least-loaded" | "least_loaded" => Some(RouterKind::LeastLoaded),
             "latency-aware" | "latency_aware" => Some(RouterKind::LatencyAware),
-            "slo-aware" | "slo_aware" | "slo" => Some(RouterKind::SloAware),
             "failure-aware" | "failure_aware" => Some(RouterKind::FailureAware),
             "planner" | "placement-planner" | "placement_planner" => Some(RouterKind::Planner),
             _ => None,
@@ -818,7 +701,6 @@ impl RouterKind {
             RouterKind::LatencyAware => Box::new(LatencyAwareRouter {
                 spill_load: cfg.spill_load,
             }),
-            RouterKind::SloAware => Box::new(SloAwareRouter::new(cfg)),
             RouterKind::FailureAware => Box::new(FailureAwareRouter::new(cfg)),
             RouterKind::Planner => Box::new(PlannerRouter::new(cfg)),
         }
@@ -837,7 +719,7 @@ impl Deserialize for RouterKind {
             Some(s) => RouterKind::parse(s).ok_or_else(|| {
                 Error::custom(format!(
                     "unknown router {s:?} (expected \"round-robin\", \"least-loaded\", \
-                     \"latency-aware\", \"slo-aware\", \"failure-aware\", or \"planner\")"
+                     \"latency-aware\", \"failure-aware\", or \"planner\")"
                 ))
             }),
             None => Err(Error::custom("router must be a string")),
@@ -972,38 +854,8 @@ mod tests {
     }
 
     #[test]
-    fn slo_aware_holds_slo_at_minimum_latency() {
-        let cfg = RouterConfig {
-            slo_ms: 100.0,
-            percentile: 0.95,
-            ..RouterConfig::default()
-        };
-        let mut r = SloAwareRouter::new(&cfg);
-        // Both sites meet the SLO comfortably: stay at the closer one
-        // even though the far one predicts a shorter wait.
-        let mut s = sites(&[(0.005, 2.0, 0), (0.050, 2.0, 0)]);
-        s[0].forecast = forecast(4.0, 10.0, 2); // light queueing
-        s[1].forecast = forecast(1.0, 10.0, 2); // nearly idle
-        assert!(
-            predicted_score(&s[0], 0.95, 0.0) <= 0.1,
-            "site 0 must meet SLO"
-        );
-        assert_eq!(r.route(0, SimTime::ZERO, &s), 0);
-        // The close site's model saturates: it no longer meets the SLO
-        // and the router moves to the minimum predicted response.
-        s[0].forecast = forecast(25.0, 10.0, 2); // unstable: ρ > 1
-        assert_eq!(r.route(0, SimTime::ZERO, &s), 1);
-    }
-
-    #[test]
-    fn slo_aware_minimizes_predicted_response_when_slo_unreachable() {
-        // slo 0 disables the satisficing tier: pure min-response.
-        let cfg = RouterConfig {
-            slo_ms: 0.0,
-            hysteresis_ms: 0.0,
-            ..RouterConfig::default()
-        };
-        let mut r = SloAwareRouter::new(&cfg);
+    fn planner_minimizes_predicted_response() {
+        let mut r = PlannerRouter::new(&RouterConfig::default());
         let mut s = sites(&[(0.005, 2.0, 0), (0.030, 2.0, 0)]);
         // Site 0 is closer but predicts a long queue; site 1's model is
         // idle: 5 ms + W(0.95) vs 30 ms + ~0.
@@ -1016,33 +868,8 @@ mod tests {
     }
 
     #[test]
-    fn slo_aware_hysteresis_damps_flapping() {
-        let cfg = RouterConfig {
-            slo_ms: 0.0,
-            hysteresis_ms: 30.0,
-            ..RouterConfig::default()
-        };
-        let mut r = SloAwareRouter::new(&cfg);
-        // First decision with cold telemetry: site 0 wins (closer hop).
-        let mut s = sites(&[(0.010, 2.0, 0), (0.012, 2.0, 0)]);
-        assert_eq!(r.route(0, SimTime::ZERO, &s), 0);
-        // Site 1 becomes marginally better (by < hysteresis): stick.
-        s[0].forecast = forecast(4.4, 10.0, 2);
-        let margin = predicted_score(&s[0], 0.95, 0.0) - predicted_score(&s[1], 0.95, 0.0);
-        assert!(margin > 0.0 && margin < 0.030, "margin {margin}");
-        assert_eq!(r.route(0, SimTime::ZERO, &s), 0);
-        // Site 1 becomes decisively better: switch.
-        s[0].forecast = forecast(19.0, 10.0, 2);
-        assert_eq!(r.route(0, SimTime::ZERO, &s), 1);
-    }
-
-    #[test]
-    fn slo_aware_degrades_to_least_loaded_under_total_overload() {
-        let cfg = RouterConfig {
-            slo_ms: 0.0,
-            ..RouterConfig::default()
-        };
-        let mut r = SloAwareRouter::new(&cfg);
+    fn planner_degrades_to_least_loaded_under_total_overload() {
+        let mut r = PlannerRouter::new(&RouterConfig::default());
         let mut s = sites(&[(0.005, 2.0, 9), (0.030, 2.0, 2)]);
         s[0].forecast = forecast(30.0, 10.0, 2); // unstable
         s[1].forecast = forecast(28.0, 10.0, 2); // unstable
@@ -1091,8 +918,8 @@ mod tests {
     /// Regression (overload/NaN scoring): degenerate telemetry — an
     /// unstable model, μ̂ = 0 with traffic, extreme magnitudes — must
     /// never produce a NaN score, and a site with a saturated score
-    /// must lose to any site with a finite one in the SLO-aware
-    /// router's score pass.
+    /// must lose to any site with a finite one in the planner's score
+    /// pass.
     #[test]
     fn saturated_and_degenerate_forecasts_never_win() {
         let degenerate = [
@@ -1115,24 +942,21 @@ mod tests {
             assert!(!score.is_nan(), "case {i}: NaN score leaked");
         }
         // A healthy-but-distant site must beat every saturated site.
-        let cfg = RouterConfig {
-            slo_ms: 0.0,
-            ..RouterConfig::default()
-        };
+        let cfg = RouterConfig::default();
         for f in &degenerate[..2] {
             let mut s = sites(&[(0.001, 2.0, 0), (0.090, 2.0, 5)]);
             s[0].forecast = *f; // attractive hop, saturated model
             s[1].forecast = forecast(1.0, 10.0, 2);
-            let mut slo = SloAwareRouter::new(&cfg);
-            assert_eq!(slo.route(0, SimTime::ZERO, &s), 1);
+            let mut planner = PlannerRouter::new(&cfg);
+            assert_eq!(planner.route(0, SimTime::ZERO, &s), 1);
         }
         // Saturated everywhere: the explicit least-loaded degradation
         // picks the lower-load site instead of shedding.
         let mut s = sites(&[(0.001, 2.0, 7), (0.090, 2.0, 3)]);
         s[0].forecast = forecast(25.0, 10.0, 2);
         s[1].forecast = forecast(30.0, 10.0, 2);
-        let mut slo = SloAwareRouter::new(&cfg);
-        assert_eq!(slo.route(0, SimTime::ZERO, &s), 1);
+        let mut planner = PlannerRouter::new(&cfg);
+        assert_eq!(planner.route(0, SimTime::ZERO, &s), 1);
     }
 
     /// Satellite (cold-start blend): a nonzero penalty shifts routing
@@ -1157,21 +981,15 @@ mod tests {
         // End to end: a closer cold site loses to a farther warm site
         // once the penalty outweighs the hop difference.
         let cfg = RouterConfig {
-            slo_ms: 0.0,
-            hysteresis_ms: 0.0,
             cold_start_penalty_ms: 100.0,
             ..RouterConfig::default()
         };
-        let mut r = SloAwareRouter::new(&cfg);
+        let mut r = PlannerRouter::new(&cfg);
         let mut sites = sites(&[(0.005, 2.0, 0), (0.030, 2.0, 0)]);
         sites[1].warm = 9; // 100 ms / 10 = 10 ms expected cold cost
         assert_eq!(r.route(0, SimTime::ZERO, &sites), 1);
         // Penalty off: the closer site wins again.
-        let mut r = SloAwareRouter::new(&RouterConfig {
-            slo_ms: 0.0,
-            hysteresis_ms: 0.0,
-            ..RouterConfig::default()
-        });
+        let mut r = PlannerRouter::new(&RouterConfig::default());
         assert_eq!(r.route(0, SimTime::ZERO, &sites), 0);
     }
 

@@ -182,15 +182,14 @@ pub struct SiteSpec {
 pub struct TopologySpec {
     /// Which front-end router dispatches arrivals across sites
     /// (`"round-robin"`, `"least-loaded"`, `"latency-aware"`,
-    /// `"slo-aware"`, `"failure-aware"`, or `"planner"`; default
-    /// round-robin).
+    /// `"failure-aware"`, or `"planner"`; default round-robin).
     #[serde(default)]
     pub router: RouterKind,
     /// Knobs for the model-driven routers and the per-site telemetry
-    /// feeding them: SLO budget, target percentile, hysteresis, spill
-    /// and brown-out thresholds, and the λ̂/μ̂/health EWMA constants.
-    /// Partial blocks fill from defaults; harmless for the non-model
-    /// routers.
+    /// feeding them: SLO budget, target percentile, spill and brown-out
+    /// thresholds, and the λ̂/μ̂/health EWMA constants. Partial blocks
+    /// fill from defaults; an unknown key is an error. Harmless for the
+    /// non-model routers.
     #[serde(default)]
     pub router_config: RouterConfig,
     /// Threads for the conservative-synchronization parallel executor,

@@ -225,7 +225,7 @@ proptest! {
     /// Overload/NaN scoring pin: with arbitrarily degenerate telemetry —
     /// non-finite λ̂/μ̂, unstable models, NaN flakiness — every router
     /// still returns an in-range up site, and whenever any up site has a
-    /// finite predicted score the score-ranked router (slo-aware) never
+    /// finite predicted score the score-ranked router (planner) never
     /// elects a saturated/NaN-scored site over it.
     #[test]
     fn degenerate_telemetry_never_elects_a_saturated_site(
@@ -271,8 +271,7 @@ proptest! {
         };
         for kind in RouterKind::ALL {
             let mut router = kind.build();
-            let score_ranked =
-                matches!(kind, RouterKind::SloAware);
+            let score_ranked = kind == RouterKind::Planner;
             for k in 0..arrivals {
                 let idx = router.route((k % 2) as u32, SimTime::from_secs(k), &sites);
                 prop_assert!(idx < sites.len(), "{} out of range", kind.as_str());

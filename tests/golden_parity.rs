@@ -274,19 +274,12 @@ fn lass_and_static_policies_decorrelate_but_share_workload_shape() {
     assert!(srr.per_fn[&0].completed as f64 > b * 0.99);
 }
 
-/// Fixed-seed golden for the model-driven routing layer: the
-/// `slo-routing` scenario (slo-aware router over an edge↔cloud LaSS
-/// federation) pins its full serialized federated report. Telemetry,
-/// forecasts, hysteresis — everything must replay bit-for-bit. If a
-/// deliberate routing change invalidates this, re-record and say so in
-/// the commit message.
 /// The multi-dimensional acceptance pin: on the memory-bound scenario
 /// (edge nodes whose memory is exactly exhausted by the warm fleet, a
 /// memory-class function, fixed seed 21) the vector-aware planner
-/// achieves strictly higher SLO attainment than least-loaded *and*
-/// slo-aware, because it is the only router that sees the edge's
-/// binding dimension is full and stops feeding it. The planner run
-/// itself replays byte-for-byte.
+/// achieves strictly higher SLO attainment than least-loaded, because
+/// it sees the edge's binding dimension is full and stops feeding it.
+/// The planner run itself replays byte-for-byte.
 #[test]
 fn planner_beats_baselines_on_memory_bound_scenario() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/memory-bound.json");
@@ -316,8 +309,7 @@ fn planner_beats_baselines_on_memory_bound_scenario() {
 
     let planner = run("planner");
     let ll = run("least-loaded");
-    let slo = run("slo-aware");
-    // The planner routes far less to the memory-full edge than either
+    // The planner routes far less to the memory-full edge than the
     // capacity-blind baseline…
     assert!(
         planner.per_site[0].routed * 2 < ll.per_site[0].routed,
@@ -325,12 +317,11 @@ fn planner_beats_baselines_on_memory_bound_scenario() {
         planner.per_site[0].routed,
         ll.per_site[0].routed
     );
-    assert!(planner.per_site[0].routed * 2 < slo.per_site[0].routed);
     // …and converts that into strictly better SLO attainment.
-    let (pa, la, sa) = (attainment(&planner), attainment(&ll), attainment(&slo));
+    let (pa, la) = (attainment(&planner), attainment(&ll));
     assert!(
-        pa > la && pa > sa,
-        "planner must win on attainment: planner {pa:.4}, least-loaded {la:.4}, slo-aware {sa:.4}"
+        pa > la,
+        "planner must win on attainment: planner {pa:.4}, least-loaded {la:.4}"
     );
     // Fixed seed, fixed bytes.
     assert_eq!(
@@ -340,8 +331,13 @@ fn planner_beats_baselines_on_memory_bound_scenario() {
     );
 }
 
+/// Fixed-seed golden for the model-driven routing layer: the
+/// `slo-routing` scenario (planner router over an edge↔cloud LaSS
+/// federation) pins its full serialized federated report. Telemetry and
+/// forecasts must replay bit-for-bit. If a deliberate routing change
+/// invalidates this, re-record and say so in the commit message.
 #[test]
-fn slo_aware_scenario_matches_pinned_golden() {
+fn slo_routing_scenario_matches_pinned_golden() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/slo-routing.json");
     let text = std::fs::read_to_string(path).expect("scenario file");
     let sc = lass::scenario::Scenario::from_json(&text).expect("valid scenario");
@@ -352,16 +348,16 @@ fn slo_aware_scenario_matches_pinned_golden() {
         rep
     };
     let rep = run();
-    assert_eq!(rep.router, "slo-aware");
+    assert_eq!(rep.router, "planner");
     assert_eq!(
         (rep.per_site[0].routed, rep.per_site[1].routed),
-        (2500, 2252)
+        (2353, 2399)
     );
     let json = serde_json::to_string(&rep).unwrap();
     assert_eq!(
         fnv64(&json),
-        15215775209168999342,
-        "slo-aware routing golden drifted"
+        14749318010568491129,
+        "slo-routing golden drifted"
     );
     // And it replays byte-for-byte.
     assert_eq!(json, serde_json::to_string(&run()).unwrap());
@@ -519,13 +515,13 @@ fn hedge_tail_races_match_pinned_goldens() {
             "sequential immediate x1",
             immediate,
             None,
-            13155786134252456696,
+            617324616125682825,
         ),
         (
             "windowed immediate x1",
             immediate,
             Some(2),
-            4125735378626080363,
+            14321051615211579244,
         ),
         (
             "windowed deferred-40ms x1",
@@ -534,7 +530,7 @@ fn hedge_tail_races_match_pinned_goldens() {
                 ..immediate
             },
             Some(2),
-            16148191478743698289,
+            18175170146988748449,
         ),
         (
             "windowed retry-40ms x1",
@@ -543,7 +539,7 @@ fn hedge_tail_races_match_pinned_goldens() {
                 ..immediate
             },
             Some(2),
-            11664696189639569034,
+            13835705560906519515,
         ),
         (
             "windowed immediate x1 w0.1",
@@ -552,7 +548,7 @@ fn hedge_tail_races_match_pinned_goldens() {
                 ..immediate
             },
             Some(2),
-            15421284085626460981,
+            2409445367590857089,
         ),
     ];
     let drifted: Vec<String> = cases

@@ -13,11 +13,10 @@
 //! * **Telemetry vs ground truth** — a [`WaitPredictor`] fed the same
 //!   stochastic streams must recover λ, μ, and through them the
 //!   closed-form waits.
-//! * **Router vs analytical optimum** — the `slo-aware` router routing
+//! * **Router vs analytical optimum** — the `planner` router routing
 //!   over two M/M/c sites must realize the per-site traffic split that
 //!   the closed forms say is optimal: the score-equalizing equilibrium
-//!   in pure minimum-predicted-response mode, and total edge-affinity
-//!   when a generous SLO makes the near site sufficient.
+//!   of minimum-predicted-response routing.
 
 use lass::queueing::{MmcQueue, PredictorConfig, WaitPredictor};
 use lass::simcore::{
@@ -235,7 +234,7 @@ fn predictor_recovers_model_from_stochastic_telemetry() {
     );
 }
 
-/// Two homogeneous M/M/c sites behind the slo-aware router.
+/// Two homogeneous M/M/c sites behind the planner router.
 fn run_split(
     seed: u64,
     router_cfg: &RouterConfig,
@@ -271,7 +270,7 @@ fn run_split(
         router: *router_cfg,
         ..FederationConfig::default()
     };
-    let router = RouterKind::SloAware.build_with(router_cfg);
+    let router = RouterKind::Planner.build_with(router_cfg);
     let fed = Federation::configured(sites, router, &functions, cfg, seed).expect("valid config");
     run_simulation(
         EngineConfig {
@@ -330,18 +329,16 @@ fn equilibrium_share(
     0.5 * (lo + hi)
 }
 
-/// The acceptance check for the router itself: in pure
-/// minimum-predicted-response mode (`slo_ms: 0`) the realized per-site
-/// traffic split converges to the score-equalizing split the closed
-/// forms predict.
+/// The acceptance check for the router itself: without demand vectors
+/// the planner is pure minimum-predicted-response routing, and the
+/// realized per-site traffic split converges to the score-equalizing
+/// split the closed forms predict.
 #[test]
-fn slo_aware_split_matches_analytic_equilibrium() {
+fn planner_split_matches_analytic_equilibrium() {
     let lambda = 24.0; // each 2-server site alone (cap 20/s) is unstable
     let latencies = (0.005, 0.025);
     let cfg = RouterConfig {
-        slo_ms: 0.0,
         percentile: 0.95,
-        hysteresis_ms: 1.0,
         lambda_alpha: 0.3,
         service_alpha: 0.05,
         ..RouterConfig::default()
@@ -363,44 +360,11 @@ fn slo_aware_split_matches_analytic_equilibrium() {
     assert!(rep.per_site[1].routed > routed / 10);
 }
 
-/// With a generous SLO and a load the near site can hold alone, the
-/// satisficing tier keeps (almost) everything on the cheap hop — the
-/// closed forms say the near site meets the SLO at full load, so the
-/// analytically optimal split is "all near".
-#[test]
-fn slo_aware_keeps_traffic_near_while_slo_holds() {
-    let lambda = 12.0; // rho = 0.6 on the near site alone
-    let latencies = (0.005, 0.025);
-    // Closed form: near meets the budget even carrying everything, with
-    // enough headroom that λ̂ estimation noise cannot push it over.
-    let q = MmcQueue::new(lambda, 10.0, 2).unwrap();
-    let slo = 0.5;
-    assert!(latencies.0 + q.wait_percentile(0.95) < slo * 0.6);
-    let cfg = RouterConfig {
-        slo_ms: slo * 1e3,
-        percentile: 0.95,
-        lambda_alpha: 0.1,
-        service_alpha: 0.02,
-        ..RouterConfig::default()
-    };
-    let rep = run_split(43, &cfg, lambda, latencies, 1000.0);
-    let routed: usize = rep.per_site.iter().map(|s| s.routed).sum();
-    let near_share = rep.per_site[0].routed as f64 / routed as f64;
-    assert!(
-        near_share > 0.92,
-        "near share {near_share}: SLO-satisficing tier must hold the cheap hop"
-    );
-}
-
 /// Differential determinism: the model-driven federated run is exactly
-/// reproducible under its seed (telemetry, forecasts, hysteresis state
-/// and all).
+/// reproducible under its seed (telemetry, forecasts and all).
 #[test]
 fn model_driven_routing_is_deterministic() {
-    let cfg = RouterConfig {
-        slo_ms: 0.0,
-        ..RouterConfig::default()
-    };
+    let cfg = RouterConfig::default();
     let a = run_split(9, &cfg, 24.0, (0.005, 0.025), 300.0);
     let b = run_split(9, &cfg, 24.0, (0.005, 0.025), 300.0);
     assert_eq!(a.per_site[0].routed, b.per_site[0].routed);

@@ -62,6 +62,11 @@ fn unknown_topology_key_is_an_error() {
         t.insert("paralel_sites".into(), two());
     });
     assert_rejected(&path, "paralel_sites");
+    // So is an unknown `router_config` knob.
+    let path = block_with("router-config-key", "topology", |t| {
+        t.insert("router_config".into(), json(r#"{ "hysteresis_ms": 2 }"#));
+    });
+    assert_rejected(&path, "hysteresis_ms");
 }
 
 /// The demo scenario with `edit` applied to its first function entry.
@@ -220,6 +225,19 @@ fn out_of_range_router_config_is_an_error() {
         t.insert("router_config".into(), json(r#"{ "percentile": 1.5 }"#));
     });
     assert_bad_federation(&path, "percentile");
+}
+
+/// A router name that no longer exists is an error, not silently
+/// mapped to another router.
+#[test]
+fn removed_router_is_an_error() {
+    let path = block_with("router-removed", "topology", |t| {
+        t.insert(
+            "router".into(),
+            serde_json::Value::String("slo-aware".into()),
+        );
+    });
+    assert_bad_federation(&path, "unknown router \"slo-aware\"");
 }
 
 /// A zero-latency site leaves the windowed driver no lookahead: the run

@@ -8,7 +8,7 @@
 //!   must reproduce the classic oracle-fresh engine byte-for-byte: same
 //!   serialized report as a scenario with no `telemetry` block at all.
 //! * **Fixed-seed golden** — the shipped `scenarios/stale-telemetry.json`
-//!   (250 ms reports, 50 ms jitter, storm chaos, slo-aware router) pins
+//!   (250 ms reports, 50 ms jitter, storm chaos, planner router) pins
 //!   an FNV-64 hash of its full serialized report.
 //! * **View discipline** — under arbitrary fault schedules and report
 //!   intervals, no stale-view router may pick a site whose last-arrived
@@ -80,7 +80,7 @@ fn interval_zero_reproduces_oracle_byte_for_byte() {
 fn stale_telemetry_scenario_matches_pinned_golden() {
     let sc = stale_scenario();
     let rep = run_federated(&sc);
-    assert_eq!(rep.router, "slo-aware");
+    assert_eq!(rep.router, "planner");
     let json = serde_json::to_string(&rep).unwrap();
     assert_eq!(
         fnv64(&json),
@@ -102,7 +102,7 @@ fn stale_telemetry_scenario_matches_pinned_golden() {
 
 /// `(fnv64 of the serialized report, routed per site)` for
 /// `scenarios/stale-telemetry.json` at seed 31.
-const ROUTED_GOLDEN: (u64, usize, usize, usize) = (8790968442568458477, 5197, 4833, 1141);
+const ROUTED_GOLDEN: (u64, usize, usize, usize) = (8401110694223742243, 3296, 5813, 2134);
 
 fn small_cluster(nodes: u32) -> Cluster {
     Cluster::homogeneous(
@@ -171,7 +171,7 @@ proptest! {
     #[test]
     fn stale_routers_respect_views_and_conserve(
         seed in 0u64..500,
-        router_idx in 0usize..5,
+        router_idx in 0..RouterKind::ALL.len(),
         interval_ms in prop_oneof![Just(50.0f64), Just(250.0), Just(1000.0), Just(4000.0)],
         schedule in prop::collection::vec(
             (1.0f64..28.0, 0u8..5, 0u32..3, 1u32..4),
@@ -225,7 +225,7 @@ fn parallel_stale_telemetry_is_thread_count_invariant() {
     let run = |threads: usize| {
         serde_json::to_string(&stale_sim(
             7,
-            RouterKind::SloAware,
+            RouterKind::Planner,
             250.0,
             chaos.clone(),
             Some(threads),
