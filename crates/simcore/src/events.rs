@@ -5,9 +5,10 @@
 //! regardless of calendar internals.
 //!
 //! [`EventQueue`] runs on [`crate::calendar::Calendar`], a 4-ary heap of
-//! compact keys over a payload slab. [`HeapCalendar`], the original
-//! `BinaryHeap` calendar, is simple and obviously correct and is kept
-//! only as the differential-testing oracle: a proptest
+//! 16-byte keys over a payload slab whose slots carry the cancel
+//! tokens. [`HeapCalendar`], the original `BinaryHeap` calendar, is
+//! simple and obviously correct and is kept only as the
+//! differential-testing oracle: a proptest
 //! (`tests/calendar_differential.rs`) holds the two to bit-identical pop
 //! order over arbitrary schedules and cancels.
 
@@ -79,10 +80,11 @@ impl<E> HeapCalendar<E> {
         self.heap.push(Scheduled { at, seq, event });
     }
 
-    /// Cancel a pending event by its insertion `seq` (same contract as
-    /// [`Calendar::cancel`]): the entry becomes a
-    /// tombstone purged lazily by pops/peeks, and `len` drops now. The
-    /// `seq` must be pending; a double cancel is absorbed (`false`).
+    /// Cancel a pending event by its insertion `seq` (the oracle of
+    /// [`Calendar::cancel`], which takes the token `insert` returned):
+    /// the entry becomes a tombstone purged lazily by pops/peeks, and
+    /// `len` drops now. The `seq` must be pending; a double cancel is
+    /// absorbed (`false`).
     pub fn cancel(&mut self, seq: u64) -> bool {
         self.cancelled.insert(seq)
     }
@@ -176,32 +178,29 @@ impl<E> EventQueue<E> {
     /// before the last popped event) is a logic error and panics in debug
     /// builds; in release it is clamped to `now` to keep the clock monotone.
     pub fn schedule(&mut self, at: SimTime, event: E) {
+        self.schedule_cancellable(at, event);
+    }
+
+    /// Schedule `event` at `at`, as [`EventQueue::schedule`] does, and
+    /// return a cancellation token for it: the calendar's token, unique
+    /// because sequence numbers are never reused. Pass it to
+    /// [`EventQueue::cancel`] to remove the event without it ever
+    /// firing.
+    pub fn schedule_cancellable(&mut self, at: SimTime, event: E) -> u64 {
         debug_assert!(
             at >= self.now,
             "scheduling into the past: {at} < now {}",
             self.now
         );
-        let at = at.max(self.now);
-        self.calendar.insert(at, self.seq, event);
+        let token = self.calendar.insert(at.max(self.now), self.seq, event);
         self.seq += 1;
-    }
-
-    /// Schedule `event` at `at` and return a cancellation token for it.
-    /// The token is the event's unique insertion sequence number; pass
-    /// it to [`EventQueue::cancel`] while the event is still pending to
-    /// remove it without it ever firing.
-    pub fn schedule_cancellable(&mut self, at: SimTime, event: E) -> u64 {
-        let token = self.seq;
-        self.schedule(at, event);
         token
     }
 
-    /// Cancel a pending event by the token
-    /// [`EventQueue::schedule_cancellable`] returned. The event must
-    /// still be pending (not yet popped): liveness is the caller's
-    /// responsibility — the engine's request table guards its cancel
-    /// tokens with generation checks so a stale cancel never reaches
-    /// here. Returns `false` on a (caller-bug) double cancel.
+    /// Cancel an event by the token [`EventQueue::schedule_cancellable`]
+    /// returned. Returns whether it was still pending: a token whose
+    /// event has already popped or been cancelled is refused and
+    /// changes nothing.
     pub fn cancel(&mut self, token: u64) -> bool {
         self.calendar.cancel(token)
     }

@@ -6,7 +6,9 @@
 //! leans on it. This harness drives [`Calendar`] and [`HeapCalendar`]
 //! with identical operation sequences (schedules interleaved with pops,
 //! i.e. schedule-during-pop, and cancels) and requires bit-identical pop
-//! streams.
+//! streams. [`Calendar`] cancels by the token `insert` returned, the
+//! oracle by seq; [`Calendar::audit`] checks the calendar's books after
+//! every operation.
 //!
 //! Offsets span zero (same-instant ties) through nanoseconds to >2⁴⁸ ns,
 //! so keys of every magnitude meet in one heap.
@@ -22,12 +24,16 @@ enum Op {
     Pop,
     /// Cancel a still-pending event (picked by index into the live
     /// set) on both calendars; both must acknowledge, and a second
-    /// cancel of the same seq must be absorbed identically.
+    /// cancel of the same event must be absorbed identically.
     Cancel(usize),
     /// Cancel a pending event and immediately reschedule its payload
     /// under a fresh seq `delta` ns after the last popped timestamp —
     /// the hedge loser-requeue pattern.
     Reschedule(usize, u64),
+    /// Cancel, on [`Calendar`] alone, by the token of an event that has
+    /// already popped or been cancelled (picked by index): refused, and
+    /// the length is unchanged.
+    StaleCancel(usize),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -46,6 +52,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         ((1u64 << 42)..(1 << 52)).prop_map(Op::Schedule),
         (0usize..1 << 16).prop_map(Op::Cancel),
         (0usize..1 << 16, 0u64..1 << 44).prop_map(|(i, d)| Op::Reschedule(i, d)),
+        (0usize..1 << 16).prop_map(Op::StaleCancel),
     ]
 }
 
@@ -58,16 +65,18 @@ proptest! {
         let mut heap = HeapCalendar::new();
         let mut seq = 0u64;
         let mut now = 0u64; // timestamp of the last pop, like EventQueue
-        // Seqs scheduled but not yet popped or cancelled: both cancel
-        // contracts require a pending seq, so ops only pick from here.
-        let mut live: Vec<u64> = Vec::new();
+        // `(seq, token)` of events scheduled but not yet popped or
+        // cancelled: the oracle's cancel requires a pending seq, so
+        // `Cancel` and `Reschedule` only pick from here.
+        let mut live: Vec<(u64, u64)> = Vec::new();
+        // Tokens of events that have popped or been cancelled.
+        let mut stale: Vec<u64> = Vec::new();
         for op in ops {
             match op {
                 Op::Schedule(delta) => {
                     let at = SimTime(now.saturating_add(delta));
-                    cal.insert(at, seq, seq);
+                    live.push((seq, cal.insert(at, seq, seq)));
                     heap.insert(at, seq, seq);
-                    live.push(seq);
                     seq += 1;
                 }
                 Op::Pop => {
@@ -76,39 +85,55 @@ proptest! {
                     prop_assert_eq!(c, h, "pop diverged after seq {}", seq);
                     if let Some((t, e)) = c {
                         now = t.0;
-                        live.retain(|&s| s != e);
+                        let i = live
+                            .iter()
+                            .position(|&(s, _)| s == e)
+                            .expect("popped a live event");
+                        stale.push(live.swap_remove(i).1);
                     }
                 }
                 Op::Cancel(idx) => {
                     if live.is_empty() {
                         continue;
                     }
-                    let victim = live.swap_remove(idx % live.len());
-                    prop_assert!(cal.cancel(victim));
+                    let (victim, token) = live.swap_remove(idx % live.len());
+                    prop_assert!(cal.cancel(token));
                     prop_assert!(heap.cancel(victim));
-                    prop_assert!(!cal.cancel(victim), "double cancel absorbed");
+                    prop_assert!(!cal.cancel(token), "double cancel absorbed");
                     prop_assert!(!heap.cancel(victim), "double cancel absorbed");
+                    stale.push(token);
                 }
                 Op::Reschedule(idx, delta) => {
                     if live.is_empty() {
                         continue;
                     }
-                    let victim = live.swap_remove(idx % live.len());
-                    prop_assert!(cal.cancel(victim));
+                    let (victim, token) = live.swap_remove(idx % live.len());
+                    prop_assert!(cal.cancel(token));
                     prop_assert!(heap.cancel(victim));
+                    stale.push(token);
                     let at = SimTime(now.saturating_add(delta));
-                    cal.insert(at, seq, seq);
+                    live.push((seq, cal.insert(at, seq, seq)));
                     heap.insert(at, seq, seq);
-                    live.push(seq);
                     seq += 1;
                 }
+                Op::StaleCancel(idx) => {
+                    if stale.is_empty() {
+                        continue;
+                    }
+                    let len = cal.len();
+                    prop_assert!(!cal.cancel(stale[idx % stale.len()]), "stale cancel refused");
+                    prop_assert_eq!(cal.len(), len);
+                }
             }
+            cal.audit();
+            prop_assert_eq!(cal.len(), live.len());
             prop_assert_eq!(cal.len(), heap.len());
         }
         // Drain the rest: the full residual streams must match too.
         loop {
             let (c, h) = (cal.pop(), heap.pop());
             prop_assert_eq!(c, h);
+            cal.audit();
             if c.is_none() {
                 break;
             }
@@ -124,15 +149,16 @@ fn cancel_during_pop_matches_heap_oracle() {
     let mut cal = Calendar::new();
     let mut heap = HeapCalendar::new();
     let t = SimTime(1 << 21);
+    let mut tokens = Vec::new();
     for seq in 0..8u64 {
-        cal.insert(t, seq, seq);
+        tokens.push(cal.insert(t, seq, seq));
         heap.insert(t, seq, seq);
     }
     // Pop one of the tie burst, then cancel two mid-drain: the next in
     // line (seq 1) and the last of the burst (seq 7).
     assert_eq!(cal.pop(), heap.pop());
     for victim in [1u64, 7] {
-        assert!(cal.cancel(victim));
+        assert!(cal.cancel(tokens[victim as usize]));
         assert!(heap.cancel(victim));
     }
     assert_eq!(cal.peek_time(), heap.peek_time());
@@ -283,32 +309,37 @@ fn slab_slot_recycling_churn_matches_heap_oracle() {
 }
 
 /// A cancelled event's slot is recycled by a later insert once the
-/// tombstone is purged. The old seq's tombstone must not follow the
-/// slot: the new event fires, and cancelling it by its own seq works.
+/// tombstone is purged. The old event's tombstone must not follow the
+/// slot: the new event fires, the old token stays refused, and
+/// cancelling the newcomer by its own token works.
 #[test]
 fn recycled_slot_of_cancelled_event_keeps_new_event_live() {
     let mut cal = Calendar::new();
     let mut heap = HeapCalendar::new();
+    let mut tokens = Vec::new();
     for seq in 0..3u64 {
-        cal.insert(SimTime(10 * (seq + 1)), seq, seq);
+        tokens.push(cal.insert(SimTime(10 * (seq + 1)), seq, seq));
         heap.insert(SimTime(10 * (seq + 1)), seq, seq);
     }
     // Cancel the front event and purge its tombstone with a peek.
-    assert!(cal.cancel(0));
+    assert!(cal.cancel(tokens[0]));
     assert!(heap.cancel(0));
     assert_eq!(cal.peek_time(), heap.peek_time());
     // The next insert reuses the freed slot at a time that beats the
     // survivors; it must pop, not vanish under seq 0's old tombstone.
     cal.insert(SimTime(5), 3, 3);
     heap.insert(SimTime(5), 3, 3);
+    assert!(!cal.cancel(tokens[0]), "the purged event's token is stale");
     assert_eq!(cal.len(), 3);
+    cal.audit();
     assert_eq!(cal.pop(), Some((SimTime(5), 3)));
     assert_eq!(heap.pop(), Some((SimTime(5), 3)));
-    // Recycle the same slot again and cancel the newcomer by its seq.
-    cal.insert(SimTime(15), 4, 4);
+    // Recycle the same slot again and cancel the newcomer by its token.
+    let newcomer = cal.insert(SimTime(15), 4, 4);
     heap.insert(SimTime(15), 4, 4);
-    assert!(cal.cancel(4));
+    assert!(cal.cancel(newcomer));
     assert!(heap.cancel(4));
+    cal.audit();
     assert_eq!(drain_both(&mut cal, &mut heap), vec![1, 2]);
 }
 
@@ -319,12 +350,13 @@ fn recycled_slot_of_cancelled_event_keeps_new_event_live() {
 fn peek_time_skips_cancelled_top() {
     let mut cal = Calendar::new();
     let mut heap = HeapCalendar::new();
+    let mut tokens = Vec::new();
     for (seq, at) in [(0u64, 100u64), (1, 100), (2, 300), (3, 200)] {
-        cal.insert(SimTime(at), seq, seq);
+        tokens.push(cal.insert(SimTime(at), seq, seq));
         heap.insert(SimTime(at), seq, seq);
     }
     for victim in [0u64, 1] {
-        assert!(cal.cancel(victim));
+        assert!(cal.cancel(tokens[victim as usize]));
         assert!(heap.cancel(victim));
     }
     assert_eq!(cal.peek_time(), Some(SimTime(200)));
@@ -344,16 +376,18 @@ fn hundred_thousand_pending_match_heap_oracle() {
     const N: u64 = 200_000;
     let mut cal = Calendar::new();
     let mut heap = HeapCalendar::new();
+    let mut tokens = Vec::new();
     for seq in 0..N {
         // A multiplicative scramble over ~2^40 ns with plenty of ties.
         let at = SimTime((seq.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 24) % (1 << 40) / 1000);
-        cal.insert(at, seq, seq);
+        tokens.push(cal.insert(at, seq, seq));
         heap.insert(at, seq, seq);
     }
     for victim in (0..N).step_by(10) {
-        assert!(cal.cancel(victim));
+        assert!(cal.cancel(tokens[victim as usize]));
         assert!(heap.cancel(victim));
     }
+    cal.audit();
     assert_eq!(cal.len(), heap.len());
     assert!(cal.len() >= 100_000);
     let drained = drain_both(&mut cal, &mut heap);

@@ -162,9 +162,9 @@ fn exact_stats_retain_and_allocate() {
     );
 }
 
-/// The event calendar reuses its key heap, payload slab and tombstone
-/// set: once a run has reached its peak depth, schedule/pop cycles
-/// (with cancels mixed in) allocate nothing.
+/// The event calendar reuses its key heap and payload slab, and a
+/// cancel only rewrites a slab slot: once a run has reached its peak
+/// depth, schedule/pop cycles (with cancels mixed in) allocate nothing.
 #[test]
 fn event_queue_steady_state_is_allocation_free() {
     const DEPTH: u64 = 10_000;
@@ -186,8 +186,7 @@ fn event_queue_steady_state_is_allocation_free() {
     for i in 0..DEPTH {
         q.schedule(q.now() + offset(i), [i; 8]);
     }
-    // Warm-up: the free list and the tombstone set reach their working
-    // size.
+    // Warm-up: the heap, slab and free list reach their working size.
     for i in 0..100_000 {
         cycle(&mut q, i);
     }
